@@ -16,19 +16,14 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .diffsvd import PowerSvdConfig
-from .evalbench import (SKETCH_TYPES, DatasetSpec, ResultRecord, generate_dataset,
-                        mean_scw_loss, optimal_loss, results_to_csv, write_xy_csv)
+from .evalbench import (SKETCH_TYPES, TRAIN_MODES, DatasetSpec, evaluate_cell,
+                        generate_dataset, optimal_loss, random_sketch, results_to_csv,
+                        write_xy_csv)
 from .formats import load_sketch, save_dmat, save_sketch
-from .seeding import derived_seed, rng_from
-from .sketch import dense_random_sketch, sparse_random_sketch
-from .theory import (RobustnessParams, flat_profile,
-                     generalization_gap_sweep, objective_mean_estimate,
-                     objective_means, random_profile)
+from .seeding import derived_seed
 from .trainer import TrainConfig, TrainingDivergedError, report_to_csv, train
-from .verify import VerifyConfig, run_verification
+from .verify import VerifyConfig, lemma_and_trend, run_verification
 
 CONFIG_VERSION = 1
 
@@ -36,8 +31,6 @@ CONFIG_VERSION = 1
 _SEED_DATASET = 50
 _SEED_TRAIN = 60
 _SEED_EVAL_TRIAL = 70
-
-_TRAINABLE = {"learned": "learned", "mixed_j": "mixed_joint", "mixed_s": "mixed_separate"}
 
 
 class UsageError(Exception):
@@ -109,23 +102,16 @@ def load_config(path: str, seed_override: int | None = None,
         train_params = TrainParams(**raw.get("train", {}))
     except TypeError as exc:
         raise UsageError(f"bad train parameters: {exc}") from exc
+    trials = raw.get("trials", 1)
+    if type(trials) is not int or trials < 1:
+        raise UsageError(f"trials must be a positive integer, got {trials!r}")
     return ExperimentConfig(seed=master,
                             out_dir=out_override or raw.get("out_dir", "runs"),
                             datasets=tuple(datasets),
                             pairs=tuple(pairs),
                             sketch_types=sketch_types,
-                            trials=int(raw.get("trials", 1)),
+                            trials=trials,
                             train=train_params)
-
-
-def _map_ordered(fn, items, jobs: int):
-    """Map preserving order; results never depend on the worker count."""
-    if jobs > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _data_dir(cfg: ExperimentConfig, name: str) -> str:
@@ -157,13 +143,26 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _file_error(path: str, exc: Exception) -> UsageError:
+    """A loader's error as `path: reason`, without repeating the path."""
+    msg = str(exc)
+    return UsageError(msg if msg.startswith(f"{path}:") else f"{path}: {msg}")
+
+
 def _load_dataset_files(cfg: ExperimentConfig, spec: DatasetSpec):
     manifest = os.path.join(_data_dir(cfg, spec.name), "manifest.json")
     if not os.path.exists(manifest):
         raise UsageError(f"missing data for {spec.name!r}: run gen-data first "
                          f"(expected {manifest})")
-    file_spec = DatasetSpec(name=spec.name, kind="files", path=manifest)
-    return generate_dataset(file_spec)
+    try:
+        train_set, test_set = generate_dataset(
+            DatasetSpec(name=spec.name, kind="files", path=manifest))
+    except (OSError, ValueError) as exc:
+        raise _file_error(manifest, exc) from exc
+    shapes = sorted({a.shape for a in train_set + test_set})
+    if len(shapes) > 1:
+        raise UsageError(f"{manifest}: matrices differ in shape: {shapes}")
+    return train_set, test_set
 
 
 def _train_cfg(cfg: ExperimentConfig, k: int, m: int, mode: str, seed: int) -> TrainConfig:
@@ -175,22 +174,20 @@ def _train_cfg(cfg: ExperimentConfig, k: int, m: int, mode: str, seed: int) -> T
                        mode=mode, learned_rows=learned_rows)
 
 
-def cmd_train(cfg: ExperimentConfig, jobs: int = 1) -> int:
+def cmd_train(cfg: ExperimentConfig) -> int:
     """Train one sketch per (dataset, k, m, trainable type, trial)."""
     os.makedirs(os.path.join(cfg.out_dir, "sketches"), exist_ok=True)
     os.makedirs(os.path.join(cfg.out_dir, "reports"), exist_ok=True)
-    modes = [st for st in cfg.sketch_types if st in _TRAINABLE]
+    modes = [st for st in cfg.sketch_types if st in TRAIN_MODES]
     for di, spec in enumerate(cfg.datasets):
         train_set, _ = _load_dataset_files(cfg, spec)
         for k, m in cfg.pairs:
             for st in modes:
-                def one_trial(t, k=k, m=m, st=st, di=di):
+                for t in range(cfg.trials):
                     seed = derived_seed(cfg.seed, _SEED_TRAIN, di, k, m,
                                         SKETCH_TYPES.index(st), t)
-                    return train(train_set, m, _train_cfg(cfg, k, m, _TRAINABLE[st], seed))
-
-                results = _map_ordered(one_trial, list(range(cfg.trials)), jobs)
-                for t, (sketch, report) in enumerate(results):
+                    sketch, report = train(train_set, m,
+                                           _train_cfg(cfg, k, m, TRAIN_MODES[st], seed))
                     save_sketch(_sketch_path(cfg, spec.name, k, m, st, t), sketch)
                     report_to_csv(report, os.path.join(
                         cfg.out_dir, "reports",
@@ -200,38 +197,35 @@ def cmd_train(cfg: ExperimentConfig, jobs: int = 1) -> int:
     return 0
 
 
-def cmd_eval(cfg: ExperimentConfig, jobs: int = 1) -> int:
+def _eval_sketch(cfg: ExperimentConfig, di: int, spec: DatasetSpec, n: int, k: int,
+                 m: int, st: str, t: int):
+    """The trained sketch from its SKCH1 file, or a fresh seeded random one."""
+    if st not in TRAIN_MODES:
+        seed = derived_seed(cfg.seed, _SEED_EVAL_TRIAL, di, k, m, SKETCH_TYPES.index(st), t)
+        return random_sketch(st, m, n, seed)
+    path = _sketch_path(cfg, spec.name, k, m, st, t)
+    if not os.path.isfile(path):
+        raise UsageError(f"missing sketch file {path}: run train first")
+    try:
+        return load_sketch(path)
+    except (OSError, ValueError) as exc:
+        raise _file_error(path, exc) from exc
+
+
+def cmd_eval(cfg: ExperimentConfig) -> int:
     """Evaluate every configured cell; writes results.csv and plot data."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    records: list[ResultRecord] = []
+    records = []
     for di, spec in enumerate(cfg.datasets):
         _, test_set = _load_dataset_files(cfg, spec)
         n = test_set[0].shape[0]
-        app_by_k = {k: optimal_loss(test_set, k) for k, _ in cfg.pairs}
+        app_by_k = {k: optimal_loss(test_set, k) for k in {k for k, _ in cfg.pairs}}
         for k, m in cfg.pairs:
             for st in cfg.sketch_types:
-                sketches = []
-                for t in range(cfg.trials):
-                    if st in _TRAINABLE:
-                        path = _sketch_path(cfg, spec.name, k, m, st, t)
-                        if not os.path.exists(path):
-                            raise UsageError(f"missing sketch file {path}: run train first")
-                        sketches.append(load_sketch(path))
-                    else:
-                        seed = derived_seed(cfg.seed, _SEED_EVAL_TRIAL, di, k, m,
-                                            SKETCH_TYPES.index(st), t)
-                        if st == "sparse_random":
-                            sketches.append(sparse_random_sketch(m, n, seed))
-                        else:
-                            sketches.append(dense_random_sketch(m, n, seed))
-                errs = _map_ordered(
-                    lambda s: mean_scw_loss(test_set, s, k) - app_by_k[k],
-                    sketches, jobs)
-                std_err = 0.0
-                if len(errs) > 1:
-                    std_err = float(np.std(np.asarray(errs), ddof=1) / np.sqrt(len(errs)))
-                records.append(ResultRecord(spec.name, k, m, st,
-                                            float(np.mean(errs)), std_err, len(errs)))
+                sketches = [_eval_sketch(cfg, di, spec, n, k, m, st, t)
+                            for t in range(cfg.trials)]
+                records.append(evaluate_cell(spec.name, k, m, st, test_set, sketches,
+                                             app_by_k[k])[1])
     results_to_csv(records, os.path.join(cfg.out_dir, "results.csv"))
     _write_plot_data(cfg, records)
     print(f"eval: wrote {len(records)} rows -> {os.path.join(cfg.out_dir, 'results.csv')}")
@@ -251,53 +245,41 @@ def _write_plot_data(cfg: ExperimentConfig, records) -> None:
         write_xy_csv(os.path.join(plot_dir, f"err_vs_m_{dataset}_k{k}.csv"), rows)
 
 
-def cmd_verify(args) -> int:
-    concat_fn = None
-    if args.inject_broken_concat:
-        def concat_fn(s1, s2):  # negative-control hook: drops the first block
-            return s2
-    vcfg = VerifyConfig() if args.seed is None else VerifyConfig(seed=args.seed)
-    kwargs = {} if concat_fn is None else {"concat_fn": concat_fn}
-    results = run_verification(vcfg, **kwargs)
-    failed = 0
+def _verify_cfg(args) -> VerifyConfig:
+    return VerifyConfig() if args.seed is None else VerifyConfig(seed=args.seed)
+
+
+def _print_checks(results) -> int:
+    """One [PASS]/[FAIL] line per check; returns the number that failed."""
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
-        failed += 0 if r.passed else 1
+    return sum(not r.passed for r in results)
+
+
+def cmd_verify(args) -> int:
+    kwargs = {}
+    if args.inject_broken_concat:  # negative-control hook: drops the first block
+        kwargs["concat_fn"] = lambda s1, s2: s2
+    results = run_verification(_verify_cfg(args), **kwargs)
+    failed = _print_checks(results)
     print(f"verify: {len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 2
 
 
 def cmd_theory(args) -> int:
-    """Emit the single-row-sketch report CSV: lemma products and gap trend."""
-    seed = args.seed if args.seed is not None else 20260101
+    """Write theory.csv: the numbers behind verify's lemma and trend checks."""
     out_dir = args.out or "runs"
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    ok = True
-    for j in range(10):
-        dim = int(rng_from(seed, 90, j).integers(2, 16))
-        p = random_profile(dim, derived_seed(seed, 91, j))
-        mean_full, mean_simp = objective_means(p, 20000, derived_seed(seed, 92, j))
-        rp = p.stable_rank()
-        rows.append((dim, rp, mean_simp, mean_simp * rp, "", ""))
-        ok = ok and mean_simp * rp >= 1 / 20 and mean_full * rp >= 1 / 20
-    params = RobustnessParams(rho=0.05, delta=0.05, eps_grid=0.05)
-    sweep = generalization_gap_sweep([25, 100, 400], 6, 500, params, seed)
-    for n_train, gap in sweep:
-        rows.append((2, "", "", "", n_train, gap))
-    gaps = [g for _, g in sweep]
-    ok = ok and gaps[0] > gaps[1] > gaps[2]
+    *checks, rows = lemma_and_trend(_verify_cfg(args))
     path = os.path.join(out_dir, "theory.csv")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("d,r_prime,empirical_mean,product,N,gap\n")
         for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
-    flat10 = objective_mean_estimate(flat_profile(10, derived_seed(seed, 93)),
-                                     20000, derived_seed(seed, 94))
-    ok = ok and abs(flat10 - 0.1) <= 0.02
-    print(f"theory: wrote {len(rows)} rows -> {path}; flat d=10 mean = {flat10:.4f}; "
-          f"{'all bounds hold' if ok else 'BOUND VIOLATION'}")
-    return 0 if ok else 2
+            fh.write(",".join("" if x is None else str(x) for x in row) + "\n")
+    failed = _print_checks(checks)
+    print(f"theory: wrote {len(rows)} rows -> {path}; "
+          f"{'all bounds hold' if not failed else 'BOUND VIOLATION'}")
+    return 0 if not failed else 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -314,7 +296,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         p.set_defaults(needs_config=needs_config)
         if name == "verify":
             p.add_argument("--inject-broken-concat", action="store_true",
@@ -338,8 +321,8 @@ def main(argv=None) -> int:
         if args.command == "gen-data":
             return cmd_gen_data(cfg)
         if args.command == "train":
-            return cmd_train(cfg, jobs=args.jobs)
-        return cmd_eval(cfg, jobs=args.jobs)
+            return cmd_train(cfg)
+        return cmd_eval(cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

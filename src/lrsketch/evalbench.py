@@ -19,9 +19,11 @@ from .formats import load_matrix
 from .scw import scw_loss
 from .seeding import derived_seed, rng_from
 from .sketch import dense_random_sketch, sparse_random_sketch
-from .trainer import TrainConfig, train_mixed_joint, train_mixed_separate, train_sketch
+from .trainer import TrainConfig, train
 
 SKETCH_TYPES = ("sparse_random", "dense_random", "learned", "mixed_j", "mixed_s")
+# trainer mode behind each trainable sketch type
+TRAIN_MODES = {"learned": "learned", "mixed_j": "mixed_joint", "mixed_s": "mixed_separate"}
 
 # seed tag for per-trial randomness inside run_experiment
 _SEED_TRIAL = 5
@@ -135,6 +137,10 @@ def _load_files(spec: DatasetSpec):
         raise ValueError("files dataset needs a manifest path")
     with open(spec.path, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
+    if not (isinstance(manifest, dict)
+            and all(isinstance(manifest.get(role), list) and manifest[role]
+                    for role in ("train", "test"))):
+        raise ValueError(f"{spec.path}: manifest needs non-empty 'train' and 'test' lists")
     base = os.path.dirname(os.path.abspath(spec.path))
 
     def load_all(paths):
@@ -172,67 +178,56 @@ def err_metric(test, s, k: int) -> float:
     return mean_scw_loss(test, s, k) - optimal_loss(test, k)
 
 
-def _trial_sketch(train_set, n: int, k: int, m: int, sketch_type: str,
-                  trial_seed: int, train_cfg: TrainConfig):
+def random_sketch(sketch_type: str, m: int, n: int, seed: int):
+    """A fresh sparse or dense random sketch with m rows over n inputs."""
     if sketch_type == "sparse_random":
-        return sparse_random_sketch(m, n, trial_seed)
+        return sparse_random_sketch(m, n, seed)
     if sketch_type == "dense_random":
-        return dense_random_sketch(m, n, trial_seed)
-    cfg = replace(train_cfg, k=k, seed=trial_seed)
-    if sketch_type == "learned":
-        return train_sketch(train_set, m, replace(cfg, mode="learned"))[0]
-    if sketch_type == "mixed_j":
-        return train_mixed_joint(train_set, m, replace(cfg, mode="mixed_joint"))[0]
-    if sketch_type == "mixed_s":
-        return train_mixed_separate(train_set, m, replace(cfg, mode="mixed_separate"))[0]
+        return dense_random_sketch(m, n, seed)
     raise ValueError(f"unknown sketch type {sketch_type!r}")
 
 
-def _trial_errs(train_set, test, k: int, m: int, sketch_type: str, trials: int,
-                train_cfg: TrainConfig, jobs: int = 1) -> list[float]:
-    if trials < 1:
+def evaluate_cell(dataset: str, k: int, m: int, sketch_type: str, test, sketches,
+                  app: float) -> tuple[list[float], ResultRecord]:
+    """Excess error of each sketch on a test set, and their mean/std-err record.
+
+    `app` is optimal_loss(test, k), computed once per (test set, k).
+    """
+    if not sketches:
         raise ValueError("trials must be >= 1")
-    n = test[0].shape[0]
-    app = optimal_loss(test, k)  # shared across trials
-    seeds = [derived_seed(train_cfg.seed, _SEED_TRIAL, t) for t in range(trials)]
-
-    def one(trial_seed: int) -> float:
-        s = _trial_sketch(train_set, n, k, m, sketch_type, trial_seed, train_cfg)
-        return mean_scw_loss(test, s, k) - app
-
-    if jobs > 1 and trials > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, seeds))  # ordered, so worker count is moot
-    return [one(seed) for seed in seeds]
-
-
-def _aggregate(dataset: str, k: int, m: int, sketch_type: str,
-               errs: list[float]) -> ResultRecord:
-    errs_arr = np.asarray(errs)
+    errs = [mean_scw_loss(test, s, k) - app for s in sketches]
     std_err = 0.0
     if len(errs) > 1:
-        std_err = float(np.std(errs_arr, ddof=1) / np.sqrt(len(errs)))
-    return ResultRecord(dataset, k, m, sketch_type, float(np.mean(errs_arr)),
-                        std_err, len(errs))
+        std_err = float(np.std(np.asarray(errs), ddof=1) / np.sqrt(len(errs)))
+    return errs, ResultRecord(dataset, k, m, sketch_type, float(np.mean(errs)),
+                              std_err, len(errs))
+
+
+def _run_trials(name: str, train_set, test, k: int, m: int, sketch_type: str,
+                trials: int, train_cfg: TrainConfig) -> ResultRecord:
+    seeds = [derived_seed(train_cfg.seed, _SEED_TRIAL, t) for t in range(trials)]
+    if sketch_type in TRAIN_MODES:
+        cfg = replace(train_cfg, k=k, mode=TRAIN_MODES[sketch_type])
+        sketches = [train(train_set, m, replace(cfg, seed=seed))[0] for seed in seeds]
+    else:
+        n = test[0].shape[0]
+        sketches = [random_sketch(sketch_type, m, n, seed) for seed in seeds]
+    return evaluate_cell(name, k, m, sketch_type, test, sketches, optimal_loss(test, k))[1]
 
 
 def run_experiment(spec: DatasetSpec, k: int, m: int, sketch_type: str,
-                   trials: int, train_cfg: TrainConfig, jobs: int = 1) -> ResultRecord:
+                   trials: int, train_cfg: TrainConfig) -> ResultRecord:
     """Evaluate one (dataset, k, m, sketch type) cell over several trials.
 
     The dataset is fixed by spec.seed; trials differ in the sketch /
     training randomness, seeded from train_cfg.seed.
     """
     train_set, test = generate_dataset(spec)
-    errs = _trial_errs(train_set, test, k, m, sketch_type, trials, train_cfg, jobs)
-    return _aggregate(spec.name, k, m, sketch_type, errs)
+    return _run_trials(spec.name, train_set, test, k, m, sketch_type, trials, train_cfg)
 
 
 def mixed_training_set_experiment(specs, eval_spec: DatasetSpec, k: int, m: int,
-                                  train_cfg: TrainConfig, trials: int = 1,
-                                  jobs: int = 1) -> ResultRecord:
+                                  train_cfg: TrainConfig, trials: int = 1) -> ResultRecord:
     """Train one sketch on the union of several datasets, evaluate on one."""
     train_set = []
     for sp in specs:
@@ -241,8 +236,7 @@ def mixed_training_set_experiment(specs, eval_spec: DatasetSpec, k: int, m: int,
     if len(rows) != 1:
         raise ValueError(f"union train sets disagree on row count: {sorted(rows)}")
     _, test = generate_dataset(eval_spec)
-    errs = _trial_errs(train_set, test, k, m, "learned", trials, train_cfg, jobs)
-    return _aggregate(eval_spec.name, k, m, "learned", errs)
+    return _run_trials(eval_spec.name, train_set, test, k, m, "learned", trials, train_cfg)
 
 
 def results_to_csv(records, path) -> None:

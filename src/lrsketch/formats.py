@@ -31,16 +31,22 @@ def save_dmat(path: str | os.PathLike, a) -> None:
         fh.write(a.astype("<f8", copy=False).tobytes())
 
 
+def _read(fh, count: int, dtype: str, path, what: str) -> np.ndarray:
+    """Read `count` values, or raise if the file ends first."""
+    size = count * np.dtype(dtype).itemsize
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"{path}: truncated {what}")
+    return np.frombuffer(fh.read(size), dtype=dtype)
+
+
 def load_dmat(path: str | os.PathLike) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(len(DMAT_MAGIC))
         if magic != DMAT_MAGIC:
             raise ValueError(f"{path}: not a DMAT1 file")
-        rows, cols = np.frombuffer(fh.read(16), dtype="<u8")
-        data = np.frombuffer(fh.read(int(rows * cols) * 8), dtype="<f8")
-    if data.size != rows * cols:
-        raise ValueError(f"{path}: truncated DMAT1 payload")
-    a = data.reshape(int(rows), int(cols)).astype(np.float64)
+        rows, cols = (int(x) for x in _read(fh, 2, "<u8", path, "DMAT1 header"))
+        data = _read(fh, rows * cols, "<f8", path, "DMAT1 payload")
+    a = data.reshape(rows, cols).astype(np.float64)
     return require_finite(a, f"{path}")
 
 
@@ -91,13 +97,13 @@ def load_sketch(path: str | os.PathLike) -> SparseSketch:
         magic = fh.read(len(SKCH_MAGIC))
         if magic != SKCH_MAGIC:
             raise ValueError(f"{path}: not a SKCH1 file")
-        m_total, n, nblocks = (int(x) for x in np.frombuffer(fh.read(24), dtype="<u8"))
+        m_total, n, nblocks = (int(x) for x in _read(fh, 3, "<u8", path, "SKCH1 file"))
         blocks = []
         for _ in range(nblocks):
-            (bm,) = np.frombuffer(fh.read(8), dtype="<u8")
-            row_of = np.frombuffer(fh.read(n * 8), dtype="<u8").astype(np.int64)
-            value_of = np.frombuffer(fh.read(n * 8), dtype="<f8").astype(np.float64)
-            mask = np.frombuffer(fh.read(n), dtype=np.uint8).astype(bool)
+            (bm,) = _read(fh, 1, "<u8", path, "SKCH1 file")
+            row_of = _read(fh, n, "<u8", path, "SKCH1 file").astype(np.int64)
+            value_of = _read(fh, n, "<f8", path, "SKCH1 file").astype(np.float64)
+            mask = _read(fh, n, "u1", path, "SKCH1 file").astype(bool)
             blocks.append(SketchBlock(int(bm), row_of, value_of, mask))
     s = SparseSketch(n, tuple(blocks))
     if s.m != m_total:

@@ -28,6 +28,9 @@ DEGENERATE_DENOM = 1e-15
 
 _MC_CHUNK = 20000
 _GRID_BUDGET = 10**7
+# A uniformly random direction achieves expected objective on the order of
+# 1 / stable rank, so (mean objective x stable rank) should stay above this.
+LEMMA_BOUND = 1.0 / 20.0
 
 
 class DegenerateDirectionError(ValueError):
@@ -174,20 +177,23 @@ def objective_mean_estimate(profile: SpectralProfile, samples: int, seed: int,
     return full if objective == "full" else simp
 
 
-def verify_stable_rank_lemma(profiles, samples: int, seed: int) -> tuple[float, float]:
-    """Worst (mean objective x stable rank) product over normalized profiles.
-
-    A uniformly random direction achieves expected objective on the
-    order of 1 / stable_rank, so the product should stay above a fixed
-    constant; we test 1/20. Returns (worst product, tested constant).
-    """
-    worst = math.inf
+def lemma_means(profiles, samples: int, seed: int) -> list[tuple[float, float, float]]:
+    """(stable rank, full mean, simplified mean) per normalized profile."""
+    out = []
     for j, p in enumerate(profiles):
         require_normalized(p)
-        rp = p.stable_rank()
-        mean_full, mean_simp = objective_means(p, samples, derived_seed(seed, j))
-        worst = min(worst, mean_simp * rp, mean_full * rp)
-    return worst, 1.0 / 20.0
+        out.append((p.stable_rank(), *objective_means(p, samples, derived_seed(seed, j))))
+    return out
+
+
+def worst_lemma_product(means) -> float:
+    """Smallest (mean objective x stable rank) over lemma_means output."""
+    return min((min(simp * rp, full * rp) for rp, full, simp in means), default=math.inf)
+
+
+def verify_stable_rank_lemma(profiles, samples: int, seed: int) -> tuple[float, float]:
+    """(worst mean objective x stable rank over the profiles, LEMMA_BOUND)."""
+    return worst_lemma_product(lemma_means(profiles, samples, seed)), LEMMA_BOUND
 
 
 def discretize_sphere(d: int, eps: float) -> np.ndarray:

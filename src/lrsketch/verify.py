@@ -18,10 +18,10 @@ from .scw import scw_loss
 from .seeding import derived_seed, rng_from
 from .sketch import (apply_sketch, concat_sketches, densify,
                      identity_pattern_sketch, sparse_random_sketch)
-from .theory import (RobustnessParams, flat_profile, fragile_counterexample,
-                     generalization_gap_sweep, grid_search_robust_minimizer,
-                     objective_mean_estimate, random_profile, robustness_fraction,
-                     verify_stable_rank_lemma)
+from .theory import (LEMMA_BOUND, RobustnessParams, flat_profile,
+                     fragile_counterexample, generalization_gap_sweep,
+                     grid_search_robust_minimizer, lemma_means, objective_mean_estimate,
+                     random_profile, robustness_fraction, worst_lemma_product)
 
 
 @dataclass(frozen=True)
@@ -100,20 +100,6 @@ def check_gradients(cfg: VerifyConfig) -> CheckResult:
                        f"1e-6 absolute budget (<= 1 passes)")
 
 
-def check_stable_rank_lemma(cfg: VerifyConfig) -> CheckResult:
-    profiles = [random_profile(int(rng_from(cfg.seed, 3, j).integers(2, 16)),
-                               derived_seed(cfg.seed, 3, j, 1))
-                for j in range(cfg.lemma_profiles)]
-    worst, bound = verify_stable_rank_lemma(profiles, cfg.lemma_samples, cfg.seed)
-    flat = flat_profile(10, derived_seed(cfg.seed, 3, 99))
-    mean10 = objective_mean_estimate(flat, cfg.lemma_samples,
-                                     derived_seed(cfg.seed, 3, 100))
-    ok = worst >= bound and abs(mean10 - 0.1) <= 0.02
-    return CheckResult("stable-rank-lemma", ok,
-                       f"worst mean*r' = {worst:.4f} (needs >= {bound:.4f}); "
-                       f"flat d=10 mean = {mean10:.4f} (needs 0.1 +- 0.02)")
-
-
 def check_robustness_counterexample(cfg: VerifyConfig) -> CheckResult:
     s, train, adv = fragile_counterexample(0.01)
     frac = robustness_fraction(s, [adv], 0.05)
@@ -126,14 +112,35 @@ def check_robustness_counterexample(cfg: VerifyConfig) -> CheckResult:
                        f"robust search avoids the fragile direction: {fragile_excluded}")
 
 
-def check_generalization_trend(cfg: VerifyConfig) -> CheckResult:
+def lemma_and_trend(cfg: VerifyConfig) -> tuple[CheckResult, CheckResult, list[tuple]]:
+    """The stable-rank-lemma and generalization-trend checks, and their rows.
+
+    Rows are theory.csv's (d, r', simplified mean, product, N, gap): one per
+    lemma profile, then one per train size N of the 2-D planted family.
+    """
+    profiles = [random_profile(int(rng_from(cfg.seed, 3, j).integers(2, 16)),
+                               derived_seed(cfg.seed, 3, j, 1))
+                for j in range(cfg.lemma_profiles)]
+    means = lemma_means(profiles, cfg.lemma_samples, cfg.seed)
+    worst = worst_lemma_product(means)
+    flat = flat_profile(10, derived_seed(cfg.seed, 3, 99))
+    mean10 = objective_mean_estimate(flat, cfg.lemma_samples,
+                                     derived_seed(cfg.seed, 3, 100))
+    lemma = CheckResult("stable-rank-lemma",
+                        worst >= LEMMA_BOUND and abs(mean10 - 0.1) <= 0.02,
+                        f"worst mean*r' = {worst:.4f} (needs >= {LEMMA_BOUND:.4f}); "
+                        f"flat d=10 mean = {mean10:.4f} (needs 0.1 +- 0.02)")
     params = RobustnessParams(rho=0.05, delta=0.05, eps_grid=0.05)
     sweep = generalization_gap_sweep([25, 100, 400], cfg.trend_splits, 500,
                                      params, cfg.seed)
     gaps = [g for _, g in sweep]
-    ok = gaps[0] > gaps[1] > gaps[2]
     detail = ", ".join(f"N={n}: {g:.4f}" for n, g in sweep)
-    return CheckResult("generalization-trend", ok, f"mean |gap| {detail}")
+    trend = CheckResult("generalization-trend", gaps[0] > gaps[1] > gaps[2],
+                        f"mean |gap| {detail}")
+    rows = [(p.dim, rp, simp, simp * rp, None, None)
+            for p, (rp, _, simp) in zip(profiles, means)]
+    rows += [(2, None, None, None, n, g) for n, g in sweep]
+    return lemma, trend, rows
 
 
 def check_apply_bitwise(cfg: VerifyConfig) -> CheckResult:
@@ -153,12 +160,13 @@ def run_verification(cfg: VerifyConfig | None = None,
                      concat_fn=concat_sketches) -> list[CheckResult]:
     """Run every check; `concat_fn` is a test hook for negative controls."""
     cfg = cfg or VerifyConfig()
+    lemma, trend, _ = lemma_and_trend(cfg)
     return [
         check_dominance(cfg, concat_fn),
         check_scw_identity(cfg),
         check_gradients(cfg),
-        check_stable_rank_lemma(cfg),
+        lemma,
         check_robustness_counterexample(cfg),
-        check_generalization_trend(cfg),
+        trend,
         check_apply_bitwise(cfg),
     ]

@@ -2,9 +2,11 @@ import json
 import os
 
 import numpy as np
+import pytest
 
+from lrsketch import cli
 from lrsketch.cli import main
-from lrsketch.formats import load_sketch
+from lrsketch.formats import load_sketch, save_dmat
 from lrsketch.seeding import derived_seed
 from lrsketch.sketch import sketches_equal, sparse_random_sketch
 
@@ -165,6 +167,17 @@ class TestEvalCommand:
                              for p in paths])
         assert sketches[0] == sketches[1]
 
+    def test_optimal_loss_once_per_k(self, tmp_path, monkeypatch):
+        calls, real = [], cli.optimal_loss
+        monkeypatch.setattr(cli, "optimal_loss",
+                            lambda test_set, k: calls.append(k) or real(test_set, k))
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, sketch_types=["sparse_random", "dense_random"],
+                     pairs=[[2, 2], [2, 4], [2, 6]])
+        main(["gen-data", "--config", str(cfg_path)])
+        assert main(["eval", "--config", str(cfg_path)]) == 0
+        assert calls == [2]
+
     def test_plot_data_written(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg = write_config(cfg_path, sketch_types=["sparse_random"],
@@ -198,6 +211,36 @@ class TestTheoryCommand:
         assert len(lines) > 10
 
 
+def _cut(path, keep):
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[:keep if keep >= 0 else len(data) + keep])
+
+
+def _nan_payload(path):
+    data = bytearray(open(path, "rb").read())
+    data[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    open(path, "wb").write(bytes(data))
+
+
+def _edit_manifest(path, fn):
+    manifest = json.load(open(path))
+    fn(manifest)
+    json.dump(manifest, open(path, "w"))
+
+
+# malformed-input cases: (file relative to the run directory, how it is damaged)
+_DAMAGE = {
+    "dmat_header": ("data/demo/test_000.dmat", lambda p: _cut(p, 10)),
+    "dmat_payload": ("data/demo/test_000.dmat", lambda p: _cut(p, -8)),
+    "dmat_nan": ("data/demo/test_000.dmat", _nan_payload),
+    "skch_truncated": ("sketches/demo_k2_m4_learned_t0.skch", lambda p: _cut(p, -5)),
+    "manifest_cut": ("data/demo/manifest.json", lambda p: _cut(p, 20)),
+    "manifest_no_test": ("data/demo/manifest.json",
+                         lambda p: _edit_manifest(p, lambda m: m.pop("test"))),
+    "shape_mismatch": ("data/demo/test_000.dmat", lambda p: save_dmat(p, np.eye(16, 5))),
+}
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
@@ -223,6 +266,16 @@ class TestUsageErrors:
     def test_unknown_train_key(self, tmp_path):
         p = tmp_path / "bad.json"
         write_config(p, train={"momentum": 0.9})
+        assert main(["gen-data", "--config", str(p)]) == 1
+
+    def test_zero_trials(self, tmp_path):
+        p = tmp_path / "bad.json"
+        write_config(p, trials=0)
+        assert main(["gen-data", "--config", str(p)]) == 1
+
+    def test_non_integer_trials(self, tmp_path):
+        p = tmp_path / "bad.json"
+        write_config(p, trials="x")
         assert main(["gen-data", "--config", str(p)]) == 1
 
     def test_missing_files_path(self, tmp_path):
@@ -256,3 +309,19 @@ class TestUsageErrors:
         second = open(os.path.join(cfg["out_dir"], "data", "demo",
                                    "train_000.dmat"), "rb").read()
         assert first != second
+
+    @pytest.mark.parametrize("case", sorted(_DAMAGE))
+    def test_eval_exits_one_naming_the_file(self, tmp_path, capsys, case):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path,
+                           train={"lr": 0.5, "iterations": 2, "power_iters": 5})
+        assert main(["gen-data", "--config", str(cfg_path)]) == 0
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        rel, damage = _DAMAGE[case]
+        damage(os.path.join(cfg["out_dir"], rel))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path)]) == 1
+        # data errors name the manifest (and the DMAT1 file, if it is one)
+        named = rel if rel.startswith("sketches") else "data/demo/manifest.json"
+        assert capsys.readouterr().err.startswith(
+            f"error: {os.path.join(cfg['out_dir'], named)}: ")

@@ -190,12 +190,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="sketch type"):
             run_experiment(tiny_spec(), 3, 4, "magic", 1, tiny_train_cfg())
 
-    def test_worker_count_does_not_change_results(self):
-        serial = run_experiment(tiny_spec(), 3, 4, "sparse_random", 4,
-                                tiny_train_cfg(), jobs=1)
-        threaded = run_experiment(tiny_spec(), 3, 4, "sparse_random", 4,
-                                  tiny_train_cfg(), jobs=3)
-        assert serial == threaded
+    def test_same_seed_repeat_is_identical(self):
+        first = run_experiment(tiny_spec(), 3, 4, "sparse_random", 4, tiny_train_cfg())
+        again = run_experiment(tiny_spec(), 3, 4, "sparse_random", 4, tiny_train_cfg())
+        assert first == again
 
 
 class TestMixedTrainingSets:
