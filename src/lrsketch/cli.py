@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .diffsvd import PowerSvdConfig
 from .evalbench import (SKETCH_TYPES, TRAIN_MODES, DatasetSpec, evaluate_cell,
@@ -57,9 +57,36 @@ class ExperimentConfig:
     train: TrainParams = field(default_factory=TrainParams)
 
 
+# JSON value types accepted for each config field annotation
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "None": (type(None),)}
+
+
+def _check_types(obj, what: str) -> None:
+    """Reject a config field whose JSON value does not match its annotation."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        allowed = tuple(t for name in f.type.split(" | ") for t in _JSON_TYPES[name])
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise UsageError(f"{what}: {f.name} must be {f.type}, got {value!r}")
+
+
+def _checked(value, what: str, kind: type):
+    """value, if it is a JSON value of the given kind; else a UsageError."""
+    if not isinstance(value, kind):
+        raise UsageError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _seed(value, what: str) -> int:
+    """value, if it is a valid seed (an unsigned 64-bit integer); else a UsageError."""
+    if type(value) is not int or not 0 <= value < 2**64:
+        raise UsageError(f"{what} must be an integer in [0, 2**64), got {value!r}")
+    return value
+
+
 def load_config(path: str, seed_override: int | None = None,
                 out_override: str | None = None) -> ExperimentConfig:
-    """Parse a config file; overrides behave as if written in the file.
+    """Parse and type-check a config file; overrides act as if in the file.
 
     Dataset seeds left out of the file derive from the (possibly
     overridden) master seed, so a --seed override re-randomizes
@@ -70,43 +97,56 @@ def load_config(path: str, seed_override: int | None = None,
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if raw.get("version") != CONFIG_VERSION:
+    if not isinstance(raw, dict) or raw.get("version") != CONFIG_VERSION:
         raise UsageError(f"config version must be {CONFIG_VERSION}")
-    master = seed_override if seed_override is not None else int(raw.get("seed", 0))
+    master = _seed(raw.get("seed", 0), "seed") if seed_override is None else seed_override
     datasets = []
-    for i, spec in enumerate(raw.get("datasets", [])):
-        spec = dict(spec)
+    for i, spec in enumerate(_checked(raw.get("datasets", []), "datasets", list)):
+        spec = dict(_checked(spec, "dataset spec", dict))
+        what = f"dataset {spec.get('name')!r}"
         spec.setdefault("seed", derived_seed(master, _SEED_DATASET, i))
         if spec.get("kind") == "files":
             p = spec.get("path")
-            if not p or not os.path.exists(p):
-                raise UsageError(f"dataset {spec.get('name')}: path {p!r} does not exist")
+            if not isinstance(p, str) or not os.path.exists(p):
+                raise UsageError(f"{what}: path {p!r} does not exist")
         try:
-            datasets.append(DatasetSpec(**spec))
+            ds = DatasetSpec(**spec)
         except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad dataset spec {spec.get('name')!r}: {exc}") from exc
+            raise UsageError(f"{what}: {exc}") from exc
+        _check_types(ds, what)
+        _seed(ds.seed, f"{what}: seed")
+        datasets.append(ds)
     pairs = []
-    for pair in raw.get("pairs", []):
-        try:
-            k, m = (int(x) for x in pair)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad (k, m) pair {pair!r}") from exc
+    for pair in _checked(raw.get("pairs", []), "pairs", list):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(x) is int for x in pair)):
+            raise UsageError(f"bad (k, m) pair {pair!r}")
+        k, m = pair
         if k < 1 or m < 1:
             raise UsageError(f"(k, m) pairs must be positive, got ({k}, {m})")
         pairs.append((k, m))
-    sketch_types = tuple(raw.get("sketch_types", []))
+    sketch_types = tuple(_checked(raw.get("sketch_types", []), "sketch_types", list))
     for st in sketch_types:
         if st not in SKETCH_TYPES:
             raise UsageError(f"unknown sketch type {st!r}")
     try:
-        train_params = TrainParams(**raw.get("train", {}))
+        train_params = TrainParams(**_checked(raw.get("train", {}), "train", dict))
     except TypeError as exc:
         raise UsageError(f"bad train parameters: {exc}") from exc
+    _check_types(train_params, "train")
+    try:  # the trainer's own range checks, run before any work
+        _train_cfg(train_params, 1, 1, "learned", 0)
+    except ValueError as exc:
+        raise UsageError(f"bad train parameters: {exc}") from exc
+    rows = train_params.learned_rows
+    if rows is not None and not all(0 <= rows <= m for _, m in pairs):
+        raise UsageError(f"train: learned_rows={rows} must lie in [0, m] for every pair")
     trials = raw.get("trials", 1)
     if type(trials) is not int or trials < 1:
         raise UsageError(f"trials must be a positive integer, got {trials!r}")
+    out_dir = out_override or _checked(raw.get("out_dir", "runs"), "out_dir", str)
     return ExperimentConfig(seed=master,
-                            out_dir=out_override or raw.get("out_dir", "runs"),
+                            out_dir=out_dir,
                             datasets=tuple(datasets),
                             pairs=tuple(pairs),
                             sketch_types=sketch_types,
@@ -165,8 +205,7 @@ def _load_dataset_files(cfg: ExperimentConfig, spec: DatasetSpec):
     return train_set, test_set
 
 
-def _train_cfg(cfg: ExperimentConfig, k: int, m: int, mode: str, seed: int) -> TrainConfig:
-    tp = cfg.train
+def _train_cfg(tp: TrainParams, k: int, m: int, mode: str, seed: int) -> TrainConfig:
     learned_rows = tp.learned_rows if tp.learned_rows is not None else m // 2
     return TrainConfig(k=k, lr=tp.lr, batch_size=tp.batch_size,
                        iterations=tp.iterations, seed=seed,
@@ -187,7 +226,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
                     seed = derived_seed(cfg.seed, _SEED_TRAIN, di, k, m,
                                         SKETCH_TYPES.index(st), t)
                     sketch, report = train(train_set, m,
-                                           _train_cfg(cfg, k, m, TRAIN_MODES[st], seed))
+                                           _train_cfg(cfg.train, k, m, TRAIN_MODES[st], seed))
                     save_sketch(_sketch_path(cfg, spec.name, k, m, st, t), sketch)
                     report_to_csv(report, os.path.join(
                         cfg.out_dir, "reports",
@@ -308,8 +347,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.seed is not None and not 0 <= args.seed < 2**64:
-            raise UsageError("--seed must fit in an unsigned 64-bit integer")
+        if args.seed is not None:
+            _seed(args.seed, "--seed")
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "theory":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import as_matrix, best_rank_k, frobenius_norm, reference_svd
+from .linalg import as_matrix, best_rank_k, frobenius_norm, require_finite
 from .formats import load_matrix
 from .scw import scw_loss
 from .seeding import derived_seed, rng_from
@@ -64,6 +64,10 @@ class DatasetSpec:
                 raise ValueError("matrix counts must be >= 1")
             if self.spikes < 1 or self.noise < 0 or self.decay <= 0:
                 raise ValueError("invalid spike/noise/decay parameters")
+            if self.spikes > min(self.n, self.d):
+                raise ValueError(f"spikes={self.spikes} exceeds min(n, d)={min(self.n, self.d)}")
+            if self.kind == "rotated_shared_subspace" and self.n < 2 * self.spikes:
+                raise ValueError("rotated_shared_subspace needs n >= 2 * spikes")
 
 
 @dataclass(frozen=True)
@@ -79,11 +83,11 @@ class ResultRecord:
 
 def normalize_top_singular(a) -> np.ndarray:
     """Scale so the top singular value is exactly 1 (idempotent)."""
-    a = as_matrix(a)
-    f = reference_svd(a)
-    if f.rank == 0:
+    a = require_finite(as_matrix(a), "SVD input")
+    smax = np.linalg.svd(a, compute_uv=False)[0]
+    if smax <= 0.0:
         raise ValueError("cannot normalize a zero matrix")
-    return a / f.sigma[0]
+    return a / smax
 
 
 def _orth(g: np.ndarray) -> np.ndarray:
@@ -102,14 +106,10 @@ def _noise_term(rng, n, d, noise):
 def _generate_synthetic(spec: DatasetSpec):
     rng = rng_from(spec.seed)
     n, d, r = spec.n, spec.d, spec.spikes
-    if r > min(n, d):
-        raise ValueError(f"spikes={r} exceeds min(n, d)={min(n, d)}")
     sig = spec.decay ** np.arange(r)
     u0 = _orth(rng.standard_normal((n, r)))
     v0 = _orth(rng.standard_normal((d, r)))
     if spec.kind == "rotated_shared_subspace":
-        if n < 2 * r:
-            raise ValueError("rotated_shared_subspace needs n >= 2 * spikes")
         # orthonormal block orthogonal to u0, the rotation target
         w0 = _orth(np.concatenate([u0, rng.standard_normal((n, r))], axis=1))[:, r:]
 

@@ -1,10 +1,10 @@
-"""Dense matrix arithmetic and a trusted reference SVD.
+"""Dense matrix arithmetic, the LAPACK `svd` and two reference oracles.
 
-Matrices are plain 2-D float64 numpy arrays in row-major order. The
-reference SVD is a one-sided Jacobi iteration, deliberately independent
-of the power-method SVD used elsewhere, so the two can cross-check each
-other. `matmul` accumulates over the inner index in ascending order,
-which makes it bit-reproducible against a naive triple loop.
+Matrices are plain 2-D float64 numpy arrays in row-major order. Hot
+paths use `svd` and `@`. The reference SVD is a one-sided Jacobi
+iteration, independent of LAPACK and of the power-method SVD, so they
+can cross-check each other. `matmul` accumulates over the inner index in
+ascending order, which makes it bit-reproducible against a naive triple loop.
 """
 
 from __future__ import annotations
@@ -105,41 +105,42 @@ def _jacobi_tall(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, sigma, v
 
 
-def reference_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
-    """Compact SVD by one-sided Jacobi iteration.
+def _canonical(u, sigma, v, rank_tol: float) -> SvdFactors:
+    """Sort, truncate and sign-fix an SVD; the rules every SVD here shares.
 
     Rank is the count of singular values above rank_tol * sigma_max.
     Column signs are fixed so the largest-magnitude entry of each u
     column is positive.
     """
+    order = np.argsort(-sigma, kind="stable")
+    smax = sigma[order[0]] if sigma.size else 0.0
+    rank = int(np.sum(sigma > rank_tol * smax)) if smax > 0.0 else 0
+    keep = order[:rank]
+    u, sigma, v = u[:, keep], sigma[keep], v[:, keep]
+    if rank:
+        flip = np.where(u[np.abs(u).argmax(axis=0), np.arange(rank)] < 0, -1.0, 1.0)
+        u, v = u * flip, v * flip
+    return SvdFactors(u=u, sigma=sigma, v=v)
+
+
+def svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
+    """Compact SVD by LAPACK, with reference_svd's rank and sign rules."""
     a = as_matrix(a)
     require_finite(a, "SVD input")
-    n, d = a.shape
-    transposed = d > n
-    work = a.T.copy() if transposed else a
-    w, sigma, v = _jacobi_tall(work)
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    return _canonical(u, sigma, vt.T, rank_tol)
 
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    smax = sigma[0] if sigma.size else 0.0
-    if smax <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sigma > rank_tol * smax))
-    order = order[:rank]
-    sigma = sigma[:rank]
-    u = w[:, order] / sigma if rank else np.zeros((w.shape[0], 0))
-    vr = v[:, order]
 
+def reference_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
+    """Compact SVD by one-sided Jacobi iteration: the oracle for `svd`."""
+    a = as_matrix(a)
+    require_finite(a, "SVD input")
+    transposed = a.shape[1] > a.shape[0]
+    w, sigma, v = _jacobi_tall(a.T.copy() if transposed else a)
+    u = w / np.where(sigma > 0.0, sigma, 1.0)
     if transposed:
-        u, vr = vr, u
-    # sign convention: largest-|entry| of each left singular vector positive
-    for j in range(rank):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            vr[:, j] = -vr[:, j]
-    return SvdFactors(u=u, sigma=sigma, v=vr)
+        u, v = v, u
+    return _canonical(u, sigma, v, rank_tol)
 
 
 def best_rank_k(a, k: int) -> np.ndarray:
@@ -147,8 +148,8 @@ def best_rank_k(a, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     a = as_matrix(a)
-    f = reference_svd(a)
+    f = svd(a)
     r = min(k, f.rank)
     if r == 0:
         return np.zeros_like(a)
-    return matmul(f.u[:, :r] * f.sigma[:r], f.v[:, :r].T)
+    return (f.u[:, :r] * f.sigma[:r]) @ f.v[:, :r].T

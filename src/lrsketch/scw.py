@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, best_rank_k, frobenius_norm, matmul, reference_svd
+from .linalg import as_matrix, best_rank_k, frobenius_norm, svd
 from .sketch import DenseSketch, SparseSketch, apply_sketch, concat_sketches
 
 
@@ -29,13 +29,12 @@ def scw_approximate(a, s: SparseSketch | DenseSketch, k: int) -> ScwOutput:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     sa = apply_sketch(s, a)
-    f = reference_svd(sa)
+    f = svd(sa)
     if f.rank == 0:
         zero = np.zeros_like(a)
         return ScwOutput(zero, np.zeros((a.shape[1], 0)), frobenius_norm(a))
     v = f.v  # d x r
-    av = matmul(a, v)
-    approx = matmul(best_rank_k(av, k), v.T)
+    approx = best_rank_k(a @ v, k) @ v.T
     return ScwOutput(approx, v, frobenius_norm(a - approx))
 
 

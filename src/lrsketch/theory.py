@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, reference_svd
+from .linalg import as_matrix, frobenius_norm, svd
 from .seeding import derived_seed, rng_from
 
 # Denominators below this are treated as degenerate.
@@ -79,7 +79,7 @@ def require_normalized(p: SpectralProfile) -> SpectralProfile:
 def stable_rank(a) -> float:
     """Squared Frobenius-to-operator norm ratio of a matrix."""
     a = as_matrix(a)
-    f = reference_svd(a)
+    f = svd(a)
     if f.rank == 0:
         raise ValueError("stable rank of a zero matrix is undefined")
     return (frobenius_norm(a) / f.sigma[0]) ** 2

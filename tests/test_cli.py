@@ -240,6 +240,28 @@ _DAMAGE = {
     "shape_mismatch": ("data/demo/test_000.dmat", lambda p: save_dmat(p, np.eye(16, 5))),
 }
 
+# config fields of the wrong JSON type or out of range: each edits the
+# write_config defaults in place (pairs [[2, 4]], so m = 4)
+_BAD_FIELD = {
+    "seed_string": lambda c: c.update(seed="x"),
+    "seed_negative": lambda c: c.update(seed=-1),
+    "pairs_not_list": lambda c: c.update(pairs=5),
+    "pair_float": lambda c: c.update(pairs=[[2.5, 4]]),
+    "datasets_not_list": lambda c: c.update(datasets=5),
+    "dataset_not_object": lambda c: c.update(datasets=[[1, 2]]),
+    "dataset_n_float": lambda c: c["datasets"][0].update(n=2.5),
+    "dataset_seed_string": lambda c: c["datasets"][0].update(seed="x"),
+    "dataset_spikes_above_d": lambda c: c["datasets"][0].update(spikes=13),
+    "sketch_types_not_list": lambda c: c.update(sketch_types=7),
+    "out_dir_not_string": lambda c: c.update(out_dir=5),
+    "train_lr_string": lambda c: c["train"].update(lr="fast"),
+    "train_lr_bool": lambda c: c["train"].update(lr=True),
+    "train_lr_negative": lambda c: c["train"].update(lr=-1.0),
+    "train_iterations_float": lambda c: c["train"].update(iterations=2.5),
+    "train_power_iters_zero": lambda c: c["train"].update(power_iters=0),
+    "train_learned_rows_above_m": lambda c: c["train"].update(learned_rows=5),
+}
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -276,6 +298,14 @@ class TestUsageErrors:
     def test_non_integer_trials(self, tmp_path):
         p = tmp_path / "bad.json"
         write_config(p, trials="x")
+        assert main(["gen-data", "--config", str(p)]) == 1
+
+    @pytest.mark.parametrize("case", sorted(_BAD_FIELD))
+    def test_bad_field_rejected_at_load(self, tmp_path, case):
+        p = tmp_path / "bad.json"
+        cfg = write_config(p)
+        _BAD_FIELD[case](cfg)
+        p.write_text(json.dumps(cfg))
         assert main(["gen-data", "--config", str(p)]) == 1
 
     def test_missing_files_path(self, tmp_path):

@@ -8,12 +8,14 @@ from lrsketch.evalbench import (DatasetSpec, ResultRecord, err_metric,
                                 generate_dataset, mixed_training_set_experiment,
                                 normalize_top_singular, optimal_loss,
                                 results_to_csv, run_experiment)
+from lrsketch import linalg
 from lrsketch.formats import save_dmat, save_matrix_csv
 from lrsketch.linalg import reference_svd
 from lrsketch.scw import scw_loss
 from lrsketch.seeding import rng_from
-from lrsketch.sketch import (concat_sketches, identity_pattern_sketch,
-                             sparse_random_sketch)
+from lrsketch.sketch import (concat_sketches, dense_random_sketch,
+                             identity_pattern_sketch, sparse_random_sketch)
+from lrsketch.theory import stable_rank
 from lrsketch.trainer import TrainConfig
 
 
@@ -245,3 +247,25 @@ class TestResultsCsv:
         p = tmp_path / "empty.csv"
         results_to_csv([], p)
         assert p.read_text() == "dataset,k,m,sketch,err,std_err,trials\n"
+
+
+class TestHotPathsSkipJacobi:
+    """The Jacobi SVD is a test oracle: no evaluation path may reach it."""
+
+    @pytest.fixture(autouse=True)
+    def no_jacobi(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("hot path reached the Jacobi reference SVD")
+        monkeypatch.setattr(linalg, "_jacobi_tall", refuse)
+
+    def test_dataset_losses_and_stable_rank(self):
+        train_set, test = generate_dataset(tiny_spec())
+        assert optimal_loss(test, 3) > 0
+        for s in (sparse_random_sketch(4, 20, seed=1), dense_random_sketch(4, 20, seed=1)):
+            assert np.isfinite(scw_loss(test[0], s, 3))
+        assert stable_rank(train_set[0]) >= 1.0
+
+    @pytest.mark.parametrize("sketch_type", ["sparse_random", "learned"])
+    def test_run_experiment(self, sketch_type):
+        cfg = tiny_train_cfg(iterations=2)
+        assert np.isfinite(run_experiment(tiny_spec(), 3, 4, sketch_type, 1, cfg).err)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrsketch.linalg import (SvdFactors, best_rank_k, frobenius_norm, matmul,
-                             reference_svd)
+                             reference_svd, svd)
 
 
 def naive_matmul(a, b):
@@ -156,6 +156,48 @@ class TestReferenceSvd:
         f = reference_svd(a)
         assert frobenius_norm(f.reconstruct() - a) <= 1e-9 * max(1.0, frobenius_norm(a))
         assert np.abs(f.u.T @ f.u - np.eye(f.rank)).max() < 1e-8
+
+
+def _oracle_case(name):
+    rng = np.random.default_rng(41)
+    if name == "rank2":
+        return (np.outer(rng.standard_normal(6), rng.standard_normal(4))
+                + np.outer(rng.standard_normal(6), rng.standard_normal(4)))
+    shapes = {"tall": (9, 5), "wide": (4, 10), "square": (6, 6), "zero": (3, 4),
+              "one": (1, 1)}
+    a = rng.standard_normal(shapes[name])
+    return np.zeros_like(a) if name == "zero" else a
+
+
+class TestSvdAgainstReference:
+    """LAPACK `svd` against the Jacobi oracle, under the shared rank/sign rules."""
+
+    @pytest.mark.parametrize("name", ["tall", "wide", "square", "rank2", "zero", "one"])
+    def test_agrees_with_reference(self, name):
+        a = _oracle_case(name)
+        f, ref = svd(a), reference_svd(a)
+        assert f.rank == ref.rank == {"rank2": 2, "zero": 0, "one": 1}.get(name, min(a.shape))
+        assert f.u.shape == ref.u.shape and f.v.shape == ref.v.shape
+        assert np.allclose(f.sigma, ref.sigma, rtol=1e-10, atol=0.0)
+        assert np.abs(f.u - ref.u).max(initial=0.0) < 1e-9
+        assert np.abs(f.v - ref.v).max(initial=0.0) < 1e-9
+
+    @pytest.mark.parametrize("name", ["tall", "wide", "square", "rank2", "one"])
+    def test_sign_rule(self, name):
+        f = svd(_oracle_case(name))
+        for j in range(f.rank):
+            assert f.u[np.argmax(np.abs(f.u[:, j])), j] > 0
+
+    @pytest.mark.parametrize("name", ["tall", "wide", "rank2"])
+    def test_repeat_is_bit_identical(self, name):
+        a = _oracle_case(name)
+        f, g = svd(a), svd(a)
+        for x, y in ((f.u, g.u), (f.sigma, g.sigma), (f.v, g.v)):
+            assert np.array_equal(x, y)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            svd(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 class TestBestRankK:
