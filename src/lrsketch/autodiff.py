@@ -4,10 +4,8 @@ The Tape is a Wengert list: every primitive appends one node holding
 its forward value and a closure that maps the node's output gradient to
 gradient contributions for its parents. Nodes only ever reference
 earlier nodes, so a single reverse sweep visits each node exactly once.
-
-EagerRunner exposes the same operation set but just computes values.
-Both engines call the identical kernel functions in identical order, so
-a taped forward pass and an eager one agree bit for bit.
+A computation that only needs values runs on a Tape too and reads them
+with `value()`.
 """
 
 from __future__ import annotations
@@ -23,91 +21,6 @@ CLAMP = 1e-12
 
 def _safe(x: float) -> float:
     return x if x > CLAMP else CLAMP
-
-
-# ---------------------------------------------------------------------------
-# forward kernels (shared by Tape and EagerRunner)
-# ---------------------------------------------------------------------------
-
-def k_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return a @ v
-
-
-def k_rmatvec(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return a.T @ w
-
-
-def k_normalize(z: np.ndarray) -> np.ndarray:
-    return z / _safe(float(np.linalg.norm(z)))
-
-
-def k_vec_norm(w: np.ndarray) -> float:
-    return float(np.linalg.norm(w))
-
-
-def k_scale_div(w: np.ndarray, sigma: float) -> np.ndarray:
-    return w / _safe(sigma)
-
-
-def k_add_scaled_outer(m: np.ndarray, sigma: float, u: np.ndarray,
-                       v: np.ndarray, sign: float) -> np.ndarray:
-    return m + (sign * sigma) * np.multiply.outer(u, v)
-
-
-def k_stack_columns(cols: list[np.ndarray]) -> np.ndarray:
-    return np.column_stack(cols)
-
-
-def k_matmul_nt(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return r @ v.T
-
-
-def k_residual_sumsq(a: np.ndarray, x: np.ndarray) -> float:
-    diff = a - x
-    return float(np.sum(diff * diff))
-
-
-class EagerRunner:
-    """Engine that evaluates the primitive ops without recording."""
-
-    def const(self, x):
-        return x
-
-    def leaf_values(self, values, mask):
-        return np.array(values, dtype=np.float64)
-
-    def sketch_apply(self, vals, rows, cols, m, a):
-        return scatter_rows(vals, rows, cols, m, a)
-
-    def matvec(self, a, v):
-        return k_matvec(a, v)
-
-    def rmatvec(self, a, w):
-        return k_rmatvec(a, w)
-
-    def normalize(self, z):
-        return k_normalize(z)
-
-    def vec_norm(self, w):
-        return k_vec_norm(w)
-
-    def scale_div(self, w, sigma):
-        return k_scale_div(w, sigma)
-
-    def add_scaled_outer(self, m, sigma, u, v, sign):
-        return k_add_scaled_outer(m, sigma, u, v, sign)
-
-    def stack_columns(self, cols):
-        return k_stack_columns(cols)
-
-    def matmul_nt(self, r, v):
-        return k_matmul_nt(r, v)
-
-    def residual_sumsq(self, a, x):
-        return k_residual_sumsq(a, x)
-
-    def value(self, h):
-        return h
 
 
 class Tape:
@@ -161,7 +74,7 @@ class Tape:
 
     def matvec(self, a_ix, v_ix) -> int:
         a, v = self._values[a_ix], self._values[v_ix]
-        out = k_matvec(a, v)
+        out = a @ v
         want_a, want_v = self._wants(a_ix), self._wants(v_ix)
 
         def vjp(g):
@@ -176,7 +89,7 @@ class Tape:
 
     def rmatvec(self, a_ix, w_ix) -> int:
         a, w = self._values[a_ix], self._values[w_ix]
-        out = k_rmatvec(a, w)
+        out = a.T @ w
         want_a, want_w = self._wants(a_ix), self._wants(w_ix)
 
         def vjp(g):
@@ -205,7 +118,7 @@ class Tape:
 
     def vec_norm(self, w_ix) -> int:
         w = self._values[w_ix]
-        sig = k_vec_norm(w)
+        sig = float(np.linalg.norm(w))
 
         def vjp(g):
             return [(w_ix, (g / _safe(sig)) * w)]
@@ -228,7 +141,7 @@ class Tape:
     def add_scaled_outer(self, m_ix, sig_ix, u_ix, v_ix, sign) -> int:
         m, sig = self._values[m_ix], self._values[sig_ix]
         u, v = self._values[u_ix], self._values[v_ix]
-        out = k_add_scaled_outer(m, sig, u, v, sign)
+        out = m + (sign * sig) * np.multiply.outer(u, v)
         want_m = self._wants(m_ix)
 
         def vjp(g):
@@ -245,7 +158,7 @@ class Tape:
 
     def stack_columns(self, col_ixs) -> int:
         cols = [self._values[ix] for ix in col_ixs]
-        out = k_stack_columns(cols)
+        out = np.column_stack(cols)
 
         def vjp(g):
             return [(ix, g[:, j]) for j, ix in enumerate(col_ixs)]
@@ -254,7 +167,7 @@ class Tape:
 
     def matmul_nt(self, r_ix, v_ix) -> int:
         r, v = self._values[r_ix], self._values[v_ix]
-        out = k_matmul_nt(r, v)
+        out = r @ v.T
 
         def vjp(g):
             return [(r_ix, g @ v), (v_ix, g.T @ r)]
@@ -263,7 +176,8 @@ class Tape:
 
     def residual_sumsq(self, a_ix, x_ix) -> int:
         a, x = self._values[a_ix], self._values[x_ix]
-        out = k_residual_sumsq(a, x)
+        diff = a - x
+        out = float(np.sum(diff * diff))
 
         def vjp(g):
             return [(x_ix, (2.0 * g) * (x - a))]

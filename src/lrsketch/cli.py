@@ -166,7 +166,7 @@ def _sketch_path(cfg: ExperimentConfig, name: str, k: int, m: int, st: str,
 def cmd_gen_data(cfg: ExperimentConfig) -> int:
     """Write every dataset as DMAT1 files plus a manifest per dataset."""
     for spec in cfg.datasets:
-        train_set, test_set = generate_dataset(spec)
+        train_set, test_set = _dataset(spec)
         ddir = _data_dir(cfg, spec.name)
         os.makedirs(ddir, exist_ok=True)
         manifest = {"version": 1, "name": spec.name, "seed": spec.seed,
@@ -189,16 +189,22 @@ def _file_error(path: str, exc: Exception) -> UsageError:
     return UsageError(msg if msg.startswith(f"{path}:") else f"{path}: {msg}")
 
 
+def _dataset(spec: DatasetSpec):
+    """generate_dataset(spec); a `files` spec's read errors become UsageErrors."""
+    try:
+        return generate_dataset(spec)
+    except (OSError, ValueError) as exc:
+        if spec.kind != "files":
+            raise
+        raise _file_error(spec.path, exc) from exc
+
+
 def _load_dataset_files(cfg: ExperimentConfig, spec: DatasetSpec):
     manifest = os.path.join(_data_dir(cfg, spec.name), "manifest.json")
     if not os.path.exists(manifest):
         raise UsageError(f"missing data for {spec.name!r}: run gen-data first "
                          f"(expected {manifest})")
-    try:
-        train_set, test_set = generate_dataset(
-            DatasetSpec(name=spec.name, kind="files", path=manifest))
-    except (OSError, ValueError) as exc:
-        raise _file_error(manifest, exc) from exc
+    train_set, test_set = _dataset(DatasetSpec(name=spec.name, kind="files", path=manifest))
     shapes = sorted({a.shape for a in train_set + test_set})
     if len(shapes) > 1:
         raise UsageError(f"{manifest}: matrices differ in shape: {shapes}")

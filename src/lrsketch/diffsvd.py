@@ -9,8 +9,11 @@ approximation loss with respect to those values.
 
 The taped chain never truncates: its node count depends only on shapes,
 so finite differencing and repeated forwards see the same computation.
-The standalone `power_svd` truncates trailing near-zero factors like a
-compact SVD would.
+The standalone `power_svd` runs the same power rounds on a Tape, reads
+their values, and truncates trailing near-zero factors like a compact
+SVD would. Training takes its gradients from the taped chain;
+`scw_power_loss` and `power_svd` are the oracles of the
+finite-difference and Jacobi checks.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import EagerRunner, Tape
+from .autodiff import Tape
 from .linalg import SvdFactors, as_matrix
 from .seeding import rng_from
 from .sketch import SparseSketch
@@ -59,35 +62,35 @@ def _init_vector(dim: int, seed: int, stream: int, index: int) -> np.ndarray:
     return z / nrm
 
 
-def _power_factors(eng, a_h, dim_cols: int, n_factors: int, cfg: PowerSvdConfig,
+def _power_factors(tape: Tape, a_h, dim_cols: int, n_factors: int, cfg: PowerSvdConfig,
                    stream: int, stop_tol: float | None = None):
     """Extract (sigma, u, v) handle triples from matrix handle a_h.
 
-    With stop_tol set (eager use only), extraction stops once a sigma
-    falls below stop_tol times the first sigma; without it the chain
-    structure is fixed by shapes alone.
+    With stop_tol set, extraction stops once a sigma falls below
+    stop_tol times the first sigma; without it the chain structure is
+    fixed by shapes alone.
     """
     triples = []
     a_cur = a_h
     sig_first = None
     for i in range(n_factors):
-        v = eng.const(_init_vector(dim_cols, cfg.init_seed, stream, i))
+        v = tape.const(_init_vector(dim_cols, cfg.init_seed, stream, i))
         for _ in range(cfg.t_iters):
-            w = eng.matvec(a_cur, v)
-            z = eng.rmatvec(a_cur, w)
-            v = eng.normalize(z)
-        w = eng.matvec(a_cur, v)
-        sig = eng.vec_norm(w)
+            w = tape.matvec(a_cur, v)
+            z = tape.rmatvec(a_cur, w)
+            v = tape.normalize(z)
+        w = tape.matvec(a_cur, v)
+        sig = tape.vec_norm(w)
         if stop_tol is not None:
-            sig_val = float(eng.value(sig))
+            sig_val = float(tape.value(sig))
             if sig_first is None:
                 if sig_val <= 0.0:
                     break
                 sig_first = sig_val
             elif sig_val <= 0.0 or sig_val < stop_tol * sig_first:
                 break
-        u = eng.scale_div(w, sig)
-        a_cur = eng.add_scaled_outer(a_cur, sig, u, v, -1.0)
+        u = tape.scale_div(w, sig)
+        a_cur = tape.add_scaled_outer(a_cur, sig, u, v, -1.0)
         triples.append((sig, u, v))
     return triples
 
@@ -99,8 +102,9 @@ def power_svd(a, cfg: PowerSvdConfig) -> SvdFactors:
     nf = min(n, d) if cfg.m_factors is None else cfg.m_factors
     if nf > min(n, d):
         raise ValueError(f"m_factors={nf} exceeds min(rows, cols)={min(n, d)}")
-    eng = EagerRunner()
-    triples = _power_factors(eng, a, d, nf, cfg, stream=0, stop_tol=DEFLATION_TOL)
+    tape = Tape()
+    triples = [tuple(tape.value(h) for h in t) for t in _power_factors(
+        tape, tape.const(a), d, nf, cfg, stream=0, stop_tol=DEFLATION_TOL)]
     if not triples:
         return SvdFactors(np.zeros((n, 0)), np.zeros(0), np.zeros((d, 0)))
     u = np.column_stack([t[1] for t in triples])
@@ -109,25 +113,25 @@ def power_svd(a, cfg: PowerSvdConfig) -> SvdFactors:
     return SvdFactors(u=u, sigma=sigma, v=v)
 
 
-def _scw_power_chain(eng, a: np.ndarray, s: SparseSketch, k: int,
+def _scw_power_chain(tape: Tape, a: np.ndarray, s: SparseSketch, k: int,
                      cfg: PowerSvdConfig):
-    """Record/evaluate sketch -> SVD -> [AV]_k V^T -> squared loss."""
+    """Record sketch -> SVD -> [AV]_k V^T -> squared loss on the tape."""
     n, d = a.shape
-    vals = eng.leaf_values(s.value_of, s.trainable_mask)
-    sa = eng.sketch_apply(vals, s.row_of, s.col_of, s.m, a)
+    vals = tape.leaf_values(s.value_of, s.trainable_mask)
+    sa = tape.sketch_apply(vals, s.row_of, s.col_of, s.m, a)
     r1 = min(s.m, d) if cfg.m_factors is None else min(cfg.m_factors, s.m, d)
-    tri1 = _power_factors(eng, sa, d, r1, cfg, stream=0)
+    tri1 = _power_factors(tape, sa, d, r1, cfg, stream=0)
     v_cols = [t[2] for t in tri1]
-    v_mat = eng.stack_columns(v_cols)
-    a_const = eng.const(a)
-    av_cols = [eng.matvec(a_const, vc) for vc in v_cols]
-    av = eng.stack_columns(av_cols)
-    tri2 = _power_factors(eng, av, r1, min(k, r1, n), cfg, stream=1)
-    rec = eng.const(np.zeros((n, r1)))
+    v_mat = tape.stack_columns(v_cols)
+    a_const = tape.const(a)
+    av_cols = [tape.matvec(a_const, vc) for vc in v_cols]
+    av = tape.stack_columns(av_cols)
+    tri2 = _power_factors(tape, av, r1, min(k, r1, n), cfg, stream=1)
+    rec = tape.const(np.zeros((n, r1)))
     for sig, u, v in tri2:
-        rec = eng.add_scaled_outer(rec, sig, u, v, 1.0)
-    approx = eng.matmul_nt(rec, v_mat)
-    return eng.residual_sumsq(a_const, approx)
+        rec = tape.add_scaled_outer(rec, sig, u, v, 1.0)
+    approx = tape.matmul_nt(rec, v_mat)
+    return tape.residual_sumsq(a_const, approx)
 
 
 def scw_forward_with_tape(a, s: SparseSketch, k: int,
@@ -144,11 +148,8 @@ def scw_forward_with_tape(a, s: SparseSketch, k: int,
 
 
 def scw_power_loss(a, s: SparseSketch, k: int, cfg: PowerSvdConfig) -> float:
-    """Eager evaluation of the exact computation the tape records."""
-    a = as_matrix(a)
-    if s.n != a.shape[0]:
-        raise ValueError(f"sketch has n={s.n} but matrix has {a.shape[0]} rows")
-    return float(_scw_power_chain(EagerRunner(), a, s, k, cfg))
+    """The squared loss of the taped forward pass, without its tape."""
+    return scw_forward_with_tape(a, s, k, cfg)[0]
 
 
 def backward(tape: Tape) -> np.ndarray:

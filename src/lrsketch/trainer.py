@@ -6,6 +6,10 @@ values move, and masked values never move. Mixed sketches stack a
 trainable block on top of a frozen random block, trained either jointly
 (one SGD run over the stacked sketch) or separately (train the small
 sketch alone, then append a fresh random block).
+
+Losses are reported as the mean squared sketch-and-solve loss
+(`scw_loss`) over the train set, the loss `eval` measures. A run whose
+final loss is above its initial one returns its starting sketch.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffsvd import PowerSvdConfig, backward, scw_forward_with_tape, scw_power_loss
+from .diffsvd import PowerSvdConfig, backward, scw_forward_with_tape
+from .scw import scw_loss
 from .seeding import derived_seed, rng_from
 from .sketch import SketchBlock, SparseSketch, concat_sketches, sparse_random_sketch
 
@@ -24,7 +29,6 @@ _SEED_INIT = 0  # initial trainable sketch
 _SEED_BATCH = 1  # batch sampling stream
 _SEED_STEP = 2  # per-(step, slot) power-iteration inits
 _SEED_FROZEN = 3  # frozen random block of mixed sketches
-_SEED_EVAL = 4  # power inits for initial/final loss evaluation
 
 
 class TrainingDivergedError(RuntimeError):
@@ -57,9 +61,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainReport:
-    loss_history: tuple[tuple[int, float], ...]  # (iteration, mean batch loss)
-    initial_loss: float  # mean squared loss over the train set, before SGD
-    final_loss: float  # same evaluation after SGD (same power-init seeds)
+    loss_history: tuple[tuple[int, float], ...]  # (iteration, mean taped batch loss)
+    initial_loss: float  # mean scw_loss**2 over the train set, before SGD
+    final_loss: float  # same, for the returned sketch; never above initial_loss
     wall_time: float
 
 
@@ -73,19 +77,18 @@ def _check_train_set(train_set) -> int:
     return n
 
 
-def _mean_loss(train_set, sketch, cfg: TrainConfig, eval_seed: int) -> float:
+def _mean_loss(train_set, sketch, k: int) -> float:
     total = 0.0
-    for i, a in enumerate(train_set):
-        pcfg = replace(cfg.power_cfg, init_seed=derived_seed(eval_seed, i))
-        total += scw_power_loss(a, sketch, cfg.k, pcfg)
+    for a in train_set:
+        total += scw_loss(a, sketch, k) ** 2
     return total / len(train_set)
 
 
 def _run_sgd(train_set, sketch: SparseSketch,
              cfg: TrainConfig) -> tuple[SparseSketch, TrainReport]:
     t0 = time.perf_counter()
-    eval_seed = derived_seed(cfg.seed, _SEED_EVAL)
-    initial = _mean_loss(train_set, sketch, cfg, eval_seed)
+    start = sketch
+    initial = _mean_loss(train_set, sketch, cfg.k)
     batch_rng = rng_from(cfg.seed, _SEED_BATCH)
     history = []
     for step in range(1, cfg.iterations + 1):
@@ -109,7 +112,9 @@ def _run_sgd(train_set, sketch: SparseSketch,
                 f"non-finite sketch values after iteration {step}; lower lr")
         sketch = sketch.with_values(new_vals)
         history.append((step, float(np.mean(batch_losses))))
-    final = _mean_loss(train_set, sketch, cfg, eval_seed)
+    final = _mean_loss(train_set, sketch, cfg.k)
+    if final > initial:  # SGD ended above its start: keep the start
+        sketch, final = start, initial
     report = TrainReport(tuple(history), initial, final, time.perf_counter() - t0)
     return sketch, report
 

@@ -314,6 +314,20 @@ class TestUsageErrors:
                                    "path": str(tmp_path / "nope.json")}])
         assert main(["gen-data", "--config", str(p)]) == 1
 
+    @pytest.mark.parametrize("case", ["config_as_manifest", "missing_dmat"])
+    def test_gen_data_bad_manifest_exits_one(self, tmp_path, capsys, case):
+        if case == "config_as_manifest":
+            manifest = os.path.join(os.path.dirname(__file__), "..", "configs",
+                                    "spiked_small.json")
+        else:
+            manifest = str(tmp_path / "manifest.json")
+            with open(manifest, "w") as fh:
+                json.dump({"train": ["train_000.dmat"], "test": ["test_000.dmat"]}, fh)
+        p = tmp_path / "bad.json"
+        write_config(p, datasets=[{"name": "x", "kind": "files", "path": manifest}])
+        assert main(["gen-data", "--config", str(p)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
+
     def test_seed_override_changes_randomness(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg = write_config(cfg_path, sketch_types=["sparse_random"])

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lrsketch.diffsvd import PowerSvdConfig
+from lrsketch.evalbench import DatasetSpec, generate_dataset
+from lrsketch.scw import scw_loss
 from lrsketch.seeding import derived_seed, rng_from
 from lrsketch.sketch import sketches_equal, sparse_random_sketch
 from lrsketch.trainer import (TrainConfig, TrainingDivergedError, report_to_csv,
@@ -82,6 +86,41 @@ class TestTrainSketch:
         sk1, _ = train_sketch(small_train_set, 4, quick_cfg(batch_size=3))
         sk2, _ = train_sketch(small_train_set, 4, quick_cfg(batch_size=3))
         assert sketches_equal(sk1, sk2)
+
+
+class TestReportedLoss:
+    def test_losses_are_mean_squared_scw_loss(self, small_train_set):
+        # two power rounds leave the taped loss far from scw_loss; the
+        # report must not depend on them
+        cfg = quick_cfg(power_cfg=PowerSvdConfig(t_iters=2))
+        sk, rep = train_sketch(small_train_set, 4, cfg)
+        init = sparse_random_sketch(4, 12, derived_seed(cfg.seed, 0))
+
+        def mean_sq(s):
+            return float(np.mean([scw_loss(a, s, cfg.k) ** 2 for a in small_train_set]))
+
+        assert rep.initial_loss == pytest.approx(mean_sq(init), rel=1e-12)
+        assert rep.final_loss == pytest.approx(mean_sq(sk), rel=1e-12)
+
+
+class TestKeepStart:
+    # ten SGD steps at lr 1.0 on this set end above the start
+    # (0.32449 -> 0.32725 before the rule); the inputs of the
+    # perfbench cli_pipeline run at seed 104, mixed_s trial 0
+    SPEC = DatasetSpec(name="spiked", kind="spiked", n=32, d=24, count_train=4,
+                       count_test=3, spikes=3, decay=0.8, noise=0.1, drift=0.05,
+                       seed=18244713078665304669)
+    CFG = TrainConfig(k=3, lr=1.0, batch_size=1, iterations=10,
+                      seed=6286127545950942845, power_cfg=PowerSvdConfig(t_iters=30),
+                      mode="mixed_separate", learned_rows=3)
+
+    def test_worse_sketch_is_not_returned(self):
+        train_set, _ = generate_dataset(self.SPEC)
+        sk, rep = train(train_set, 6, self.CFG)
+        start, _ = train(train_set, 6, replace(self.CFG, iterations=0))
+        assert rep.final_loss == rep.initial_loss
+        assert sketches_equal(sk, start)
+        assert len(rep.loss_history) == 10
 
 
 class TestMixedJoint:
