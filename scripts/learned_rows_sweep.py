@@ -14,7 +14,7 @@ from dataclasses import replace
 from lrsketch.diffsvd import PowerSvdConfig
 from lrsketch.evalbench import DatasetSpec, err_metric, generate_dataset, write_xy_csv
 from lrsketch.seeding import derived_seed
-from lrsketch.trainer import TrainConfig, train_mixed_joint
+from lrsketch.trainer import TrainConfig, train
 
 SPEC = DatasetSpec(name="spiked", kind="spiked", n=32, d=24, count_train=12,
                    count_test=8, spikes=3, decay=0.8, noise=0.1, drift=0.05,
@@ -30,7 +30,7 @@ def run(out_csv: str) -> None:
     for learned_rows in range(M + 1):
         cfg = replace(TRAIN, learned_rows=learned_rows,
                       seed=derived_seed(TRAIN.seed, learned_rows))
-        sketch, rep = train_mixed_joint(train_set, M, cfg)
+        sketch, rep = train(train_set, M, cfg)
         err = err_metric(test_set, sketch, K)
         rows.append(("mixed_j", learned_rows, err))
         print(f"learned_rows={learned_rows}: train loss "

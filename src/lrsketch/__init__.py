@@ -7,8 +7,7 @@ from .sketch import (DenseSketch, SketchBlock, SparseSketch, apply_sketch,
 from .scw import ScwOutput, check_concat_dominance, scw_approximate, scw_loss
 from .diffsvd import (PowerSvdConfig, backward, power_svd, scw_forward_with_tape,
                       scw_power_loss)
-from .trainer import (TrainConfig, TrainReport, TrainingDivergedError, train,
-                      train_mixed_joint, train_mixed_separate, train_sketch)
+from .trainer import TrainConfig, TrainReport, TrainingDivergedError, train
 from .evalbench import (DatasetSpec, ResultRecord, err_metric, generate_dataset,
                         mean_scw_loss, mixed_training_set_experiment,
                         normalize_top_singular, optimal_loss, results_to_csv,

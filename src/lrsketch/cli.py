@@ -11,6 +11,7 @@ divergence.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -20,9 +21,9 @@ from .diffsvd import PowerSvdConfig
 from .evalbench import (SKETCH_TYPES, TRAIN_MODES, DatasetSpec, evaluate_cell,
                         generate_dataset, optimal_loss, random_sketch, results_to_csv,
                         write_xy_csv)
-from .formats import load_sketch, save_dmat, save_sketch
+from .formats import atomic_open, load_sketch, save_dmat, save_sketch
 from .seeding import derived_seed
-from .trainer import TrainConfig, TrainingDivergedError, report_to_csv, train
+from .trainer import TrainConfig, TrainingDivergedError, learned_rows, report_to_csv, train
 from .verify import VerifyConfig, lemma_and_trend, run_verification
 
 CONFIG_VERSION = 1
@@ -138,9 +139,12 @@ def load_config(path: str, seed_override: int | None = None,
         _train_cfg(train_params, 1, 1, "learned", 0)
     except ValueError as exc:
         raise UsageError(f"bad train parameters: {exc}") from exc
-    rows = train_params.learned_rows
-    if rows is not None and not all(0 <= rows <= m for _, m in pairs):
-        raise UsageError(f"train: learned_rows={rows} must lie in [0, m] for every pair")
+    for (k, m), st in itertools.product(pairs, sketch_types):
+        if st in TRAIN_MODES:  # the trainer's row rule, for every cell `train` runs
+            try:
+                learned_rows(_train_cfg(train_params, k, m, TRAIN_MODES[st], 0), m)
+            except ValueError as exc:
+                raise UsageError(f"train: {st} at (k, m) = ({k}, {m}): {exc}") from exc
     trials = raw.get("trials", 1)
     if type(trials) is not int or trials < 1:
         raise UsageError(f"trials must be a positive integer, got {trials!r}")
@@ -176,7 +180,7 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
                 fname = f"{role}_{i:03d}.dmat"
                 save_dmat(os.path.join(ddir, fname), a)
                 manifest[role].append(fname)
-        with open(os.path.join(ddir, "manifest.json"), "w", encoding="ascii") as fh:
+        with atomic_open(os.path.join(ddir, "manifest.json"), "w", encoding="ascii") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=1)
         print(f"gen-data: {spec.name}: {len(train_set)} train + {len(test_set)} test "
               f"matrices -> {ddir}")
@@ -317,7 +321,7 @@ def cmd_theory(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     *checks, rows = lemma_and_trend(_verify_cfg(args))
     path = os.path.join(out_dir, "theory.csv")
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path, "w", encoding="ascii") as fh:
         fh.write("d,r_prime,empirical_mean,product,N,gap\n")
         for row in rows:
             fh.write(",".join("" if x is None else str(x) for x in row) + "\n")

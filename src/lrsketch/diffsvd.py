@@ -36,19 +36,15 @@ class PowerSvdConfig:
     """Power-iteration SVD knobs.
 
     t_iters: power iterations per singular triple.
-    m_factors: triples to extract; None means min(rows, cols).
     init_seed: seed for the start vectors (one fresh vector per factor).
     """
 
     t_iters: int = 100
-    m_factors: int | None = None
     init_seed: int = 0
 
     def __post_init__(self):
         if self.t_iters < 1:
             raise ValueError("t_iters must be >= 1")
-        if self.m_factors is not None and self.m_factors < 1:
-            raise ValueError("m_factors must be >= 1")
 
 
 def _init_vector(dim: int, seed: int, stream: int, index: int) -> np.ndarray:
@@ -99,12 +95,9 @@ def power_svd(a, cfg: PowerSvdConfig) -> SvdFactors:
     """SVD factors via deflated power iteration (truncates tiny sigmas)."""
     a = as_matrix(a)
     n, d = a.shape
-    nf = min(n, d) if cfg.m_factors is None else cfg.m_factors
-    if nf > min(n, d):
-        raise ValueError(f"m_factors={nf} exceeds min(rows, cols)={min(n, d)}")
     tape = Tape()
     triples = [tuple(tape.value(h) for h in t) for t in _power_factors(
-        tape, tape.const(a), d, nf, cfg, stream=0, stop_tol=DEFLATION_TOL)]
+        tape, tape.const(a), d, min(n, d), cfg, stream=0, stop_tol=DEFLATION_TOL)]
     if not triples:
         return SvdFactors(np.zeros((n, 0)), np.zeros(0), np.zeros((d, 0)))
     u = np.column_stack([t[1] for t in triples])
@@ -119,7 +112,7 @@ def _scw_power_chain(tape: Tape, a: np.ndarray, s: SparseSketch, k: int,
     n, d = a.shape
     vals = tape.leaf_values(s.value_of, s.trainable_mask)
     sa = tape.sketch_apply(vals, s.row_of, s.col_of, s.m, a)
-    r1 = min(s.m, d) if cfg.m_factors is None else min(cfg.m_factors, s.m, d)
+    r1 = min(s.m, d)
     tri1 = _power_factors(tape, sa, d, r1, cfg, stream=0)
     v_cols = [t[2] for t in tri1]
     v_mat = tape.stack_columns(v_cols)

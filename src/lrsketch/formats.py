@@ -11,6 +11,7 @@ are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -22,10 +23,25 @@ DMAT_MAGIC = b"DMAT1\x00"
 SKCH_MAGIC = b"SKCH1\x00"
 
 
+@contextlib.contextmanager
+def atomic_open(path: str | os.PathLike, mode: str = "w", **kwargs):
+    """open(path, mode) for writing, through a new file next to path that
+    os.replace moves over path on success and that is removed on error."""
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_dmat(path: str | os.PathLike, a) -> None:
     a = as_matrix(a)
     require_finite(a, "matrix")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(DMAT_MAGIC)
         fh.write(np.asarray(a.shape, dtype="<u8").tobytes())
         fh.write(a.astype("<f8", copy=False).tobytes())
@@ -69,7 +85,7 @@ def load_matrix_csv(path: str | os.PathLike) -> np.ndarray:
 
 def save_matrix_csv(path: str | os.PathLike, a) -> None:
     a = as_matrix(a)
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path, "w", encoding="ascii") as fh:
         for row in a:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
@@ -82,7 +98,7 @@ def load_matrix(path: str | os.PathLike) -> np.ndarray:
 
 
 def save_sketch(path: str | os.PathLike, s: SparseSketch) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(SKCH_MAGIC)
         fh.write(np.asarray([s.m, s.n, len(s.blocks)], dtype="<u8").tobytes())
         for b in s.blocks:

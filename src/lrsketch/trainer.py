@@ -2,14 +2,12 @@
 
 Plain constant-rate SGD on the squared sketch-to-loss forward pass: the
 hash pattern (which row each column hits) is frozen, only the stored
-values move, and masked values never move. Mixed sketches stack a
-trainable block on top of a frozen random block, trained either jointly
-(one SGD run over the stacked sketch) or separately (train the small
-sketch alone, then append a fresh random block).
+values move, and masked values never move. Every mode trains a block
+stacked on a frozen random block (`train`).
 
-Losses are reported as the mean squared sketch-and-solve loss
-(`scw_loss`) over the train set, the loss `eval` measures. A run whose
-final loss is above its initial one returns its starting sketch.
+Losses are the mean squared sketch-and-solve loss (`scw_loss`, the loss
+`eval` measures) over the train set, of the m-row sketch returned. A
+run whose final loss is above its initial one returns its start.
 """
 
 from __future__ import annotations
@@ -20,9 +18,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diffsvd import PowerSvdConfig, backward, scw_forward_with_tape
+from .formats import atomic_open
 from .scw import scw_loss
 from .seeding import derived_seed, rng_from
-from .sketch import SketchBlock, SparseSketch, concat_sketches, sparse_random_sketch
+from .sketch import SparseSketch, concat_sketches, empty_sketch, sparse_random_sketch
 
 # seed derivation tags under TrainConfig.seed
 _SEED_INIT = 0  # initial trainable sketch
@@ -61,8 +60,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainReport:
-    loss_history: tuple[tuple[int, float], ...]  # (iteration, mean taped batch loss)
-    initial_loss: float  # mean scw_loss**2 over the train set, before SGD
+    # (iteration, mean taped batch loss) of what SGD moves; for mixed_separate, the block
+    loss_history: tuple[tuple[int, float], ...]
+    initial_loss: float  # mean scw_loss**2 of the m-row sketch over the train set, before SGD
     final_loss: float  # same, for the returned sketch; never above initial_loss
     wall_time: float
 
@@ -78,17 +78,15 @@ def _check_train_set(train_set) -> int:
 
 
 def _mean_loss(train_set, sketch, k: int) -> float:
-    total = 0.0
-    for a in train_set:
-        total += scw_loss(a, sketch, k) ** 2
-    return total / len(train_set)
+    return sum(scw_loss(a, sketch, k) ** 2 for a in train_set) / len(train_set)
 
 
-def _run_sgd(train_set, sketch: SparseSketch,
+def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
              cfg: TrainConfig) -> tuple[SparseSketch, TrainReport]:
+    """SGD over sketch; returns concat_sketches(sketch, tail) and its losses."""
     t0 = time.perf_counter()
     start = sketch
-    initial = _mean_loss(train_set, sketch, cfg.k)
+    initial = _mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
     batch_rng = rng_from(cfg.seed, _SEED_BATCH)
     history = []
     for step in range(1, cfg.iterations + 1):
@@ -112,75 +110,50 @@ def _run_sgd(train_set, sketch: SparseSketch,
                 f"non-finite sketch values after iteration {step}; lower lr")
         sketch = sketch.with_values(new_vals)
         history.append((step, float(np.mean(batch_losses))))
-    final = _mean_loss(train_set, sketch, cfg.k)
+    final = _mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
     if final > initial:  # SGD ended above its start: keep the start
         sketch, final = start, initial
     report = TrainReport(tuple(history), initial, final, time.perf_counter() - t0)
-    return sketch, report
+    return concat_sketches(sketch, tail), report
 
 
-def train_sketch(train_set, m: int, cfg: TrainConfig) -> tuple[SparseSketch, TrainReport]:
-    """Optimize all values of a fresh random m x n sketch over the train set."""
-    n = _check_train_set(train_set)
-    sketch = sparse_random_sketch(m, n, derived_seed(cfg.seed, _SEED_INIT))
-    return _run_sgd(train_set, sketch, cfg)
+def learned_rows(cfg: TrainConfig, m: int) -> int:
+    """Trainable rows of an m-row sketch: m for learned, else cfg.learned_rows.
 
-
-def _frozen_block(m: int, n: int, seed: int) -> SparseSketch:
-    s = sparse_random_sketch(m, n, seed)
-    b = s.blocks[0]
-    frozen = SketchBlock(b.m, b.row_of, b.value_of, np.zeros(n, dtype=bool))
-    return SparseSketch(n, (frozen,))
-
-
-def train_mixed_joint(train_set, m: int, cfg: TrainConfig) -> tuple[SparseSketch, TrainReport]:
-    """Stack a trainable block on a frozen random block, train them as one.
-
-    Gradients for the frozen block are masked to zero, so its values
-    come out bit-identical to initialization. learned_rows may be
-    anything in [0, m]; learned_rows == m degenerates to train_sketch.
+    That lies in [0, m] for mixed_joint and in [1, m] for mixed_separate,
+    which trains its block alone; [0, m] is checked in every mode.
     """
-    n = _check_train_set(train_set)
-    if not 0 <= cfg.learned_rows <= m:
-        raise ValueError(f"learned_rows={cfg.learned_rows} outside [0, {m}]")
-    parts = []
-    if cfg.learned_rows > 0:
-        parts.append(sparse_random_sketch(cfg.learned_rows, n,
-                                          derived_seed(cfg.seed, _SEED_INIT)))
-    if m - cfg.learned_rows > 0:
-        parts.append(_frozen_block(m - cfg.learned_rows, n,
-                                   derived_seed(cfg.seed, _SEED_FROZEN)))
-    sketch = parts[0]
-    for extra in parts[1:]:
-        sketch = concat_sketches(sketch, extra)
-    return _run_sgd(train_set, sketch, cfg)
-
-
-def train_mixed_separate(train_set, m: int, cfg: TrainConfig) -> tuple[SparseSketch, TrainReport]:
-    """Train a learned_rows x n sketch alone, then append a frozen random block."""
-    n = _check_train_set(train_set)
-    if not 1 <= cfg.learned_rows <= m:
-        raise ValueError(f"learned_rows={cfg.learned_rows} outside [1, {m}]")
-    trained, report = train_sketch(train_set, cfg.learned_rows, cfg)
-    if m - cfg.learned_rows > 0:
-        trained = concat_sketches(
-            trained,
-            _frozen_block(m - cfg.learned_rows, n, derived_seed(cfg.seed, _SEED_FROZEN)))
-    return trained, report
+    low = 1 if cfg.mode == "mixed_separate" else 0
+    if not low <= cfg.learned_rows <= m:
+        raise ValueError(f"learned_rows={cfg.learned_rows} outside [{low}, {m}] "
+                         f"for mode {cfg.mode}")
+    return m if cfg.mode == "learned" else cfg.learned_rows
 
 
 def train(train_set, m: int, cfg: TrainConfig) -> tuple[SparseSketch, TrainReport]:
-    """Dispatch on cfg.mode."""
-    if cfg.mode == "learned":
-        return train_sketch(train_set, m, cfg)
-    if cfg.mode == "mixed_joint":
-        return train_mixed_joint(train_set, m, cfg)
-    return train_mixed_separate(train_set, m, cfg)
+    """Train an m-row sketch: a trainable block stacked on a frozen random block.
+
+    learned has no frozen block. mixed_joint runs SGD over the stack
+    with the frozen values masked, so they come out bit-identical to
+    initialization; mixed_separate runs SGD over the trainable block
+    alone and appends the frozen block after.
+    """
+    n = _check_train_set(train_set)
+    rows = learned_rows(cfg, m)
+    sketch, tail = empty_sketch(n), empty_sketch(n)
+    if rows > 0:
+        sketch = sparse_random_sketch(rows, n, derived_seed(cfg.seed, _SEED_INIT))
+    if m > rows:
+        b = sparse_random_sketch(m - rows, n, derived_seed(cfg.seed, _SEED_FROZEN)).blocks[0]
+        tail = SparseSketch(n, (replace(b, trainable_mask=np.zeros(n, dtype=bool)),))
+    if cfg.mode == "mixed_separate":
+        return _run_sgd(train_set, sketch, tail, cfg)
+    return _run_sgd(train_set, concat_sketches(sketch, tail), empty_sketch(n), cfg)
 
 
 def report_to_csv(report: TrainReport, path) -> None:
     """Write the loss history as an iteration,loss CSV."""
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path, "w", encoding="ascii") as fh:
         fh.write("iteration,loss\n")
         for it, loss in report.loss_history:
             fh.write(f"{it},{loss!r}\n")

@@ -27,7 +27,7 @@ from lrsketch.theory import (RobustnessParams, flat_profile, fragile_counterexam
                              generalization_gap_sweep, grid_search_robust_minimizer,
                              objective_mean_estimate, random_profile,
                              robustness_fraction, verify_stable_rank_lemma)
-from lrsketch.trainer import TrainConfig, train_mixed_joint
+from lrsketch.trainer import TrainConfig, train
 
 ACCEPT_SPEC = DatasetSpec(name="spiked-bundle", kind="spiked", n=64, d=48,
                           count_train=30, count_test=16, spikes=4, decay=0.8,
@@ -182,7 +182,7 @@ class TestAcceptance:
         from lrsketch.evalbench import generate_dataset
 
         train_set, _ = generate_dataset(ACCEPT_SPEC)
-        mixed, rep = train_mixed_joint(train_set, 8, cfg)
+        mixed, rep = train(train_set, 8, cfg)
         frozen_init = sparse_random_sketch(4, 64, derived_seed(trial_seed, 3))
         assert mixed.blocks[1].value_of.tobytes() == frozen_init.value_of.tobytes()
         assert rep.final_loss < rep.initial_loss

@@ -6,6 +6,7 @@ import pytest
 
 from lrsketch import cli
 from lrsketch.cli import main
+from lrsketch.evalbench import generate_dataset
 from lrsketch.formats import load_sketch, save_dmat
 from lrsketch.seeding import derived_seed
 from lrsketch.sketch import sketches_equal, sparse_random_sketch
@@ -52,6 +53,16 @@ class TestGenData:
         after = {f: open(os.path.join(ddir, f), "rb").read()
                  for f in os.listdir(ddir)}
         assert before == after
+
+    def test_train_loads_the_generated_bits(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        main(["gen-data", "--config", str(cfg_path)])
+        cfg = cli.load_config(str(cfg_path))
+        loaded = cli._load_dataset_files(cfg, cfg.datasets[0])
+        generated = generate_dataset(cfg.datasets[0])
+        for got, want in zip(loaded[0] + loaded[1], generated[0] + generated[1]):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTrainCommand:
@@ -327,6 +338,16 @@ class TestUsageErrors:
         write_config(p, datasets=[{"name": "x", "kind": "files", "path": manifest}])
         assert main(["gen-data", "--config", str(p)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
+
+    @pytest.mark.parametrize("pairs, rows", [([[1, 1]], None), ([[1, 2]], 0)])
+    def test_mixed_s_without_trainable_rows(self, tmp_path, capsys, pairs, rows):
+        # mixed_s trains its block alone, so it needs at least one row
+        p = tmp_path / "bad.json"
+        write_config(p, pairs=pairs, sketch_types=["mixed_s"],
+                     train={"iterations": 2, "power_iters": 5, "learned_rows": rows})
+        main(["gen-data", "--config", str(p)])
+        assert main(["train", "--config", str(p)]) == 1
+        assert "learned_rows" in capsys.readouterr().err
 
     def test_seed_override_changes_randomness(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

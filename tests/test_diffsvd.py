@@ -3,7 +3,7 @@ import pytest
 
 from lrsketch.diffsvd import (PowerSvdConfig, backward, power_svd,
                               scw_forward_with_tape, scw_power_loss)
-from lrsketch.linalg import frobenius_norm, matmul, reference_svd
+from lrsketch.linalg import SvdFactors, frobenius_norm, matmul, reference_svd
 from lrsketch.seeding import rng_from
 from lrsketch.sketch import SketchBlock, SparseSketch, sparse_random_sketch
 
@@ -42,22 +42,16 @@ class TestPowerSvd:
     def test_rank_one_truncates_second_factor(self):
         rng = rng_from(7)
         a = np.outer(rng.standard_normal(6), rng.standard_normal(4))
-        f = power_svd(a, PowerSvdConfig(t_iters=100, m_factors=2, init_seed=3))
+        f = power_svd(a, PowerSvdConfig(t_iters=100, init_seed=3))
         assert f.rank == 1
 
     def test_zero_matrix(self):
         f = power_svd(np.zeros((4, 3)), PowerSvdConfig(t_iters=10, init_seed=1))
         assert f.rank == 0
 
-    def test_m_factors_validated(self):
-        with pytest.raises(ValueError, match="m_factors"):
-            power_svd(np.eye(3), PowerSvdConfig(t_iters=10, m_factors=4))
-
     def test_config_bounds_validated(self):
         with pytest.raises(ValueError, match="t_iters"):
             PowerSvdConfig(t_iters=0)
-        with pytest.raises(ValueError, match="m_factors"):
-            PowerSvdConfig(t_iters=5, m_factors=0)
 
     def test_reconstruction(self):
         a = gapped_matrix(8, 5, 1.6, 11)
@@ -87,8 +81,10 @@ class TestForwardWithTape:
             sa[s.row_of[j]] += s.value_of[j] * a[j]
         f = power_svd(sa, cfg)
         av = matmul(a, f.v)
-        f2 = power_svd(av, PowerSvdConfig(t_iters=200, m_factors=2, init_seed=34))
-        approx = matmul(f2.reconstruct(), f.v.T)
+        f2 = power_svd(av, PowerSvdConfig(t_iters=200, init_seed=34))
+        # deflation is sequential: the first two factors are those of a 2-factor run
+        top2 = SvdFactors(f2.u[:, :2], f2.sigma[:2], f2.v[:, :2])
+        approx = matmul(top2.reconstruct(), f.v.T)
         assert loss_t == pytest.approx(frobenius_norm(a - approx) ** 2, abs=1e-9)
 
     def test_low_rank_recovery_squared_loss_tiny(self):

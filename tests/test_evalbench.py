@@ -93,6 +93,15 @@ class TestNormalizeTopSingular:
         again = normalize_top_singular(a)
         assert np.abs(again - a).max() < 1e-12
 
+    @pytest.mark.parametrize("kind", ["spiked", "lowrank_plus_noise",
+                                      "rotated_shared_subspace"])
+    def test_generated_matrices_are_fixed_points(self, kind):
+        spec = DatasetSpec(name="x", kind=kind, n=32, d=24, count_train=6,
+                           count_test=4, spikes=3, seed=7)
+        train, test = generate_dataset(spec)
+        for b in train + test:
+            assert normalize_top_singular(b).tobytes() == b.tobytes()
+
     def test_output_sigma_one(self):
         rng = rng_from(4)
         out = normalize_top_singular(rng.standard_normal((7, 5)))

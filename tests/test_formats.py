@@ -1,8 +1,12 @@
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from lrsketch.formats import (load_dmat, load_matrix, load_matrix_csv, load_sketch,
-                              save_dmat, save_matrix_csv, save_sketch)
+from lrsketch.evalbench import write_xy_csv
+from lrsketch.formats import (atomic_open, load_dmat, load_matrix, load_matrix_csv,
+                              load_sketch, save_dmat, save_matrix_csv, save_sketch)
 from lrsketch.sketch import concat_sketches, sketches_equal, sparse_random_sketch
 
 
@@ -95,3 +99,33 @@ class TestSkch:
         save_sketch(p, empty_sketch(7))
         loaded = load_sketch(p)
         assert loaded.m == 0 and loaded.n == 7 and loaded.blocks == ()
+
+
+class TestAtomicWrite:
+    def test_error_leaves_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_open(tmp_path / "out.txt", "w") as fh:
+                fh.write("partial")
+                raise RuntimeError("boom")
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_csv_write_keeps_old_file(self, tmp_path):
+        p = tmp_path / "plot.csv"
+        write_xy_csv(p, [("a", 1, 2.0)])
+        old = p.read_bytes()
+        with pytest.raises(ValueError):  # the second row has no y
+            write_xy_csv(p, [("a", 1, 3.0), ("b", 2)])
+        assert p.read_bytes() == old
+        assert os.listdir(tmp_path) == ["plot.csv"]
+
+    def test_failed_sketch_write_keeps_old_file(self, tmp_path):
+        p = tmp_path / "s.skch"
+        s = sparse_random_sketch(3, 10, 1)
+        save_sketch(p, s)
+        old = p.read_bytes()
+        # the second block's row count does not fit the header's uint64
+        bad = SimpleNamespace(m=3, n=10, blocks=(s.blocks[0], SimpleNamespace(m=-1)))
+        with pytest.raises(OverflowError):
+            save_sketch(p, bad)
+        assert p.read_bytes() == old
+        assert os.listdir(tmp_path) == ["s.skch"]

@@ -7,10 +7,8 @@ from lrsketch.diffsvd import PowerSvdConfig
 from lrsketch.evalbench import DatasetSpec, generate_dataset
 from lrsketch.scw import scw_loss
 from lrsketch.seeding import derived_seed, rng_from
-from lrsketch.sketch import sketches_equal, sparse_random_sketch
-from lrsketch.trainer import (TrainConfig, TrainingDivergedError, report_to_csv,
-                              train, train_mixed_joint, train_mixed_separate,
-                              train_sketch)
+from lrsketch.sketch import SparseSketch, sketches_equal, sparse_random_sketch
+from lrsketch.trainer import TrainConfig, TrainingDivergedError, report_to_csv, train
 
 
 @pytest.fixture(scope="module")
@@ -37,64 +35,66 @@ def quick_cfg(**kw):
 
 class TestTrainSketch:
     def test_lr_zero_returns_initialization(self, small_train_set):
-        sk, _ = train_sketch(small_train_set, 4, quick_cfg(lr=0.0, iterations=5))
+        sk, _ = train(small_train_set, 4, quick_cfg(lr=0.0, iterations=5))
         init = sparse_random_sketch(4, 12, derived_seed(5, 0))
         assert sketches_equal(sk, init)
 
     def test_zero_iterations_initial_equals_final(self, small_train_set):
-        _, rep = train_sketch(small_train_set, 4, quick_cfg(iterations=0))
+        _, rep = train(small_train_set, 4, quick_cfg(iterations=0))
         assert rep.initial_loss == rep.final_loss
         assert rep.loss_history == ()
 
     def test_training_reduces_loss(self, small_train_set):
-        _, rep = train_sketch(small_train_set, 4, quick_cfg(iterations=60))
+        _, rep = train(small_train_set, 4, quick_cfg(iterations=60))
         assert rep.final_loss < rep.initial_loss
 
     def test_pattern_preserved(self, small_train_set):
         cfg = quick_cfg()
-        sk, _ = train_sketch(small_train_set, 4, cfg)
+        sk, _ = train(small_train_set, 4, cfg)
         init = sparse_random_sketch(4, 12, derived_seed(cfg.seed, 0))
         assert np.array_equal(sk.row_of, init.row_of)
 
     def test_seed_reproducibility(self, small_train_set):
-        sk1, rep1 = train_sketch(small_train_set, 4, quick_cfg())
-        sk2, rep2 = train_sketch(small_train_set, 4, quick_cfg())
+        sk1, rep1 = train(small_train_set, 4, quick_cfg())
+        sk2, rep2 = train(small_train_set, 4, quick_cfg())
         assert sketches_equal(sk1, sk2)
         assert rep1.loss_history == rep2.loss_history
 
     def test_values_finite(self, small_train_set):
-        sk, _ = train_sketch(small_train_set, 4, quick_cfg())
+        sk, _ = train(small_train_set, 4, quick_cfg())
         assert np.all(np.isfinite(sk.value_of))
 
     def test_history_length_matches_iterations(self, small_train_set):
-        _, rep = train_sketch(small_train_set, 4, quick_cfg(iterations=17))
+        _, rep = train(small_train_set, 4, quick_cfg(iterations=17))
         assert len(rep.loss_history) == 17
         assert [it for it, _ in rep.loss_history] == list(range(1, 18))
 
     def test_divergence_aborts(self, small_train_set):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError):
-                train_sketch(small_train_set, 4,
+                train(small_train_set, 4,
                              quick_cfg(lr=1e160, iterations=6))
 
     def test_inconsistent_rows_rejected(self):
         bad = [np.zeros((4, 3)), np.zeros((5, 3))]
         with pytest.raises(ValueError, match="rows"):
-            train_sketch(bad, 2, quick_cfg())
+            train(bad, 2, quick_cfg())
 
     def test_batch_size_determinism(self, small_train_set):
-        sk1, _ = train_sketch(small_train_set, 4, quick_cfg(batch_size=3))
-        sk2, _ = train_sketch(small_train_set, 4, quick_cfg(batch_size=3))
+        sk1, _ = train(small_train_set, 4, quick_cfg(batch_size=3))
+        sk2, _ = train(small_train_set, 4, quick_cfg(batch_size=3))
         assert sketches_equal(sk1, sk2)
 
 
 class TestReportedLoss:
-    def test_losses_are_mean_squared_scw_loss(self, small_train_set):
+    @pytest.mark.parametrize("mode", ["learned", "mixed_joint", "mixed_separate"])
+    def test_losses_are_mean_squared_scw_loss(self, small_train_set, mode):
         # two power rounds leave the taped loss far from scw_loss; the
-        # report must not depend on them
-        cfg = quick_cfg(power_cfg=PowerSvdConfig(t_iters=2))
-        sk, rep = train_sketch(small_train_set, 4, cfg)
-        init = sparse_random_sketch(4, 12, derived_seed(cfg.seed, 0))
+        # report must not depend on them, and it covers all m rows
+        cfg = quick_cfg(power_cfg=PowerSvdConfig(t_iters=2), mode=mode, learned_rows=2)
+        sk, rep = train(small_train_set, 4, cfg)
+        init, _ = train(small_train_set, 4, replace(cfg, iterations=0))
+        assert sk.m == init.m == 4
 
         def mean_sq(s):
             return float(np.mean([scw_loss(a, s, cfg.k) ** 2 for a in small_train_set]))
@@ -104,9 +104,8 @@ class TestReportedLoss:
 
 
 class TestKeepStart:
-    # ten SGD steps at lr 1.0 on this set end above the start
-    # (0.32449 -> 0.32725 before the rule); the inputs of the
-    # perfbench cli_pipeline run at seed 104, mixed_s trial 0
+    # the inputs of the perfbench cli_pipeline run at seed 104, mixed_s
+    # trial 0: ten SGD steps at lr 1.0 on 3 of 6 rows
     SPEC = DatasetSpec(name="spiked", kind="spiked", n=32, d=24, count_train=4,
                        count_test=3, spikes=3, decay=0.8, noise=0.1, drift=0.05,
                        seed=18244713078665304669)
@@ -115,69 +114,83 @@ class TestKeepStart:
                       mode="mixed_separate", learned_rows=3)
 
     def test_worse_sketch_is_not_returned(self):
+        # at trainer seed 46 the 6-row sketch ends above its start
         train_set, _ = generate_dataset(self.SPEC)
-        sk, rep = train(train_set, 6, self.CFG)
-        start, _ = train(train_set, 6, replace(self.CFG, iterations=0))
+        cfg = replace(self.CFG, seed=46)
+        sk, rep = train(train_set, 6, cfg)
+        start, _ = train(train_set, 6, replace(cfg, iterations=0))
         assert rep.final_loss == rep.initial_loss
         assert sketches_equal(sk, start)
         assert len(rep.loss_history) == 10
 
+    def test_rule_judges_the_returned_sketch_not_the_block(self):
+        # the 3-row block alone ends above its start (0.3245 -> 0.3272),
+        # but the 6-row sketch returned improves (0.0708 -> 0.0663), so
+        # the trained block is kept
+        train_set, _ = generate_dataset(self.SPEC)
+        sk, rep = train(train_set, 6, self.CFG)
+        start, _ = train(train_set, 6, replace(self.CFG, iterations=0))
+        assert rep.final_loss < rep.initial_loss
+        assert not np.array_equal(sk.blocks[0].value_of, start.blocks[0].value_of)
+        assert sketches_equal(SparseSketch(sk.n, sk.blocks[1:]),
+                              SparseSketch(start.n, start.blocks[1:]))
+
 
 class TestMixedJoint:
     def test_learned_rows_zero_everything_frozen(self, small_train_set):
-        cfg = quick_cfg(learned_rows=0, iterations=10)
-        sk, _ = train_mixed_joint(small_train_set, 4, cfg)
+        cfg = quick_cfg(mode="mixed_joint", learned_rows=0, iterations=10)
+        sk, _ = train(small_train_set, 4, cfg)
         frozen = sparse_random_sketch(4, 12, derived_seed(cfg.seed, 3))
         assert np.array_equal(sk.value_of, frozen.value_of)
         assert not sk.trainable_mask.any()
 
     def test_masked_block_bit_unchanged(self, small_train_set):
-        cfg = quick_cfg(learned_rows=2, iterations=40)
-        sk, _ = train_mixed_joint(small_train_set, 4, cfg)
+        cfg = quick_cfg(mode="mixed_joint", learned_rows=2, iterations=40)
+        sk, _ = train(small_train_set, 4, cfg)
         frozen_init = sparse_random_sketch(2, 12, derived_seed(cfg.seed, 3))
         assert sk.blocks[1].value_of.tobytes() == frozen_init.value_of.tobytes()
         assert np.array_equal(sk.blocks[1].row_of, frozen_init.row_of)
 
     def test_trainable_block_moves(self, small_train_set):
-        cfg = quick_cfg(learned_rows=2, iterations=40)
-        sk, _ = train_mixed_joint(small_train_set, 4, cfg)
+        cfg = quick_cfg(mode="mixed_joint", learned_rows=2, iterations=40)
+        sk, _ = train(small_train_set, 4, cfg)
         init = sparse_random_sketch(2, 12, derived_seed(cfg.seed, 0))
         assert not np.array_equal(sk.blocks[0].value_of, init.value_of)
 
     def test_learned_rows_m_matches_plain_training(self, small_train_set):
         cfg = quick_cfg(learned_rows=4)
-        sk_plain, rep_plain = train_sketch(small_train_set, 4, cfg)
-        sk_mixed, rep_mixed = train_mixed_joint(small_train_set, 4, cfg)
+        sk_plain, rep_plain = train(small_train_set, 4, cfg)
+        sk_mixed, rep_mixed = train(small_train_set, 4, replace(cfg, mode="mixed_joint"))
         assert sketches_equal(sk_plain, sk_mixed)
         assert rep_plain.loss_history == rep_mixed.loss_history
 
     def test_learned_rows_validated(self, small_train_set):
         with pytest.raises(ValueError, match="learned_rows"):
-            train_mixed_joint(small_train_set, 4, quick_cfg(learned_rows=5))
+            train(small_train_set, 4, quick_cfg(mode="mixed_joint", learned_rows=5))
 
 
 class TestMixedSeparate:
     def test_total_rows(self, small_train_set):
-        sk, _ = train_mixed_separate(small_train_set, 5, quick_cfg(learned_rows=2))
+        sk, _ = train(small_train_set, 5, quick_cfg(mode="mixed_separate", learned_rows=2))
         assert sk.m == 5
 
     def test_first_block_equals_standalone_training(self, small_train_set):
         cfg = quick_cfg(learned_rows=2)
-        standalone, _ = train_sketch(small_train_set, 2, cfg)
-        mixed, _ = train_mixed_separate(small_train_set, 5, cfg)
+        standalone, _ = train(small_train_set, 2, cfg)
+        mixed, _ = train(small_train_set, 5, replace(cfg, mode="mixed_separate"))
         assert mixed.blocks[0].value_of.tobytes() == standalone.value_of.tobytes()
         assert np.array_equal(mixed.blocks[0].row_of, standalone.row_of)
 
     def test_appended_block_frozen_random(self, small_train_set):
-        cfg = quick_cfg(learned_rows=2)
-        mixed, _ = train_mixed_separate(small_train_set, 5, cfg)
+        cfg = quick_cfg(mode="mixed_separate", learned_rows=2)
+        mixed, _ = train(small_train_set, 5, cfg)
         frozen = sparse_random_sketch(3, 12, derived_seed(cfg.seed, 3))
         assert np.array_equal(mixed.blocks[1].value_of, frozen.value_of)
         assert not mixed.blocks[1].trainable_mask.any()
 
     def test_learned_rows_validated(self, small_train_set):
         with pytest.raises(ValueError, match="learned_rows"):
-            train_mixed_separate(small_train_set, 4, quick_cfg(learned_rows=0))
+            train(small_train_set, 4, quick_cfg(mode="mixed_separate", learned_rows=0))
 
 
 class TestDispatch:
@@ -190,7 +203,7 @@ class TestDispatch:
 
 class TestReportCsv:
     def test_row_count(self, small_train_set, tmp_path):
-        _, rep = train_sketch(small_train_set, 4, quick_cfg(iterations=12))
+        _, rep = train(small_train_set, 4, quick_cfg(iterations=12))
         p = tmp_path / "report.csv"
         report_to_csv(rep, p)
         lines = p.read_text().strip().splitlines()
