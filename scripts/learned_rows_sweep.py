@@ -11,7 +11,6 @@ Writes a (series, x, y) plot-data CSV with x = trainable rows.
 import sys
 from dataclasses import replace
 
-from lrsketch.diffsvd import PowerSvdConfig
 from lrsketch.evalbench import DatasetSpec, err_metric, generate_dataset, write_xy_csv
 from lrsketch.seeding import derived_seed
 from lrsketch.trainer import TrainConfig, train
@@ -20,8 +19,7 @@ SPEC = DatasetSpec(name="spiked", kind="spiked", n=32, d=24, count_train=12,
                    count_test=8, spikes=3, decay=0.8, noise=0.1, drift=0.05,
                    seed=11)
 K, M = 3, 6
-TRAIN = TrainConfig(k=K, lr=1.0, iterations=200, seed=20260808,
-                    power_cfg=PowerSvdConfig(t_iters=30), mode="mixed_joint")
+TRAIN = TrainConfig(k=K, lr=1.0, iterations=200, seed=20260808, mode="mixed_joint")
 
 
 def run(out_csv: str) -> None:

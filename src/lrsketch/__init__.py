@@ -4,7 +4,8 @@ from .linalg import SvdFactors, best_rank_k, frobenius_norm, matmul, reference_s
 from .sketch import (DenseSketch, SketchBlock, SparseSketch, apply_sketch,
                      concat_sketches, dense_random_sketch, densify, empty_sketch,
                      identity_pattern_sketch, sparse_random_sketch, sketches_equal)
-from .scw import ScwOutput, check_concat_dominance, scw_approximate, scw_loss
+from .scw import (ScwOutput, check_concat_dominance, scw_approximate, scw_loss,
+                  scw_loss_and_grad)
 from .diffsvd import (PowerSvdConfig, backward, power_svd, scw_forward_with_tape,
                       scw_power_loss)
 from .trainer import TrainConfig, TrainReport, TrainingDivergedError, train

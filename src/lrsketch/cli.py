@@ -43,7 +43,7 @@ class TrainParams:
     lr: float = 0.1
     batch_size: int = 1
     iterations: int = 500
-    power_iters: int = 60
+    power_iters: int = 60  # TrainConfig.power_cfg rounds; training does not use them
     learned_rows: int | None = None  # None: half of m (rounded down)
 
 

@@ -11,7 +11,8 @@ The taped chain never truncates: its node count depends only on shapes,
 so finite differencing and repeated forwards see the same computation.
 The standalone `power_svd` runs the same power rounds on a Tape, reads
 their values, and truncates trailing near-zero factors like a compact
-SVD would. Training takes its gradients from the taped chain;
+SVD would. Training takes the closed-form gradient of the exact loss
+(`scw.scw_loss_and_grad`); the taped chain is its oracle, and
 `scw_power_loss` and `power_svd` are the oracles of the
 finite-difference and Jacobi checks.
 """

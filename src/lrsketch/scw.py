@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, best_rank_k, frobenius_norm, svd
+from .linalg import as_matrix, frobenius_norm, svd
 from .sketch import DenseSketch, SparseSketch, apply_sketch, concat_sketches
 
 
@@ -23,23 +23,52 @@ class ScwOutput:
     loss: float  # Frobenius distance to the input
 
 
+def _solve(a: np.ndarray, s: SparseSketch | DenseSketch, k: int):
+    """The two SVDs of the pipeline: (SA's factors, B = AV, B's top-k left
+    basis, [B]_k V^T), with None for the last three when SA has rank 0."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    f = svd(apply_sketch(s, a))
+    if f.rank == 0:
+        return f, None, None, None
+    b = a @ f.v  # n x r
+    fb = svd(b)
+    r = min(k, fb.rank)
+    uk = fb.u[:, :r]
+    return f, b, uk, ((uk * fb.sigma[:r]) @ fb.v[:, :r].T) @ f.v.T
+
+
 def scw_approximate(a, s: SparseSketch | DenseSketch, k: int) -> ScwOutput:
     """Run the sketch-and-solve pipeline: SA -> SVD -> [AV]_k V^T."""
     a = as_matrix(a)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    sa = apply_sketch(s, a)
-    f = svd(sa)
-    if f.rank == 0:
+    f, _, _, approx = _solve(a, s, k)
+    if approx is None:
         zero = np.zeros_like(a)
         return ScwOutput(zero, np.zeros((a.shape[1], 0)), frobenius_norm(a))
-    v = f.v  # d x r
-    approx = best_rank_k(a @ v, k) @ v.T
-    return ScwOutput(approx, v, frobenius_norm(a - approx))
+    return ScwOutput(approx, f.v, frobenius_norm(a - approx))
 
 
 def scw_loss(a, s: SparseSketch | DenseSketch, k: int) -> float:
     return scw_approximate(a, s, k).loss
+
+
+def scw_loss_and_grad(a, s: SparseSketch, k: int) -> tuple[float, np.ndarray]:
+    """scw_loss(a, s, k) ** 2 and its gradient w.r.t. s's stored values.
+
+    With SA = U Sigma V^T and U_k the top-k left basis of B = AV, the
+    loss is ||A||^2 - ||U_k^T A V||^2, and the projector derivative
+    (Golub & Pereyra 1973) gives dL/d(SA) = -2 U Sigma^-1 (B^T U_k)
+    U_k^T A (I - V V^T); value j of s scales A[col_j] into row row_j.
+    At rank 0 the gradient is taken as zero.
+    """
+    a = as_matrix(a)
+    f, b, uk, approx = _solve(a, s, k)
+    if approx is None:
+        return frobenius_norm(a) ** 2, np.zeros(s.value_of.shape[0])
+    ua = uk.T @ a
+    g_sa = (f.u / f.sigma) @ (b.T @ uk) @ (ua - (ua @ f.v) @ f.v.T)
+    g_s = -2.0 * (g_sa @ a.T)
+    return frobenius_norm(a - approx) ** 2, g_s[s.row_of, s.col_of]
 
 
 def check_concat_dominance(a, s1: SparseSketch, s2: SparseSketch,

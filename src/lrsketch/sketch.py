@@ -139,13 +139,12 @@ def scatter_rows(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, m: int,
                  a: np.ndarray) -> np.ndarray:
     """Accumulate values[j] * a[cols[j]] into output row rows[j].
 
-    Loops in ascending j so each output row accumulates in ascending
-    column order, matching matmul against the densified sketch bit for
-    bit.
+    np.add.at is unbuffered and applies the updates in ascending j, so
+    each output row accumulates in ascending column order, matching
+    matmul against the densified sketch bit for bit.
     """
     out = np.zeros((m, a.shape[1]))
-    for j in range(rows.shape[0]):
-        out[rows[j]] += values[j] * a[cols[j]]
+    np.add.at(out, rows, values[:, None] * a[cols])
     return out
 
 

@@ -1,9 +1,10 @@
 """SGD over sketch values.
 
-Plain constant-rate SGD on the squared sketch-to-loss forward pass: the
-hash pattern (which row each column hits) is frozen, only the stored
-values move, and masked values never move. Every mode trains a block
-stacked on a frozen random block (`train`).
+Plain constant-rate SGD on the exact squared sketch-and-solve loss,
+with its closed-form gradient (`scw_loss_and_grad`): the hash pattern
+(which row each column hits) is frozen, only the stored values move,
+and masked values never move. Every mode trains a block stacked on a
+frozen random block (`train`).
 
 Losses are the mean squared sketch-and-solve loss (`scw_loss`, the loss
 `eval` measures) over the train set, of the m-row sketch returned. A
@@ -17,17 +18,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffsvd import PowerSvdConfig, backward, scw_forward_with_tape
+from .diffsvd import PowerSvdConfig
 from .formats import atomic_open
-from .scw import scw_loss
+from .scw import scw_loss, scw_loss_and_grad
 from .seeding import derived_seed, rng_from
 from .sketch import SparseSketch, concat_sketches, empty_sketch, sparse_random_sketch
 
 # seed derivation tags under TrainConfig.seed
 _SEED_INIT = 0  # initial trainable sketch
 _SEED_BATCH = 1  # batch sampling stream
-_SEED_STEP = 2  # per-(step, slot) power-iteration inits
 _SEED_FROZEN = 3  # frozen random block of mixed sketches
+# tag 2 stays unused: renumbering _SEED_FROZEN would change every frozen block
 
 
 class TrainingDivergedError(RuntimeError):
@@ -41,6 +42,8 @@ class TrainConfig:
     batch_size: int = 1
     iterations: int = 3000
     seed: int = 0
+    # not used by training, which takes the exact gradient; still
+    # accepted and range-checked (train.power_iters in configs)
     power_cfg: PowerSvdConfig = field(default_factory=PowerSvdConfig)
     mode: str = "learned"  # learned | mixed_joint | mixed_separate
     learned_rows: int = 0  # trainable rows for the mixed modes
@@ -60,7 +63,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainReport:
-    # (iteration, mean taped batch loss) of what SGD moves; for mixed_separate, the block
+    # (iteration, mean scw_loss**2 over the batch) of what SGD moves;
+    # for mixed_separate, the block
     loss_history: tuple[tuple[int, float], ...]
     initial_loss: float  # mean scw_loss**2 of the m-row sketch over the train set, before SGD
     final_loss: float  # same, for the returned sketch; never above initial_loss
@@ -93,14 +97,12 @@ def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
         idx = np.sort(batch_rng.integers(0, len(train_set), size=cfg.batch_size))
         grad = np.zeros(sketch.value_of.shape[0])
         batch_losses = []
-        for slot, ii in enumerate(idx):
-            pcfg = replace(cfg.power_cfg,
-                           init_seed=derived_seed(cfg.seed, _SEED_STEP, step, slot))
-            loss, tape = scw_forward_with_tape(train_set[ii], sketch, cfg.k, pcfg)
+        for ii in idx:
+            loss, g = scw_loss_and_grad(train_set[ii], sketch, cfg.k)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at iteration {step} (matrix {ii}); lower lr")
-            grad += backward(tape)
+            grad += g
             batch_losses.append(loss)
         grad /= len(idx)
         vals = sketch.value_of

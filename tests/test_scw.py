@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from lrsketch.diffsvd import PowerSvdConfig, backward, scw_forward_with_tape
+from lrsketch.evalbench import DatasetSpec, generate_dataset
 from lrsketch.linalg import best_rank_k, frobenius_norm, matmul, reference_svd
-from lrsketch.scw import check_concat_dominance, scw_approximate, scw_loss
+from lrsketch.scw import (check_concat_dominance, scw_approximate, scw_loss,
+                          scw_loss_and_grad)
 from lrsketch.seeding import rng_from
 from lrsketch.sketch import (SparseSketch, SketchBlock, concat_sketches, densify,
                              empty_sketch, identity_pattern_sketch,
@@ -108,6 +111,98 @@ class TestScwLoss:
         a = rng.standard_normal((4, 4))
         s = sparse_random_sketch(2, 4, seed=13)
         assert scw_loss(a, s, 2) == pytest.approx(lapack_scw_loss(a, s, 2), abs=1e-8)
+
+
+def fd_grad(a, s, k, h=1e-6):
+    """Central finite differences of scw_loss ** 2 w.r.t. s's stored values."""
+    vals = s.value_of
+    out = np.zeros(vals.shape[0])
+    for j in range(vals.shape[0]):
+        vp, vm = vals.copy(), vals.copy()
+        vp[j] += h
+        vm[j] -= h
+        out[j] = (scw_loss(a, s.with_values(vp), k) ** 2
+                  - scw_loss(a, s.with_values(vm), k) ** 2) / (2 * h)
+    return out
+
+
+def jittered(s, seed):
+    """s with its stored values scaled by factors in [0.5, 1.5)."""
+    return s.with_values(s.value_of * rng_from(seed).uniform(0.5, 1.5, s.value_of.shape[0]))
+
+
+class TestScwLossAndGrad:
+    def test_matches_tape_on_bundle_shape(self):
+        spec = DatasetSpec(name="b", kind="spiked", n=64, d=48, count_train=1,
+                           count_test=1, spikes=4, decay=0.8, noise=0.1, drift=0.05,
+                           seed=11)
+        a = generate_dataset(spec)[0][0]
+        s = jittered(sparse_random_sketch(8, 64, seed=70), 71)
+        loss, grad = scw_loss_and_grad(a, s, 4)
+        tape_loss, tape = scw_forward_with_tape(a, s, 4, PowerSvdConfig(t_iters=100))
+        tape_grad = backward(tape)
+        assert loss == pytest.approx(tape_loss, rel=1e-10)
+        assert np.abs(grad - tape_grad).max() <= 1e-10 * np.abs(tape_grad).max()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loss_is_squared_scw_loss_bitwise(self, seed):
+        rng = rng_from(72, seed)
+        a = rng.standard_normal((10, 7))
+        s = jittered(sparse_random_sketch(4, 10, seed=seed), seed)
+        assert scw_loss_and_grad(a, s, 2)[0] == scw_loss(a, s, 2) ** 2
+
+    @pytest.mark.parametrize("n, d, m, k", [(9, 6, 3, 2), (12, 8, 5, 3), (7, 10, 4, 1)])
+    def test_matches_finite_differences(self, n, d, m, k):
+        rng = rng_from(73, n, d)
+        a = rng.standard_normal((n, d))
+        s = jittered(sparse_random_sketch(m, n, seed=n + d), m)
+        grad = scw_loss_and_grad(a, s, k)[1]
+        assert np.abs(grad - fd_grad(a, s, k)).max() <= 1e-6 * np.abs(grad).max()
+
+    def test_matches_finite_differences_on_two_block_sketch(self):
+        a = rng_from(74).standard_normal((10, 7))
+        b = sparse_random_sketch(2, 10, seed=75).blocks[0]
+        frozen = SparseSketch(10, (SketchBlock(b.m, b.row_of, b.value_of,
+                                               np.zeros(10, dtype=bool)),))
+        s = concat_sketches(jittered(sparse_random_sketch(3, 10, seed=76), 77), frozen)
+        grad = scw_loss_and_grad(a, s, 2)[1]
+        assert grad.shape == (20,)
+        assert np.abs(grad - fd_grad(a, s, 2)).max() <= 1e-6 * np.abs(grad).max()
+
+    def test_full_row_space_has_zero_gradient(self):
+        # m > d and SA of rank d: the projector is I whatever the values
+        a = rng_from(78).standard_normal((12, 4))
+        s = jittered(identity_pattern_sketch(12), 79)
+        loss, grad = scw_loss_and_grad(a, s, 2)
+        assert loss == pytest.approx(frobenius_norm(a - best_rank_k(a, 2)) ** 2, rel=1e-10)
+        assert np.abs(grad).max() <= 1e-12
+
+    def test_zero_row_is_finite_with_zero_gradient(self):
+        a = rng_from(80).standard_normal((10, 6))
+        s = jittered(sparse_random_sketch(4, 10, seed=81), 82)
+        vals = np.where(s.row_of == s.row_of[0], 0.0, s.value_of)
+        s = s.with_values(vals)
+        loss, grad = scw_loss_and_grad(a, s, 2)
+        assert loss == scw_loss(a, s, 2) ** 2
+        assert np.all(np.isfinite(grad))
+        assert np.abs(grad[s.row_of == s.row_of[0]]).max() <= 1e-12
+
+    def test_all_values_zero(self):
+        a = rng_from(83).standard_normal((6, 5))
+        s = sparse_random_sketch(3, 6, seed=84)
+        loss, grad = scw_loss_and_grad(a, s.with_values(np.zeros(6)), 2)
+        assert loss == frobenius_norm(a) ** 2
+        assert np.array_equal(grad, np.zeros(6))
+
+    def test_tied_singular_values_at_k(self):
+        # sigma_2(B) = sigma_3(B): the loss is not differentiable there
+        q1 = np.linalg.qr(rng_from(85).standard_normal((8, 5)))[0]
+        q2 = np.linalg.qr(rng_from(86).standard_normal((5, 5)))[0]
+        a = (q1 * np.array([1.0, 0.5, 0.5, 0.2, 0.1])) @ q2.T
+        s = identity_pattern_sketch(8)
+        loss, grad = scw_loss_and_grad(a, s, 2)
+        assert loss == scw_loss(a, s, 2) ** 2
+        assert np.all(np.isfinite(grad))
 
 
 class TestConcatDominance:

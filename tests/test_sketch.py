@@ -6,8 +6,16 @@ from hypothesis import strategies as st
 from lrsketch.linalg import matmul
 from lrsketch.sketch import (SketchBlock, SparseSketch, apply_sketch,
                              concat_sketches, dense_random_sketch, densify,
-                             empty_sketch, identity_pattern_sketch,
+                             empty_sketch, identity_pattern_sketch, scatter_rows,
                              sketches_equal, sparse_random_sketch)
+
+
+def loop_scatter_rows(values, rows, cols, m, a):
+    """The per-value loop scatter_rows replaced: the bit-for-bit oracle."""
+    out = np.zeros((m, a.shape[1]))
+    for j in range(rows.shape[0]):
+        out[rows[j]] += values[j] * a[cols[j]]
+    return out
 
 
 class TestSparseRandomSketch:
@@ -87,6 +95,32 @@ class TestApplySketch:
         lhs = apply_sketch(s, a + b)
         rhs = apply_sketch(s, a) + apply_sketch(s, b)
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+class TestScatterRows:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_loop_bitwise(self, seed):
+        # rows may repeat or stay empty, values may be zero, entries span 1e+-5
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(1, 12))
+        blocks = []
+        for _ in range(int(rng.integers(1, 3))):
+            vals = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5, n)
+            vals[rng.random(n) < 0.2] = 0.0
+            blocks.append(SketchBlock(m, rng.integers(0, max(1, m // 2), n), vals,
+                                      np.ones(n, dtype=bool)))
+        s = SparseSketch(n, tuple(blocks))
+        a = rng.standard_normal((n, int(rng.integers(1, 9)))) * 10.0 ** rng.uniform(-5, 5)
+        got = scatter_rows(s.value_of, s.row_of, s.col_of, s.m, a)
+        want = loop_scatter_rows(s.value_of, s.row_of, s.col_of, s.m, a)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(apply_sketch(s, a), matmul(densify(s), a))
+
+    def test_no_values(self):
+        out = scatter_rows(np.zeros(0), np.zeros(0, dtype=np.int64),
+                           np.zeros(0, dtype=np.int64), 2, np.ones((3, 4)))
+        assert np.array_equal(out, np.zeros((2, 4)))
 
 
 class TestDensify:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lrsketch import autodiff
 from lrsketch.diffsvd import PowerSvdConfig
 from lrsketch.evalbench import DatasetSpec, generate_dataset
 from lrsketch.scw import scw_loss
@@ -70,10 +71,12 @@ class TestTrainSketch:
         assert [it for it, _ in rep.loss_history] == list(range(1, 18))
 
     def test_divergence_aborts(self, small_train_set):
+        # the exact loss is invariant to the sketch's scale, so no finite
+        # lr diverges here; an infinite one makes the values non-finite
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError):
                 train(small_train_set, 4,
-                             quick_cfg(lr=1e160, iterations=6))
+                             quick_cfg(lr=float("inf"), iterations=6))
 
     def test_inconsistent_rows_rejected(self):
         bad = [np.zeros((4, 3)), np.zeros((5, 3))]
@@ -134,6 +137,30 @@ class TestKeepStart:
         assert not np.array_equal(sk.blocks[0].value_of, start.blocks[0].value_of)
         assert sketches_equal(SparseSketch(sk.n, sk.blocks[1:]),
                               SparseSketch(start.n, start.blocks[1:]))
+
+
+class TestExactGradient:
+    def test_training_builds_no_tape(self, small_train_set, monkeypatch):
+        def no_tape(self):
+            raise AssertionError("training built a Tape")
+
+        monkeypatch.setattr(autodiff.Tape, "__init__", no_tape)
+        for mode in ("learned", "mixed_joint", "mixed_separate"):
+            train(small_train_set, 4, quick_cfg(mode=mode, learned_rows=2, iterations=3))
+
+    def test_power_cfg_does_not_change_training(self, small_train_set):
+        sk1, rep1 = train(small_train_set, 4, quick_cfg())
+        sk2, rep2 = train(small_train_set, 4,
+                          quick_cfg(power_cfg=PowerSvdConfig(t_iters=1, init_seed=9)))
+        assert sketches_equal(sk1, sk2)
+        assert rep1.loss_history == rep2.loss_history
+
+    def test_history_is_exact_batch_loss(self, small_train_set):
+        # batch_size 1 and lr 0: every step's loss is one matrix's scw_loss ** 2
+        _, rep = train(small_train_set, 4, quick_cfg(lr=0.0, iterations=8))
+        init = sparse_random_sketch(4, 12, derived_seed(5, 0))
+        exact = {scw_loss(a, init, 2) ** 2 for a in small_train_set}
+        assert all(loss in exact for _, loss in rep.loss_history)
 
 
 class TestMixedJoint:
