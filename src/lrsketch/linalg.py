@@ -29,7 +29,7 @@ def as_matrix(a) -> np.ndarray:
 
 
 def require_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")
     return a
 
@@ -106,20 +106,19 @@ def _jacobi_tall(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _canonical(u, sigma, v, rank_tol: float) -> SvdFactors:
-    """Sort, truncate and sign-fix an SVD; the rules every SVD here shares.
+    """Truncate and sign-fix an SVD; the rules every SVD here shares.
 
-    Rank is the count of singular values above rank_tol * sigma_max.
-    Column signs are fixed so the largest-magnitude entry of each u
-    column is positive.
+    sigma must be non-increasing, as LAPACK returns it (reference_svd
+    sorts first). Rank is the count of singular values above
+    rank_tol * sigma[0]. Column signs are fixed so the largest-magnitude
+    entry of each u column is positive; u and v come out Fortran-ordered.
     """
-    order = np.argsort(-sigma, kind="stable")
-    smax = sigma[order[0]] if sigma.size else 0.0
-    rank = int(np.sum(sigma > rank_tol * smax)) if smax > 0.0 else 0
-    keep = order[:rank]
-    u, sigma, v = u[:, keep], sigma[keep], v[:, keep]
+    smax = sigma[0] if sigma.size else 0.0
+    rank = int(np.count_nonzero(sigma > rank_tol * smax)) if smax > 0.0 else 0
+    u, sigma, v = u[:, :rank], sigma[:rank], v[:, :rank]
     if rank:
-        flip = np.where(u[np.abs(u).argmax(axis=0), np.arange(rank)] < 0, -1.0, 1.0)
-        u, v = u * flip, v * flip
+        flip = np.copysign(1.0, u[np.abs(u).argmax(axis=0), np.arange(rank)])
+        u, v = np.multiply(u, flip, order="F"), np.multiply(v, flip, order="F")
     return SvdFactors(u=u, sigma=sigma, v=v)
 
 
@@ -140,7 +139,8 @@ def reference_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
     u = w / np.where(sigma > 0.0, sigma, 1.0)
     if transposed:
         u, v = v, u
-    return _canonical(u, sigma, v, rank_tol)
+    order = np.argsort(-sigma, kind="stable")
+    return _canonical(u[:, order], sigma[order], v[:, order], rank_tol)
 
 
 def best_rank_k(a, k: int) -> np.ndarray:

@@ -10,6 +10,7 @@ updates may touch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +36,19 @@ class SketchBlock:
         require_finite(self.value_of, "sketch values")
 
 
+def _shared(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class SparseSketch:
-    """Vertical stack of one-nonzero-per-column blocks over n input rows."""
+    """Vertical stack of one-nonzero-per-column blocks over n input rows.
+
+    The stacked arrays are built once per sketch, shared and read-only;
+    with_values hands row_of, col_of and trainable_mask on, so SGD
+    builds them once per pattern.
+    """
 
     n: int
     blocks: tuple[SketchBlock, ...]
@@ -51,42 +62,42 @@ class SparseSketch:
     def m(self) -> int:
         return sum(b.m for b in self.blocks)
 
-    @property
+    @cached_property
     def row_of(self) -> np.ndarray:
         """Row index per stored value, in the stacked (offset) matrix."""
         parts, off = [], 0
         for b in self.blocks:
             parts.append(b.row_of + off)
             off += b.m
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        return _shared(np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64))
 
-    @property
+    @cached_property
     def col_of(self) -> np.ndarray:
         """Column index per stored value (0..n-1 within each block)."""
         parts = [np.arange(self.n, dtype=np.int64) for _ in self.blocks]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        return _shared(np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64))
 
-    @property
+    @cached_property
     def value_of(self) -> np.ndarray:
         parts = [b.value_of for b in self.blocks]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return _shared(np.concatenate(parts) if parts else np.zeros(0))
 
-    @property
+    @cached_property
     def trainable_mask(self) -> np.ndarray:
         parts = [b.trainable_mask for b in self.blocks]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+        return _shared(np.concatenate(parts) if parts else np.zeros(0, dtype=bool))
 
     def with_values(self, new_values: np.ndarray) -> "SparseSketch":
         """Same pattern and masks, stored values replaced (stacked order)."""
-        new_values = np.asarray(new_values, dtype=np.float64)
-        if new_values.shape[0] != self.n * len(self.blocks):
+        vals = _shared(np.array(new_values, dtype=np.float64))
+        if vals.shape[0] != self.n * len(self.blocks):
             raise ValueError("value vector length does not match sketch")
-        out, pos = [], 0
-        for b in self.blocks:
-            vals = new_values[pos : pos + self.n].copy()
-            pos += self.n
-            out.append(SketchBlock(b.m, b.row_of, vals, b.trainable_mask))
-        return SparseSketch(self.n, tuple(out))
+        out = SparseSketch(self.n, tuple(
+            SketchBlock(b.m, b.row_of, vals[i * self.n:(i + 1) * self.n], b.trainable_mask)
+            for i, b in enumerate(self.blocks)))
+        vars(out).update(row_of=self.row_of, col_of=self.col_of,
+                         trainable_mask=self.trainable_mask, value_of=vals)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,13 +150,14 @@ def scatter_rows(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, m: int,
                  a: np.ndarray) -> np.ndarray:
     """Accumulate values[j] * a[cols[j]] into output row rows[j].
 
-    np.add.at is unbuffered and applies the updates in ascending j, so
-    each output row accumulates in ascending column order, matching
-    matmul against the densified sketch bit for bit.
+    One np.bincount over the flat output indices: it adds the updates in
+    ascending j from +0.0, so each output row accumulates in ascending
+    column order, matching matmul against the densified sketch bit for bit.
     """
-    out = np.zeros((m, a.shape[1]))
-    np.add.at(out, rows, values[:, None] * a[cols])
-    return out
+    d = a.shape[1]
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    out = np.bincount(flat, weights=(values[:, None] * a[cols]).ravel(), minlength=m * d)
+    return out.reshape(m, d).astype(np.float64, copy=False)  # int64 when there are no values
 
 
 def apply_sketch(s: SparseSketch | DenseSketch, a) -> np.ndarray:

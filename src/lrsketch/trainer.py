@@ -13,6 +13,7 @@ run whose final loss is above its initial one returns its start.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -92,26 +93,26 @@ def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
     start = sketch
     initial = _mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
     batch_rng = rng_from(cfg.seed, _SEED_BATCH)
+    mask, vals = sketch.trainable_mask, sketch.value_of
+    losses = np.empty(cfg.batch_size)
     history = []
     for step in range(1, cfg.iterations + 1):
         idx = np.sort(batch_rng.integers(0, len(train_set), size=cfg.batch_size))
-        grad = np.zeros(sketch.value_of.shape[0])
-        batch_losses = []
-        for ii in idx:
+        grad = np.zeros(vals.shape[0])
+        for j, ii in enumerate(idx):
             loss, g = scw_loss_and_grad(train_set[ii], sketch, cfg.k)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at iteration {step} (matrix {ii}); lower lr")
             grad += g
-            batch_losses.append(loss)
-        grad /= len(idx)
-        vals = sketch.value_of
-        new_vals = np.where(sketch.trainable_mask, vals - cfg.lr * grad, vals)
-        if not np.all(np.isfinite(new_vals)):
+            losses[j] = loss
+        grad /= cfg.batch_size
+        vals = np.where(mask, vals - cfg.lr * grad, vals)
+        if not np.isfinite(vals).all():
             raise TrainingDivergedError(
                 f"non-finite sketch values after iteration {step}; lower lr")
-        sketch = sketch.with_values(new_vals)
-        history.append((step, float(np.mean(batch_losses))))
+        sketch = sketch.with_values(vals)
+        history.append((step, float(losses.sum()) / cfg.batch_size))  # bit-equal to np.mean
     final = _mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
     if final > initial:  # SGD ended above its start: keep the start
         sketch, final = start, initial

@@ -3,8 +3,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrsketch.linalg import (SvdFactors, best_rank_k, frobenius_norm, matmul,
-                             reference_svd, svd)
+from lrsketch.linalg import (RANK_TOL, SvdFactors, _jacobi_tall, best_rank_k,
+                             frobenius_norm, matmul, reference_svd, svd)
+
+
+def sorting_canonical(u, sigma, v, rank_tol):
+    """The sort-based rank and sign rule `_canonical` replaced: the bit-for-bit oracle."""
+    order = np.argsort(-sigma, kind="stable")
+    smax = sigma[order[0]] if sigma.size else 0.0
+    rank = int(np.sum(sigma > rank_tol * smax)) if smax > 0.0 else 0
+    keep = order[:rank]
+    u, sigma, v = u[:, keep], sigma[keep], v[:, keep]
+    if rank:
+        flip = np.where(u[np.abs(u).argmax(axis=0), np.arange(rank)] < 0, -1.0, 1.0)
+        u, v = u * flip, v * flip
+    return SvdFactors(u=u, sigma=sigma, v=v)
+
+
+def assert_same_factors(f, g):
+    assert f.rank == g.rank
+    for x, y in ((f.u, g.u), (f.sigma, g.sigma), (f.v, g.v)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        # same memory order too: BLAS products downstream can differ by it
+        assert x.flags.f_contiguous == y.flags.f_contiguous
+
+
+def _sorting_case(seed):
+    """Tall, wide, square or rank-deficient, scaled over 1e+-6."""
+    rng = np.random.default_rng(seed)
+    n, d = (int(x) for x in rng.integers(1, 30, 2))
+    kind = seed % 4
+    if kind == 1:
+        n, d = min(n, d), max(n, d)
+    elif kind == 2:
+        d = n
+    a = rng.standard_normal((max(n, d) if kind == 0 else n, d))
+    if kind == 3:
+        r = int(rng.integers(0, min(n, d) + 1))
+        a = rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+    return a * 10.0 ** rng.uniform(-6, 6)
 
 
 def naive_matmul(a, b):
@@ -198,6 +235,41 @@ class TestSvdAgainstReference:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             svd(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+class TestCanonicalAgainstSorting:
+    """The sort-free rank and sign rule against the sort-based one it replaced."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_svd_bit_identical(self, seed):
+        a = _sorting_case(seed)
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+        assert_same_factors(svd(a), sorting_canonical(u, sigma, vt.T, RANK_TOL))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_reference_svd_bit_identical(self, seed):
+        a = _sorting_case(seed)[:12, :12]
+        transposed = a.shape[1] > a.shape[0]
+        w, sigma, v = _jacobi_tall(a.T.copy() if transposed else a)
+        u = w / np.where(sigma > 0.0, sigma, 1.0)
+        if transposed:
+            u, v = v, u
+        assert_same_factors(reference_svd(a), sorting_canonical(u, sigma, v, RANK_TOL))
+
+    def test_unsorted_jacobi_output(self):
+        a = np.diag([1.0, 3.0, 2.0])
+        assert np.array_equal(_jacobi_tall(a)[1], [1.0, 3.0, 2.0])  # Jacobi leaves it unsorted
+        f = reference_svd(a)
+        assert np.array_equal(f.sigma, [3.0, 2.0, 1.0])
+        perm = np.eye(3)[:, [1, 2, 0]]
+        assert np.array_equal(f.u, perm) and np.array_equal(f.v, perm)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    @pytest.mark.parametrize("fn", [svd, reference_svd])
+    def test_empty_input_has_rank_zero(self, fn, shape):
+        f = fn(np.zeros(shape))
+        assert f.rank == 0 and f.sigma.shape == (0,)
+        assert f.u.shape == (shape[0], 0) and f.v.shape == (shape[1], 0)
 
 
 class TestBestRankK:

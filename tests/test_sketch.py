@@ -117,9 +117,34 @@ class TestScatterRows:
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(apply_sketch(s, a), matmul(densify(s), a))
 
+    @pytest.mark.parametrize("seed", range(200))
+    def test_signed_zeros_match_loop_bitwise(self, seed):
+        # -0.0 in the values and in a, rows repeated or empty, raw index arrays
+        rng = np.random.default_rng(1000 + seed)
+        n, m, d = (int(rng.integers(1, hi)) for hi in (40, 10, 8))
+        nnz = int(rng.integers(0, 3 * n))
+        values = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-5, 5, nnz)
+        values[rng.random(nnz) < 0.2] = -0.0
+        values[rng.random(nnz) < 0.1] = 0.0
+        a = rng.standard_normal((n, d))
+        a[rng.random((n, d)) < 0.2] = -0.0
+        rows, cols = rng.integers(0, m, nnz), rng.integers(0, n, nnz)
+        got = scatter_rows(values, rows, cols, m, a)
+        want = loop_scatter_rows(values, rows, cols, m, a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        args = (np.full(3, -0.0), np.array([0, 0, 1]), np.array([0, 1, 2]), 2,
+                np.ones((3, 2)))
+        out = scatter_rows(*args)
+        assert out.tobytes() == loop_scatter_rows(*args).tobytes()
+        assert not np.signbit(out).any()  # accumulation starts from +0.0
+
     def test_no_values(self):
         out = scatter_rows(np.zeros(0), np.zeros(0, dtype=np.int64),
                            np.zeros(0, dtype=np.int64), 2, np.ones((3, 4)))
+        assert out.dtype == np.float64 and out.shape == (2, 4)
         assert np.array_equal(out, np.zeros((2, 4)))
 
 
@@ -187,6 +212,32 @@ class TestWithValues:
     def test_length_checked(self):
         with pytest.raises(ValueError):
             sparse_random_sketch(2, 3, 1).with_values(np.zeros(5))
+
+    def test_pattern_arrays_built_once(self):
+        s = concat_sketches(sparse_random_sketch(2, 3, 1), sparse_random_sketch(2, 3, 2))
+        s2 = s.with_values(np.arange(6.0)).with_values(np.ones(6))
+        assert s2.row_of is s.row_of and s2.col_of is s.col_of
+        assert s2.trainable_mask is s.trainable_mask
+
+    def test_stacked_arrays_read_only(self):
+        s = concat_sketches(sparse_random_sketch(2, 3, 1), sparse_random_sketch(2, 3, 2))
+        s2 = s.with_values(np.arange(6.0))
+        for arr in (s.row_of, s.col_of, s.value_of, s.trainable_mask, s2.value_of,
+                    s2.blocks[1].value_of):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+
+    def test_values_copied(self):
+        new = np.arange(6.0)
+        s = concat_sketches(sparse_random_sketch(2, 3, 1),
+                            sparse_random_sketch(2, 3, 2)).with_values(new)
+        new[:] = -1.0
+        assert np.array_equal(s.value_of, np.arange(6.0))
+        assert np.array_equal(s.blocks[1].value_of, [3.0, 4.0, 5.0])
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            sparse_random_sketch(2, 3, 1).with_values(np.array([1.0, np.nan, 1.0]))
 
 
 class TestValidation:

@@ -162,6 +162,17 @@ class TestExactGradient:
         exact = {scw_loss(a, init, 2) ** 2 for a in small_train_set}
         assert all(loss in exact for _, loss in rep.loss_history)
 
+    def test_history_is_np_mean_of_batch(self, small_train_set):
+        # lr 0 keeps the start; a batch of 9 sums pairwise in numpy
+        cfg = quick_cfg(lr=0.0, iterations=4, batch_size=9)
+        _, rep = train(small_train_set, 4, cfg)
+        init = sparse_random_sketch(4, 12, derived_seed(cfg.seed, 0))
+        losses = [scw_loss(a, init, 2) ** 2 for a in small_train_set]
+        batch_rng = rng_from(cfg.seed, 1)  # the trainer's batch stream
+        for _, loss in rep.loss_history:
+            idx = np.sort(batch_rng.integers(0, len(losses), size=9))
+            assert loss == float(np.mean([losses[i] for i in idx]))
+
 
 class TestMixedJoint:
     def test_learned_rows_zero_everything_frozen(self, small_train_set):
