@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import as_matrix, best_rank_k, frobenius_norm, require_finite
+from .linalg import (as_matrix, best_rank_k, frobenius_norm, orthonormal_basis,
+                     require_finite)
 from .formats import atomic_open, load_matrix
 from .scw import scw_loss
 from .seeding import derived_seed, rng_from
@@ -99,13 +100,6 @@ def normalize_top_singular(a) -> np.ndarray:
     return a if abs(smax - 1.0) <= UNIT_SIGMA_TOL else a / smax
 
 
-def _orth(g: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(g)
-    sgn = np.sign(np.diag(r))
-    sgn[sgn == 0] = 1.0
-    return q * sgn
-
-
 def _noise_term(rng, n, d, noise):
     if noise == 0:
         return 0.0
@@ -116,19 +110,19 @@ def _generate_synthetic(spec: DatasetSpec):
     rng = rng_from(spec.seed)
     n, d, r = spec.n, spec.d, spec.spikes
     sig = spec.decay ** np.arange(r)
-    u0 = _orth(rng.standard_normal((n, r)))
-    v0 = _orth(rng.standard_normal((d, r)))
+    u0 = orthonormal_basis(rng.standard_normal((n, r)))
+    v0 = orthonormal_basis(rng.standard_normal((d, r)))
     if spec.kind == "rotated_shared_subspace":
         # orthonormal block orthogonal to u0, the rotation target
-        w0 = _orth(np.concatenate([u0, rng.standard_normal((n, r))], axis=1))[:, r:]
+        w0 = orthonormal_basis(np.concatenate([u0, rng.standard_normal((n, r))], axis=1))[:, r:]
 
     def sample():
         if spec.kind == "spiked":
-            u = _orth(u0 + spec.drift * rng.standard_normal((n, r)))
-            v = _orth(v0 + spec.drift * rng.standard_normal((d, r)))
+            u = orthonormal_basis(u0 + spec.drift * rng.standard_normal((n, r)))
+            v = orthonormal_basis(v0 + spec.drift * rng.standard_normal((d, r)))
         elif spec.kind == "lowrank_plus_noise":
-            u = _orth(rng.standard_normal((n, r)))
-            v = _orth(rng.standard_normal((d, r)))
+            u = orthonormal_basis(rng.standard_normal((n, r)))
+            v = orthonormal_basis(rng.standard_normal((d, r)))
         else:  # rotated_shared_subspace
             theta = rng.uniform(-spec.drift, spec.drift)
             u = u0 * np.cos(theta) + w0 * np.sin(theta)

@@ -62,6 +62,14 @@ def matmul(a, b) -> np.ndarray:
     return out
 
 
+def orthonormal_basis(g: np.ndarray) -> np.ndarray:
+    """Q of g's reduced QR, columns flipped so diag(R) is non-negative."""
+    q, r = np.linalg.qr(g)
+    sgn = np.sign(np.diag(r))
+    sgn[sgn == 0] = 1.0
+    return q * sgn
+
+
 def frobenius_norm(a) -> float:
     a = as_matrix(a)
     return float(np.sqrt(np.sum(a * a)))

@@ -10,7 +10,9 @@ fragile, and searches a discretized sphere for the best robust
 direction.
 
 Profiles carry (singular values, left basis) directly instead of full
-matrices; everything here depends only on those.
+matrices; everything here depends only on those. A family of profiles
+of one shape is one stacked SpectralProfile, and every objective comes
+from one kernel, `_objective_values`, that broadcasts over the stack.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, svd
+from .linalg import as_matrix, frobenius_norm, orthonormal_basis, svd
 from .seeding import derived_seed, rng_from
 
 # Denominators below this are treated as degenerate.
@@ -39,39 +41,54 @@ class DegenerateDirectionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SpectralProfile:
-    """Spectrum and left singular basis of one matrix.
+    """Spectrum and left singular basis of one matrix, or of a stack of them.
 
-    sigma: (r,) positive, nonincreasing. u_basis: (dim, r) orthonormal
-    columns. Distribution generators normalize so sigma[0] == 1; hand
-    built profiles (e.g. fragility counterexamples) may deviate.
+    sigma: (..., r) positive, nonincreasing along r. u_basis: (..., dim, r)
+    orthonormal columns. Leading axes, if any, index the profiles of a
+    family; without them the profile is a family of one. Distribution
+    generators normalize so sigma[..., 0] == 1; hand built profiles (e.g.
+    fragility counterexamples) may deviate.
     """
 
     sigma: np.ndarray
     u_basis: np.ndarray
 
     def __post_init__(self):
-        if self.sigma.ndim != 1 or self.u_basis.ndim != 2:
-            raise ValueError("sigma must be 1-D and u_basis 2-D")
-        if self.u_basis.shape[1] != self.sigma.shape[0]:
-            raise ValueError("u_basis columns must match sigma length")
+        if self.sigma.ndim < 1 or self.u_basis.ndim != self.sigma.ndim + 1 \
+                or self.u_basis.shape[:-2] + self.u_basis.shape[-1:] != self.sigma.shape:
+            raise ValueError("u_basis must be (..., dim, r) for sigma (..., r)")
         if self.sigma.size and (np.any(self.sigma <= 0)
-                                or np.any(np.diff(self.sigma) > 1e-12)):
+                                or np.any(np.diff(self.sigma, axis=-1) > 1e-12)):
             raise ValueError("sigma must be positive and nonincreasing")
 
     @property
     def dim(self) -> int:
-        return self.u_basis.shape[0]
+        return self.u_basis.shape[-2]
 
-    def stable_rank(self) -> float:
-        return float(np.sum(self.sigma**2) / self.sigma[0] ** 2)
+    @property
+    def count(self) -> int:
+        """Number of profiles: the product of the leading axes."""
+        return math.prod(self.sigma.shape[:-1])
+
+    def __iter__(self):
+        """The single profiles, leading axes flattened in row-major order."""
+        r = self.sigma.shape[-1]
+        return map(SpectralProfile, self.sigma.reshape(-1, r),
+                   self.u_basis.reshape(-1, self.dim, r))
+
+    def stable_rank(self):
+        """Per-profile stable rank: a float, or an array over the leading axes."""
+        return (np.sum(self.sigma**2, axis=-1) / self.sigma[..., 0] ** 2)[()]
 
 
 def require_normalized(p: SpectralProfile) -> SpectralProfile:
-    """Check sigma[0] == 1 (1e-9) and orthonormal columns (1e-8)."""
-    if abs(p.sigma[0] - 1.0) > 1e-9:
-        raise ValueError(f"profile top singular value is {p.sigma[0]}, expected 1")
-    gram = p.u_basis.T @ p.u_basis
-    if np.abs(gram - np.eye(p.sigma.size)).max() > 1e-8:
+    """Check sigma[..., 0] == 1 (1e-9) and orthonormal columns (1e-8)."""
+    top = p.sigma[..., 0]
+    off = top[np.abs(top - 1.0) > 1e-9]
+    if off.size:
+        raise ValueError(f"profile top singular value is {off[0]}, expected 1")
+    gram = np.swapaxes(p.u_basis, -1, -2) @ p.u_basis
+    if np.any(np.abs(gram - np.eye(p.sigma.shape[-1])) > 1e-8):
         raise ValueError("u_basis columns are not orthonormal")
     return p
 
@@ -85,36 +102,50 @@ def stable_rank(a) -> float:
     return (frobenius_norm(a) / f.sigma[0]) ** 2
 
 
-def _check_unit(s: np.ndarray) -> np.ndarray:
+def _objective_values(grid: np.ndarray, p: SpectralProfile):
+    """Full objectives, simplified objectives and denominators, (..., G).
+
+    Row g of `grid` (G, dim) scored on every profile of the stack `p`.
+    Degenerate denominators yield objective value 0.
+    """
+    c2 = (grid @ p.u_basis) ** 2
+    lam2 = (p.sigma**2)[..., None]
+    den = (c2 @ lam2)[..., 0]
+    num_full = (c2 @ (lam2 * lam2))[..., 0]
+    ok = den >= DEGENERATE_DENOM
+    safe_den = np.where(ok, den, 1.0)
+    full = np.where(ok, num_full / safe_den, 0.0)
+    simp = np.where(ok, c2[..., 0] / safe_den, 0.0)
+    return full, simp, den
+
+
+def _at_direction(s, profiles: SpectralProfile):
+    """_objective_values of one unit direction s, one value per profile."""
     s = np.asarray(s, dtype=np.float64)
     if abs(float(np.linalg.norm(s)) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
-    return s
+    if profiles.count == 0:
+        raise ValueError("empty profile set")
+    return tuple(v[..., 0] for v in _objective_values(s[None, :], profiles))
 
 
-def _alignment_sums(s: np.ndarray, p: SpectralProfile) -> tuple[float, float, float]:
-    """(top alignment^2, sum lambda^2 align^2, sum lambda^4 align^2)."""
-    c2 = (p.u_basis.T @ s) ** 2
-    lam2 = p.sigma**2
-    return float(c2[0]), float(np.sum(lam2 * c2)), float(np.sum(lam2 * lam2 * c2))
+def _nondegenerate(values: np.ndarray, den: np.ndarray):
+    """values, a float for a single profile; raises on a degenerate denominator."""
+    if np.any(den < DEGENERATE_DENOM):
+        raise DegenerateDirectionError(f"denominator {den.min()} below {DEGENERATE_DENOM}")
+    return values[()]
 
 
-def full_objective(s, profile: SpectralProfile) -> float:
-    """Weighted alignment ratio sum(l^4 c^2) / sum(l^2 c^2); 1 at s = U_1."""
-    s = _check_unit(s)
-    _, den, num = _alignment_sums(s, profile)
-    if den < DEGENERATE_DENOM:
-        raise DegenerateDirectionError(f"denominator {den} below {DEGENERATE_DENOM}")
-    return num / den
+def full_objective(s, profile: SpectralProfile):
+    """Weighted alignment ratio sum(l^4 c^2) / sum(l^2 c^2) per profile; 1 at s = U_1."""
+    full, _, den = _at_direction(s, profile)
+    return _nondegenerate(full, den)
 
 
-def simplified_objective(s, profile: SpectralProfile) -> float:
-    """Top-component share c_1^2 / sum(l^2 c^2)."""
-    s = _check_unit(s)
-    top, den, _ = _alignment_sums(s, profile)
-    if den < DEGENERATE_DENOM:
-        raise DegenerateDirectionError(f"denominator {den} below {DEGENERATE_DENOM}")
-    return top / den
+def simplified_objective(s, profile: SpectralProfile):
+    """Top-component share c_1^2 / sum(l^2 c^2), per profile."""
+    _, simp, den = _at_direction(s, profile)
+    return _nondegenerate(simp, den)
 
 
 def random_unit_vector(d: int, seed: int) -> np.ndarray:
@@ -129,29 +160,15 @@ def random_unit_vector(d: int, seed: int) -> np.ndarray:
             return z / nrm
 
 
-def _objective_values(grid: np.ndarray, p: SpectralProfile):
-    """Vectorized objectives and denominators for rows of `grid`.
-
-    Degenerate denominators yield objective value 0.
-    """
-    c2 = (grid @ p.u_basis) ** 2
-    lam2 = p.sigma**2
-    den = c2 @ lam2
-    num_full = c2 @ (lam2 * lam2)
-    ok = den >= DEGENERATE_DENOM
-    safe_den = np.where(ok, den, 1.0)
-    full = np.where(ok, num_full / safe_den, 0.0)
-    simp = np.where(ok, c2[:, 0] / safe_den, 0.0)
-    return full, simp, den
-
-
-def objective_means(profile: SpectralProfile, samples: int,
-                    seed: int) -> tuple[float, float]:
+def objective_means(profile: SpectralProfile, samples: int, seed: int) -> tuple:
     """Monte Carlo means (full, simplified) over uniform sphere directions.
 
+    Per profile, every profile of a stack scored on the same directions.
     Draws happen in fixed-size chunks with per-chunk seeds, so the
     estimate is reproducible and chunks could run in parallel.
     """
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     total_full = 0.0
     total_simp = 0.0
     done = 0
@@ -161,20 +178,11 @@ def objective_means(profile: SpectralProfile, samples: int,
         z = rng_from(seed, chunk_ix).standard_normal((count, profile.dim))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         full, simp, _ = _objective_values(z, profile)
-        total_full += float(np.sum(full))
-        total_simp += float(np.sum(simp))
+        total_full = total_full + np.sum(full, axis=-1)
+        total_simp = total_simp + np.sum(simp, axis=-1)
         done += count
         chunk_ix += 1
     return total_full / samples, total_simp / samples
-
-
-def objective_mean_estimate(profile: SpectralProfile, samples: int, seed: int,
-                            objective: str = "simplified") -> float:
-    """Monte Carlo mean of one objective over uniform sphere directions."""
-    if objective not in ("simplified", "full"):
-        raise ValueError(f"unknown objective {objective!r}")
-    full, simp = objective_means(profile, samples, seed)
-    return full if objective == "full" else simp
 
 
 def lemma_means(profiles, samples: int, seed: int) -> list[tuple[float, float, float]]:
@@ -221,30 +229,20 @@ def discretize_sphere(d: int, eps: float) -> np.ndarray:
     return dirs[np.lexsort(np.round(dirs, 12).T[::-1])]
 
 
-def robustness_fraction(s, profiles, delta: float) -> float:
+def robustness_fraction(s, profiles: SpectralProfile, delta: float) -> float:
     """Fraction of profiles whose objective denominator falls below delta."""
-    s = _check_unit(s)
-    bad = 0
-    for p in profiles:
-        _, den, _ = _alignment_sums(s, p)
-        if den < delta:
-            bad += 1
-    return bad / len(profiles)
+    _, _, den = _at_direction(s, profiles)
+    return int(np.count_nonzero(den < delta)) / den.size
 
 
-def empirical_losses(s, train, holdout) -> tuple[float, float, float]:
+def empirical_losses(s, train: SpectralProfile,
+                     holdout: SpectralProfile) -> tuple[float, float, float]:
     """Negative mean full objective on each set, and holdout - train gap.
 
     Degenerate denominators contribute objective 0 (the worst case for
     this sign convention) rather than raising.
     """
-    s = _check_unit(s)
-
-    def loss(profiles):
-        vals = [_objective_values(s[None, :], p)[0][0] for p in profiles]
-        return -float(np.mean(vals))
-
-    tr, ho = loss(train), loss(holdout)
+    tr, ho = (-float(np.mean(_at_direction(s, p)[0])) for p in (train, holdout))
     return tr, ho, ho - tr
 
 
@@ -277,26 +275,28 @@ class RobustSearchResult:
         return self.s is not None
 
 
-def grid_search_robust_minimizer(train, params: RobustnessParams) -> RobustSearchResult:
+def grid_search_robust_minimizer(train: SpectralProfile,
+                                 params: RobustnessParams) -> RobustSearchResult:
     """Best robust direction on the discretized sphere.
 
     Feasible points have denominator < delta on at most a rho fraction
     of the train profiles; among them the empirical loss minimizer
-    wins, ties going to the lexicographically smallest vector.
+    wins, ties going to the lexicographically smallest vector. Profiles
+    are scored one at a time, so memory stays O(grid).
     """
-    if not train:
+    if train.count == 0:
         raise ValueError("empty train set")
-    grid = discretize_sphere(train[0].dim, params.eps_grid)
+    grid = discretize_sphere(train.dim, params.eps_grid)
     obj_sum = np.zeros(grid.shape[0])
     bad = np.zeros(grid.shape[0], dtype=np.int64)
     for p in train:
         full, _, den = _objective_values(grid, p)
         obj_sum += full
         bad += den < params.delta
-    feasible = bad / len(train) <= params.rho
+    feasible = bad / train.count <= params.rho
     if not np.any(feasible):
         return RobustSearchResult(None, None, 0)
-    losses = -obj_sum / len(train)
+    losses = -obj_sum / train.count
     masked = np.where(feasible, losses, np.inf)
     best = int(np.argmin(masked))  # grid is lexicographically sorted; first min wins
     return RobustSearchResult(grid[best].copy(), float(losses[best]),
@@ -311,48 +311,39 @@ def random_profile(dim: int, seed: int) -> SpectralProfile:
     """Square normalized profile with geometric spectrum, random basis."""
     rng = rng_from(seed)
     decay = rng.uniform(0.1, 1.0)
-    sig = decay ** np.arange(dim)
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    sgn = np.sign(np.diag(r))
-    sgn[sgn == 0] = 1.0
-    return SpectralProfile(sig, q * sgn)
+    return SpectralProfile(decay ** np.arange(dim),
+                           orthonormal_basis(rng.standard_normal((dim, dim))))
 
 
 def flat_profile(dim: int, seed: int) -> SpectralProfile:
     """All singular values equal to 1; stable rank == dim."""
     rng = rng_from(seed)
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    sgn = np.sign(np.diag(r))
-    sgn[sgn == 0] = 1.0
-    return SpectralProfile(np.ones(dim), q * sgn)
-
-
-def rotation_profile(theta: float, lam2: float) -> SpectralProfile:
-    """2-D profile: basis rotated by theta, spectrum (1, lam2)."""
-    u = np.array([[np.cos(theta), -np.sin(theta)],
-                  [np.sin(theta), np.cos(theta)]])
-    return SpectralProfile(np.array([1.0, lam2]), u)
+    return SpectralProfile(np.ones(dim),
+                           orthonormal_basis(rng.standard_normal((dim, dim))))
 
 
 def planted_profile_family(count: int, seed: int, angle_center: float = 0.4,
                            angle_jitter: float = 0.5,
-                           lam2_range: tuple[float, float] = (0.3, 0.7)):
-    """2-D family: shared mean angle with per-profile jitter."""
+                           lam2_range: tuple[float, float] = (0.3, 0.7)) -> SpectralProfile:
+    """Stack of `count` 2-D profiles: basis rotated by a jittered shared
+    angle theta, spectrum (1, lam2)."""
     rng = rng_from(seed)
-    out = []
-    for _ in range(count):
-        theta = angle_center + angle_jitter * rng.standard_normal()
-        lam2 = rng.uniform(*lam2_range)
-        out.append(rotation_profile(theta, lam2))
-    return out
+    theta, lam2 = np.empty(count), np.empty(count)
+    for i in range(count):
+        theta[i] = angle_center + angle_jitter * rng.standard_normal()
+        lam2[i] = rng.uniform(*lam2_range)
+    cos, sin = np.cos(theta), np.sin(theta)
+    u = np.stack([cos, -sin, sin, cos], axis=-1).reshape(count, 2, 2)
+    return SpectralProfile(np.stack([np.ones(count), lam2], axis=-1), u)
 
 
 def fragile_counterexample(eps: float = 0.01, dim: int = 2):
     """Direction that aces rank-1 training data but has a fragile denominator.
 
     Returns (s, train_profiles, adversarial_profile): on the rank-1
-    train profiles s scores a perfect objective yet its denominator is
-    eps^2, and the adversarial profile drives its objective near zero.
+    train profiles (a stack of one) s scores a perfect objective yet its
+    denominator is eps^2, and the adversarial profile drives its
+    objective near zero.
     """
     if dim < 2:
         raise ValueError("need dim >= 2")
@@ -360,7 +351,7 @@ def fragile_counterexample(eps: float = 0.01, dim: int = 2):
     s[0], s[1] = eps, np.sqrt(1.0 - eps * eps)
     e1 = np.zeros((dim, 1))
     e1[0, 0] = 1.0
-    train = [SpectralProfile(np.ones(1), e1)]
+    train = SpectralProfile(np.ones((1, 1)), e1[None])
     adv_sig = np.array([np.sqrt(1.0 - 100.0 * eps * eps), 10.0 * eps])
     adv_u = np.zeros((dim, 2))
     adv_u[0, 0] = 1.0

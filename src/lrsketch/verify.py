@@ -20,7 +20,7 @@ from .sketch import (apply_sketch, concat_sketches, densify,
                      identity_pattern_sketch, sparse_random_sketch)
 from .theory import (LEMMA_BOUND, RobustnessParams, flat_profile,
                      fragile_counterexample, generalization_gap_sweep,
-                     grid_search_robust_minimizer, lemma_means, objective_mean_estimate,
+                     grid_search_robust_minimizer, lemma_means, objective_means,
                      random_profile, robustness_fraction, worst_lemma_product)
 
 
@@ -102,7 +102,7 @@ def check_gradients(cfg: VerifyConfig) -> CheckResult:
 
 def check_robustness_counterexample(cfg: VerifyConfig) -> CheckResult:
     s, train, adv = fragile_counterexample(0.01)
-    frac = robustness_fraction(s, [adv], 0.05)
+    frac = robustness_fraction(s, adv, 0.05)
     params = RobustnessParams(rho=0.0, delta=0.05, eps_grid=0.1)
     res = grid_search_robust_minimizer(train, params)
     fragile_excluded = res.feasible and abs(float(res.s @ s)) < 0.99
@@ -124,8 +124,7 @@ def lemma_and_trend(cfg: VerifyConfig) -> tuple[CheckResult, CheckResult, list[t
     means = lemma_means(profiles, cfg.lemma_samples, cfg.seed)
     worst = worst_lemma_product(means)
     flat = flat_profile(10, derived_seed(cfg.seed, 3, 99))
-    mean10 = objective_mean_estimate(flat, cfg.lemma_samples,
-                                     derived_seed(cfg.seed, 3, 100))
+    _, mean10 = objective_means(flat, cfg.lemma_samples, derived_seed(cfg.seed, 3, 100))
     lemma = CheckResult("stable-rank-lemma",
                         worst >= LEMMA_BOUND and abs(mean10 - 0.1) <= 0.02,
                         f"worst mean*r' = {worst:.4f} (needs >= {LEMMA_BOUND:.4f}); "

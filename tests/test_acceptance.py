@@ -25,7 +25,7 @@ from lrsketch.sketch import (apply_sketch, concat_sketches, densify,
                              sparse_random_sketch)
 from lrsketch.theory import (RobustnessParams, flat_profile, fragile_counterexample,
                              generalization_gap_sweep, grid_search_robust_minimizer,
-                             objective_mean_estimate, random_profile,
+                             objective_means, random_profile,
                              robustness_fraction, verify_stable_rank_lemma)
 from lrsketch.trainer import TrainConfig, train
 
@@ -204,7 +204,7 @@ class TestAcceptance:
         worst, bound = verify_stable_rank_lemma(profiles, 100000, seed=1008)
         assert worst >= bound
         flat = flat_profile(10, 1009)
-        mean10 = objective_mean_estimate(flat, 100000, 1010, "simplified")
+        _, mean10 = objective_means(flat, 100000, 1010)
         assert abs(mean10 - 0.1) <= 0.02
         elapsed = time.perf_counter() - t0
         assert elapsed < 30
@@ -215,7 +215,7 @@ class TestAcceptance:
     def test_08_robustness_counterexample(self):
         t0 = time.perf_counter()
         s, train, adv = fragile_counterexample(eps=0.01)
-        frac = robustness_fraction(s, [adv], 0.05)
+        frac = robustness_fraction(s, adv, 0.05)
         assert frac == 1.0  # flagged non-robust at delta = 0.05
         assert robustness_fraction(s, train, 0.05) == 1.0
         params = RobustnessParams(rho=0.0, delta=0.05, eps_grid=0.05)

@@ -235,6 +235,12 @@ def _nan_payload(path):
     open(path, "wb").write(bytes(data))
 
 
+def _patch(path, offset, raw):
+    data = bytearray(open(path, "rb").read())
+    data[offset:offset + len(raw)] = raw
+    open(path, "wb").write(bytes(data))
+
+
 def _edit_manifest(path, fn):
     manifest = json.load(open(path))
     fn(manifest)
@@ -247,6 +253,13 @@ _DAMAGE = {
     "dmat_payload": ("data/demo/test_000.dmat", lambda p: _cut(p, -8)),
     "dmat_nan": ("data/demo/test_000.dmat", _nan_payload),
     "skch_truncated": ("sketches/demo_k2_m4_learned_t0.skch", lambda p: _cut(p, -5)),
+    # SKCH1 offsets: header m at 6, the block's row_of at 38, value_of at 38 + 8n
+    "skch_header_m": ("sketches/demo_k2_m4_learned_t0.skch",
+                      lambda p: _patch(p, 6, np.array([5], dtype="<u8").tobytes())),
+    "skch_row_index": ("sketches/demo_k2_m4_learned_t0.skch",
+                       lambda p: _patch(p, 38, np.array([4], dtype="<u8").tobytes())),
+    "skch_nan": ("sketches/demo_k2_m4_learned_t0.skch",
+                 lambda p: _patch(p, 38 + 8 * 16, np.array([np.nan], dtype="<f8").tobytes())),
     "manifest_cut": ("data/demo/manifest.json", lambda p: _cut(p, 20)),
     "manifest_no_test": ("data/demo/manifest.json",
                          lambda p: _edit_manifest(p, lambda m: m.pop("test"))),

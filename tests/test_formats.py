@@ -101,6 +101,50 @@ class TestSkch:
         assert loaded.m == 0 and loaded.n == 7 and loaded.blocks == ()
 
 
+def _patch(path, offset, raw):
+    data = bytearray(path.read_bytes())
+    data[offset:offset + len(raw)] = raw
+    path.write_bytes(bytes(data))
+
+
+class TestCorruptInput:
+    # SKCH1 offsets: header m at 6, the first block's row count at 30, its
+    # row_of at 38 and its value_of at 38 + 8n; DMAT1 payload at 22
+    @pytest.fixture
+    def skch(self, tmp_path):
+        p = tmp_path / "s.skch"
+        save_sketch(p, concat_sketches(sparse_random_sketch(2, 6, 1),
+                                       sparse_random_sketch(3, 6, 2)))
+        return p
+
+    def test_skch_truncated_mid_block(self, skch):
+        skch.write_bytes(skch.read_bytes()[:38 + 8 * 6 + 20])
+        with pytest.raises(ValueError, match="truncated"):
+            load_sketch(skch)
+
+    def test_skch_header_m_differs_from_blocks(self, skch):
+        _patch(skch, 6, np.array([6], dtype="<u8").tobytes())
+        with pytest.raises(ValueError, match="header m=6 does not match"):
+            load_sketch(skch)
+
+    def test_skch_row_index_out_of_block(self, skch):
+        _patch(skch, 38, np.array([2], dtype="<u8").tobytes())
+        with pytest.raises(ValueError, match="out of range"):
+            load_sketch(skch)
+
+    def test_skch_nan_value(self, skch):
+        _patch(skch, 38 + 8 * 6, np.array([np.nan], dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match="non-finite"):
+            load_sketch(skch)
+
+    def test_dmat_inf_payload(self, tmp_path):
+        p = tmp_path / "a.dmat"
+        save_dmat(p, np.eye(3))
+        _patch(p, 22 + 8 * 4, np.array([np.inf], dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match="non-finite"):
+            load_dmat(p)
+
+
 class TestAtomicWrite:
     def test_error_leaves_no_file(self, tmp_path):
         with pytest.raises(RuntimeError):

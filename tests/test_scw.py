@@ -177,6 +177,35 @@ class TestScwLossAndGrad:
         assert loss == pytest.approx(frobenius_norm(a - best_rank_k(a, 2)) ** 2, rel=1e-10)
         assert np.abs(grad).max() <= 1e-12
 
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_rows_gradient_orthogonal_to_values(self, blocks):
+        # scaling a row of S keeps the row space of SA, so the loss is flat
+        # along each row's values: sum over the row of v_j * g_j = 0. The
+        # bound is relative to the rounding scale of that sum: g divides by
+        # SA's singular values, and a row whose own gradient vanishes (one
+        # entry, g_j = 0) has no scale of its own.
+        checked = 0
+        for t in range(200):
+            rng = rng_from(87, blocks, t)
+            m = int(rng.integers(1, 5))
+            d = int(rng.integers(blocks * m + 1, 12))
+            n = int(rng.integers(d + 1, 16))
+            a = rng.standard_normal((n, d))
+            s = jittered(sparse_random_sketch(m, n, seed=t), t)
+            if blocks == 2:
+                s = concat_sketches(s, jittered(sparse_random_sketch(m, n, seed=t + 1000), t))
+            sv = np.linalg.svd(densify(s) @ a, compute_uv=False)
+            rank = int(np.sum(sv > 1e-10 * sv[0]))
+            if rank in (d, np.linalg.matrix_rank(a)):
+                continue  # the gradient is rounding noise there
+            grad = scw_loss_and_grad(a, s, int(rng.integers(1, blocks * m + 1)))[1]
+            along = np.bincount(s.row_of, weights=s.value_of * grad, minlength=s.m)
+            reach = np.abs(s.value_of) * np.linalg.norm(a[s.col_of], axis=1)
+            scale = np.bincount(s.row_of, weights=reach, minlength=s.m) * np.sum(a * a) / sv[rank - 1]
+            assert np.all(np.abs(along) <= 1e-13 * scale)
+            checked += 1
+        assert checked >= 150
+
     def test_zero_row_is_finite_with_zero_gradient(self):
         a = rng_from(80).standard_normal((10, 6))
         s = jittered(sparse_random_sketch(4, 10, seed=81), 82)

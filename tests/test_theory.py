@@ -3,17 +3,23 @@ import pytest
 
 from lrsketch.seeding import derived_seed, rng_from
 from lrsketch.theory import (DegenerateDirectionError, RobustnessParams,
-                             SpectralProfile, discretize_sphere, empirical_losses,
-                             flat_profile, fragile_counterexample, full_objective,
-                             generalization_gap_sweep, grid_search_robust_minimizer,
-                             objective_mean_estimate, planted_profile_family,
-                             random_profile, random_unit_vector, require_normalized,
-                             robustness_fraction, simplified_objective, stable_rank,
-                             verify_stable_rank_lemma)
+                             SpectralProfile, _objective_values, discretize_sphere,
+                             empirical_losses, flat_profile, fragile_counterexample,
+                             full_objective, generalization_gap_sweep,
+                             grid_search_robust_minimizer, objective_means,
+                             planted_profile_family, random_profile, random_unit_vector,
+                             require_normalized, robustness_fraction,
+                             simplified_objective, stable_rank, verify_stable_rank_lemma)
 
 
 def two_level_profile():
     return SpectralProfile(np.array([1.0, 0.5]), np.eye(2))
+
+
+def stack(profiles):
+    """One stacked SpectralProfile from a list of same-shape profiles."""
+    return SpectralProfile(np.stack([p.sigma for p in profiles]),
+                           np.stack([p.u_basis for p in profiles]))
 
 
 class TestStableRank:
@@ -70,11 +76,85 @@ class TestObjectives:
         with pytest.raises(ValueError, match="unit"):
             full_objective(np.array([1.0, 1.0]), two_level_profile())
 
+    def test_stacked_objectives_are_per_profile_values(self):
+        ps = [random_profile(4, derived_seed(44, j)) for j in range(6)]
+        s = random_unit_vector(4, 45)
+        full, simp = full_objective(s, stack(ps)), simplified_objective(s, stack(ps))
+        assert full.shape == simp.shape == (6,)
+        assert list(full) == [full_objective(s, p) for p in ps]
+        assert list(simp) == [simplified_objective(s, p) for p in ps]
+
+    def test_single_profile_gives_float(self):
+        assert isinstance(full_objective(np.array([1.0, 0.0]), two_level_profile()), float)
+
+    def test_degenerate_member_of_stack_raises(self):
+        ps = stack([SpectralProfile(np.ones(1), np.eye(2)[:, i:i + 1]) for i in range(2)])
+        with pytest.raises(DegenerateDirectionError):
+            full_objective(np.array([0.0, 1.0]), ps)
+
     def test_profile_validation(self):
         with pytest.raises(ValueError, match="nonincreasing"):
             SpectralProfile(np.array([0.5, 1.0]), np.eye(2))
         with pytest.raises(ValueError, match="top singular"):
             require_normalized(SpectralProfile(np.array([0.9]), np.eye(2)[:, :1]))
+        with pytest.raises(ValueError, match="top singular"):
+            require_normalized(stack([two_level_profile(),
+                                      SpectralProfile(np.array([0.9, 0.5]), np.eye(2))]))
+        with pytest.raises(ValueError, match="u_basis"):
+            SpectralProfile(np.ones((3, 2)), np.stack([np.eye(2)] * 2))
+        with pytest.raises(ValueError, match="u_basis"):
+            SpectralProfile(np.ones(2), np.eye(3))
+        with pytest.raises(ValueError, match="u_basis"):
+            SpectralProfile(np.ones(2), np.ones(2))
+
+
+class TestStackedKernel:
+    def test_stack_matches_per_profile_calls_bitwise(self):
+        ps = [random_profile(5, derived_seed(46, j)) for j in range(40)]
+        grid = rng_from(47).standard_normal((300, 5))
+        grid /= np.linalg.norm(grid, axis=1, keepdims=True)
+        for direction in (grid, grid[:1]):
+            stacked = _objective_values(direction, stack(ps))
+            for j, p in enumerate(ps):
+                for got, want in zip(stacked, _objective_values(direction, p)):
+                    assert got[j].tobytes() == want.tobytes()
+
+    def test_two_leading_axes(self):
+        fam = planted_profile_family(12, seed=48)
+        grid = discretize_sphere(2, 0.3)
+        square = SpectralProfile(fam.sigma.reshape(3, 4, 2), fam.u_basis.reshape(3, 4, 2, 2))
+        assert square.count == 12
+        for got, want in zip(_objective_values(grid, square), _objective_values(grid, fam)):
+            assert np.array_equal(got.reshape(want.shape), want)
+        assert [p.sigma.tobytes() for p in square] == [p.sigma.tobytes() for p in fam]
+
+    def test_single_profile_is_family_of_one(self):
+        p = two_level_profile()
+        assert p.count == 1
+        (only,) = list(p)
+        assert np.array_equal(only.u_basis, p.u_basis)
+
+
+class TestEmptyInputs:
+    def test_robustness_fraction(self):
+        with pytest.raises(ValueError, match="empty"):
+            robustness_fraction(np.array([1.0, 0.0]), planted_profile_family(0, 1), 0.05)
+
+    @pytest.mark.parametrize("empty_train", [True, False])
+    def test_empirical_losses(self, empty_train):
+        full, empty = planted_profile_family(5, 2), planted_profile_family(0, 3)
+        sets = (empty, full) if empty_train else (full, empty)
+        with pytest.raises(ValueError, match="empty"):
+            empirical_losses(np.array([1.0, 0.0]), *sets)
+
+    def test_objective_means(self):
+        with pytest.raises(ValueError, match="samples"):
+            objective_means(two_level_profile(), 0, seed=4)
+
+    def test_grid_search(self):
+        with pytest.raises(ValueError, match="empty"):
+            grid_search_robust_minimizer(planted_profile_family(0, 5),
+                                         RobustnessParams(0.0, 0.05))
 
 
 class TestRandomUnitVector:
@@ -97,18 +177,25 @@ class TestRandomUnitVector:
 class TestStableRankLemma:
     def test_rank_one_profile_mean_is_one(self):
         p = SpectralProfile(np.ones(1), np.eye(3)[:, :1])
-        mean = objective_mean_estimate(p, 20000, seed=1, objective="simplified")
+        _, mean = objective_means(p, 20000, seed=1)
         assert mean == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_two_dimensional_symmetry(self):
         p = flat_profile(2, seed=2)
-        mean = objective_mean_estimate(p, 50000, seed=3, objective="simplified")
+        _, mean = objective_means(p, 50000, seed=3)
         assert mean * 2.0 == pytest.approx(1.0, abs=0.02)
 
     def test_flat_ten_dimensional(self):
         p = flat_profile(10, seed=4)
-        mean = objective_mean_estimate(p, 100000, seed=5, objective="simplified")
+        _, mean = objective_means(p, 100000, seed=5)
         assert abs(mean - 0.1) < 0.02
+
+    def test_stacked_means_are_per_profile_means(self):
+        ps = [random_profile(3, derived_seed(53, j)) for j in range(4)]
+        full, simp = objective_means(stack(ps), 25000, seed=54)
+        assert full.shape == simp.shape == (4,)
+        for j, p in enumerate(ps):
+            assert (full[j], simp[j]) == objective_means(p, 25000, seed=54)
 
     def test_product_bound_random_profiles(self):
         profiles = [random_profile(int(rng_from(50, j).integers(2, 16)),
@@ -175,13 +262,14 @@ class TestDiscretizeSphere:
 class TestRobustness:
     def test_delta_zero_never_fires(self):
         s, train, adv = fragile_counterexample(0.01)
-        assert robustness_fraction(s, train + [adv], 0.0) == 0.0
+        assert robustness_fraction(s, train, 0.0) == 0.0
+        assert robustness_fraction(s, adv, 0.0) == 0.0
 
     def test_top_vector_is_robust(self):
         # each profile's own top direction has denominator lambda_1^2 = 1
         for j in range(5):
             p = random_profile(4, derived_seed(70, j))
-            assert robustness_fraction(p.u_basis[:, 0], [p], 0.5) == 0.0
+            assert robustness_fraction(p.u_basis[:, 0], p, 0.5) == 0.0
 
     def test_counterexample_denominator(self):
         eps = 0.01
@@ -191,17 +279,17 @@ class TestRobustness:
         c2 = (adv.u_basis.T @ s) ** 2
         assert float(c2 @ lam2) == pytest.approx(expected, rel=1e-12)
         assert expected < 0.05
-        assert robustness_fraction(s, [adv], 0.05) == 1.0
+        assert robustness_fraction(s, adv, 0.05) == 1.0
 
     def test_counterexample_objective_collapses(self):
         s, train, adv = fragile_counterexample(0.01)
-        assert full_objective(s, train[0]) == pytest.approx(1.0)
+        assert full_objective(s, train) == pytest.approx(1.0)
         assert full_objective(s, adv) < 0.02
 
 
 class TestEmpiricalLosses:
     def test_equal_sets_zero_gap(self):
-        profiles = [random_profile(3, derived_seed(80, j)) for j in range(4)]
+        profiles = stack([random_profile(3, derived_seed(80, j)) for j in range(4)])
         s = random_unit_vector(3, 81)
         tr, ho, gap = empirical_losses(s, profiles, profiles)
         assert gap == 0.0
@@ -209,7 +297,7 @@ class TestEmpiricalLosses:
 
     def test_losses_in_unit_interval(self):
         for j in range(10):
-            profiles = [random_profile(3, derived_seed(82, j, i)) for i in range(5)]
+            profiles = stack([random_profile(3, derived_seed(82, j, i)) for i in range(5)])
             s = random_unit_vector(3, derived_seed(83, j))
             tr, ho, _ = empirical_losses(s, profiles, profiles)
             assert -1.0 - 1e-12 <= tr <= 0.0
@@ -223,12 +311,12 @@ class TestGridSearch:
         # documented lexicographic tie-break picks among the tied optima
         u = random_unit_vector(2, 90)
         prof = SpectralProfile(np.ones(1), u[:, None])
-        res = grid_search_robust_minimizer([prof] * 5,
+        res = grid_search_robust_minimizer(stack([prof] * 5),
                                            RobustnessParams(0.0, 0.05, eps_grid=0.05))
         assert res.feasible
         assert res.train_loss == pytest.approx(-1.0, abs=1e-12)
         assert full_objective(res.s, prof) == pytest.approx(1.0, abs=1e-12)
-        assert robustness_fraction(res.s, [prof], 0.05) == 0.0
+        assert robustness_fraction(res.s, prof, 0.05) == 0.0
 
     def test_rho_one_is_unconstrained(self):
         s, train, _ = fragile_counterexample(0.01)
@@ -259,7 +347,7 @@ class TestGridSearch:
     def test_no_robust_solution_reported(self):
         # every direction is degenerate at huge delta
         prof = SpectralProfile(np.ones(1), np.eye(2)[:, :1])
-        res = grid_search_robust_minimizer([prof],
+        res = grid_search_robust_minimizer(prof,
                                            RobustnessParams(0.0, 10.0, eps_grid=0.3))
         assert not res.feasible
         assert res.s is None
@@ -284,3 +372,17 @@ class TestGeneralizationSweep:
     def test_family_profiles_normalized(self):
         for p in planted_profile_family(10, seed=3):
             require_normalized(p)
+        require_normalized(planted_profile_family(10, seed=3))
+
+    def test_family_matches_per_profile_rotations_bitwise(self):
+        # the per-profile construction: theta then lam2 from one stream
+        rng = rng_from(6)
+        fam = planted_profile_family(50, seed=6, angle_center=0.1, lam2_range=(0.2, 0.9))
+        assert fam.sigma.shape == (50, 2) and fam.u_basis.shape == (50, 2, 2)
+        for p in fam:
+            theta = 0.1 + 0.5 * rng.standard_normal()
+            lam2 = rng.uniform(0.2, 0.9)
+            u = np.array([[np.cos(theta), -np.sin(theta)],
+                          [np.sin(theta), np.cos(theta)]])
+            assert p.u_basis.tobytes() == u.tobytes()
+            assert p.sigma.tobytes() == np.array([1.0, lam2]).tobytes()
