@@ -28,15 +28,13 @@ class Tape:
 
     Handles returned by the op methods are integer node ids. After the
     forward pass set `output` to the scalar loss node, then call
-    `backward_values()` for d(loss)/d(leaf values) with non-trainable
-    positions zeroed.
+    `backward_values()` for d(loss)/d(leaf values).
     """
 
     def __init__(self):
         self._values: list = []
         self._vjps: list = []  # None for constants and the leaf
         self.leaf: int | None = None
-        self.mask: np.ndarray | None = None
         self.output: int | None = None
 
     def __len__(self) -> int:
@@ -50,55 +48,41 @@ class Tape:
         self._vjps.append(vjp)
         return len(self._values) - 1
 
-    def _wants(self, ix: int) -> bool:
-        return ix == self.leaf or self._vjps[ix] is not None
-
     # -- ops ----------------------------------------------------------------
 
     def const(self, x) -> int:
         return self._push(x)
 
-    def leaf_values(self, values, mask) -> int:
+    def leaf_values(self, values) -> int:
         ix = self._push(np.array(values, dtype=np.float64))
         self.leaf = ix
-        self.mask = np.asarray(mask, dtype=bool)
         return ix
 
-    def sketch_apply(self, vals_ix, rows, cols, m, a) -> int:
-        out = scatter_rows(self._values[vals_ix], rows, cols, m, a)
+    def sketch_apply(self, vals_ix, rows, m, a) -> int:
+        """S @ a for the values at vals_ix, laid out as in scatter_rows."""
+        out = scatter_rows(self._values[vals_ix], rows, m, a)
+        n, d = a.shape
 
         def vjp(g):
-            return [(vals_ix, np.sum(g[rows] * a[cols], axis=1))]
+            return [(vals_ix, np.sum(g[rows].reshape(-1, n, d) * a, axis=2).ravel())]
 
         return self._push(out, vjp)
 
     def matvec(self, a_ix, v_ix) -> int:
         a, v = self._values[a_ix], self._values[v_ix]
         out = a @ v
-        want_a, want_v = self._wants(a_ix), self._wants(v_ix)
 
         def vjp(g):
-            contrib = []
-            if want_a:
-                contrib.append((a_ix, np.multiply.outer(g, v)))
-            if want_v:
-                contrib.append((v_ix, a.T @ g))
-            return contrib
+            return [(a_ix, np.multiply.outer(g, v)), (v_ix, a.T @ g)]
 
         return self._push(out, vjp)
 
     def rmatvec(self, a_ix, w_ix) -> int:
         a, w = self._values[a_ix], self._values[w_ix]
         out = a.T @ w
-        want_a, want_w = self._wants(a_ix), self._wants(w_ix)
 
         def vjp(g):
-            contrib = []
-            if want_a:
-                contrib.append((a_ix, np.multiply.outer(w, g)))
-            if want_w:
-                contrib.append((w_ix, a @ g))
-            return contrib
+            return [(a_ix, np.multiply.outer(w, g)), (w_ix, a @ g)]
 
         return self._push(out, vjp)
 
@@ -142,17 +126,11 @@ class Tape:
         m, sig = self._values[m_ix], self._values[sig_ix]
         u, v = self._values[u_ix], self._values[v_ix]
         out = m + (sign * sig) * np.multiply.outer(u, v)
-        want_m = self._wants(m_ix)
 
         def vjp(g):
-            contrib = []
-            if want_m:
-                contrib.append((m_ix, g))
             gv_vec = g @ v
-            contrib.append((sig_ix, sign * float(u @ gv_vec)))
-            contrib.append((u_ix, (sign * sig) * gv_vec))
-            contrib.append((v_ix, (sign * sig) * (g.T @ u)))
-            return contrib
+            return [(m_ix, g), (sig_ix, sign * float(u @ gv_vec)),
+                    (u_ix, (sign * sig) * gv_vec), (v_ix, (sign * sig) * (g.T @ u))]
 
         return self._push(out, vjp)
 
@@ -187,7 +165,7 @@ class Tape:
     # -- reverse sweep ------------------------------------------------------
 
     def backward_values(self) -> np.ndarray:
-        """Single reverse pass; gradient w.r.t. leaf values, mask applied."""
+        """Single reverse pass; gradient w.r.t. every leaf value."""
         if self.output is None or self.leaf is None:
             raise RuntimeError("forward pass incomplete: output or leaf missing")
         grads: list = [None] * len(self._values)
@@ -204,5 +182,5 @@ class Tape:
             grads[ix] = None  # release; each node is consumed exactly once
         leaf_grad = grads[self.leaf]
         if leaf_grad is None:
-            leaf_grad = np.zeros_like(self._values[self.leaf])
-        return np.where(self.mask, leaf_grad, 0.0)
+            return np.zeros_like(self._values[self.leaf])
+        return leaf_grad

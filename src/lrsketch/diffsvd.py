@@ -7,11 +7,11 @@ u v^T. Running that chain on a Tape with the sketch's stored values as
 the differentiable leaf yields the gradient of the squared
 approximation loss with respect to those values.
 
-The taped chain never truncates: its node count depends only on shapes,
-so finite differencing and repeated forwards see the same computation.
-The standalone `power_svd` runs the same power rounds on a Tape, reads
-their values, and truncates trailing near-zero factors like a compact
-SVD would. Training takes the closed-form gradient of the exact loss
+The chain never truncates: its node count depends only on shapes, so
+finite differencing and repeated forwards see the same computation.
+The standalone `power_svd` runs the same chain on a Tape, reads its
+values, and then drops trailing near-zero factors like a compact SVD
+would. Training takes the closed-form gradient of the exact loss
 (`scw.scw_loss_and_grad`); the taped chain is its oracle, and
 `scw_power_loss` and `power_svd` are the oracles of the
 finite-difference and Jacobi checks.
@@ -28,7 +28,7 @@ from .linalg import SvdFactors, as_matrix
 from .seeding import rng_from
 from .sketch import SparseSketch
 
-# Relative threshold at which deflation stops extracting factors.
+# Relative threshold below which power_svd drops trailing factors.
 DEFLATION_TOL = 1e-12
 
 
@@ -60,16 +60,10 @@ def _init_vector(dim: int, seed: int, stream: int, index: int) -> np.ndarray:
 
 
 def _power_factors(tape: Tape, a_h, dim_cols: int, n_factors: int, cfg: PowerSvdConfig,
-                   stream: int, stop_tol: float | None = None):
-    """Extract (sigma, u, v) handle triples from matrix handle a_h.
-
-    With stop_tol set, extraction stops once a sigma falls below
-    stop_tol times the first sigma; without it the chain structure is
-    fixed by shapes alone.
-    """
+                   stream: int):
+    """Extract n_factors (sigma, u, v) handle triples from matrix handle a_h."""
     triples = []
     a_cur = a_h
-    sig_first = None
     for i in range(n_factors):
         v = tape.const(_init_vector(dim_cols, cfg.init_seed, stream, i))
         for _ in range(cfg.t_iters):
@@ -78,14 +72,6 @@ def _power_factors(tape: Tape, a_h, dim_cols: int, n_factors: int, cfg: PowerSvd
             v = tape.normalize(z)
         w = tape.matvec(a_cur, v)
         sig = tape.vec_norm(w)
-        if stop_tol is not None:
-            sig_val = float(tape.value(sig))
-            if sig_first is None:
-                if sig_val <= 0.0:
-                    break
-                sig_first = sig_val
-            elif sig_val <= 0.0 or sig_val < stop_tol * sig_first:
-                break
         u = tape.scale_div(w, sig)
         a_cur = tape.add_scaled_outer(a_cur, sig, u, v, -1.0)
         triples.append((sig, u, v))
@@ -93,12 +79,21 @@ def _power_factors(tape: Tape, a_h, dim_cols: int, n_factors: int, cfg: PowerSvd
 
 
 def power_svd(a, cfg: PowerSvdConfig) -> SvdFactors:
-    """SVD factors via deflated power iteration (truncates tiny sigmas)."""
+    """SVD factors via deflated power iteration.
+
+    Keeps the leading factors while sigma > 0 and, after the first,
+    sigma >= DEFLATION_TOL * sigma_0. Each factor depends only on the
+    ones before it, so the kept prefix is what an early stop would give.
+    """
     a = as_matrix(a)
     n, d = a.shape
     tape = Tape()
-    triples = [tuple(tape.value(h) for h in t) for t in _power_factors(
-        tape, tape.const(a), d, min(n, d), cfg, stream=0, stop_tol=DEFLATION_TOL)]
+    triples = []
+    for t in _power_factors(tape, tape.const(a), d, min(n, d), cfg, stream=0):
+        sig, u, v = (tape.value(h) for h in t)
+        if sig <= 0.0 or (triples and sig < DEFLATION_TOL * triples[0][0]):
+            break
+        triples.append((sig, u, v))
     if not triples:
         return SvdFactors(np.zeros((n, 0)), np.zeros(0), np.zeros((d, 0)))
     u = np.column_stack([t[1] for t in triples])
@@ -111,8 +106,8 @@ def _scw_power_chain(tape: Tape, a: np.ndarray, s: SparseSketch, k: int,
                      cfg: PowerSvdConfig):
     """Record sketch -> SVD -> [AV]_k V^T -> squared loss on the tape."""
     n, d = a.shape
-    vals = tape.leaf_values(s.value_of, s.trainable_mask)
-    sa = tape.sketch_apply(vals, s.row_of, s.col_of, s.m, a)
+    vals = tape.leaf_values(s.value_of)
+    sa = tape.sketch_apply(vals, s.row_of, s.m, a)
     r1 = min(s.m, d)
     tri1 = _power_factors(tape, sa, d, r1, cfg, stream=0)
     v_cols = [t[2] for t in tri1]

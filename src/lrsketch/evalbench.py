@@ -94,7 +94,7 @@ def normalize_top_singular(a) -> np.ndarray:
     twice gives the same bits as once.
     """
     a = require_finite(as_matrix(a), "SVD input")
-    smax = np.linalg.svd(a, compute_uv=False)[0]
+    smax = np.linalg.svd(a, compute_uv=False).max(initial=0.0)  # 0.0 when a is empty
     if smax <= 0.0:
         raise ValueError("cannot normalize a zero matrix")
     return a if abs(smax - 1.0) <= UNIT_SIGMA_TOL else a / smax
@@ -142,8 +142,10 @@ def _load_files(spec: DatasetSpec):
         manifest = json.load(fh)
     if not (isinstance(manifest, dict)
             and all(isinstance(manifest.get(role), list) and manifest[role]
+                    and all(isinstance(rel, str) for rel in manifest[role])
                     for role in ("train", "test"))):
-        raise ValueError(f"{spec.path}: manifest needs non-empty 'train' and 'test' lists")
+        raise ValueError(f"{spec.path}: manifest needs non-empty 'train' and 'test' "
+                         f"lists of file names")
     base = os.path.dirname(os.path.abspath(spec.path))
 
     def load_all(paths):

@@ -58,7 +58,7 @@ def scw_loss_and_grad(a, s: SparseSketch, k: int) -> tuple[float, np.ndarray]:
     With SA = U Sigma V^T and U_k the top-k left basis of B = AV, the
     loss is ||A||^2 - ||U_k^T A V||^2, and the projector derivative
     (Golub & Pereyra 1973) gives dL/d(SA) = -2 U Sigma^-1 (B^T U_k)
-    U_k^T A (I - V V^T); value j of s scales A[col_j] into row row_j.
+    U_k^T A (I - V V^T); value j of a block scales A[j] into its row.
     At rank 0 the gradient is taken as zero.
     """
     a = as_matrix(a)
@@ -68,7 +68,8 @@ def scw_loss_and_grad(a, s: SparseSketch, k: int) -> tuple[float, np.ndarray]:
     ua = uk.T @ a
     g_sa = (f.u / f.sigma) @ (b.T @ uk) @ (ua - (ua @ f.v) @ f.v.T)
     g_s = -2.0 * (g_sa @ a.T)
-    return frobenius_norm(a - approx) ** 2, g_s[s.row_of, s.col_of]
+    g_vals = g_s[s.row_of.reshape(-1, s.n), np.arange(s.n)]
+    return frobenius_norm(a - approx) ** 2, g_vals.ravel()
 
 
 def check_concat_dominance(a, s1: SparseSketch, s2: SparseSketch,

@@ -45,8 +45,9 @@ def _shared(arr: np.ndarray) -> np.ndarray:
 class SparseSketch:
     """Vertical stack of one-nonzero-per-column blocks over n input rows.
 
-    The stacked arrays are built once per sketch, shared and read-only;
-    with_values hands row_of, col_of and trainable_mask on, so SGD
+    Stored values run block by block, and value j of each block sits in
+    column j. The stacked arrays are built once per sketch, shared and
+    read-only; with_values hands row_of and trainable_mask on, so SGD
     builds them once per pattern.
     """
 
@@ -72,12 +73,6 @@ class SparseSketch:
         return _shared(np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64))
 
     @cached_property
-    def col_of(self) -> np.ndarray:
-        """Column index per stored value (0..n-1 within each block)."""
-        parts = [np.arange(self.n, dtype=np.int64) for _ in self.blocks]
-        return _shared(np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64))
-
-    @cached_property
     def value_of(self) -> np.ndarray:
         parts = [b.value_of for b in self.blocks]
         return _shared(np.concatenate(parts) if parts else np.zeros(0))
@@ -95,8 +90,8 @@ class SparseSketch:
         out = SparseSketch(self.n, tuple(
             SketchBlock(b.m, b.row_of, vals[i * self.n:(i + 1) * self.n], b.trainable_mask)
             for i, b in enumerate(self.blocks)))
-        vars(out).update(row_of=self.row_of, col_of=self.col_of,
-                         trainable_mask=self.trainable_mask, value_of=vals)
+        vars(out).update(row_of=self.row_of, trainable_mask=self.trainable_mask,
+                         value_of=vals)
         return out
 
 
@@ -146,17 +141,18 @@ def empty_sketch(n: int) -> SparseSketch:
     return SparseSketch(n, ())
 
 
-def scatter_rows(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, m: int,
-                 a: np.ndarray) -> np.ndarray:
-    """Accumulate values[j] * a[cols[j]] into output row rows[j].
+def scatter_rows(values: np.ndarray, rows: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
+    """Accumulate values[j] * a[j % n] into output row rows[j], n = len(a).
 
-    One np.bincount over the flat output indices: it adds the updates in
-    ascending j from +0.0, so each output row accumulates in ascending
-    column order, matching matmul against the densified sketch bit for bit.
+    values and rows run block by block, n per block. One np.bincount over
+    the flat output indices: it adds the updates in ascending j from +0.0,
+    so each output row accumulates in ascending column order, matching
+    matmul against the densified sketch bit for bit.
     """
-    d = a.shape[1]
+    n, d = a.shape
     flat = (rows[:, None] * d + np.arange(d)).ravel()
-    out = np.bincount(flat, weights=(values[:, None] * a[cols]).ravel(), minlength=m * d)
+    weights = values.reshape(len(values) // max(n, 1), n, 1) * a  # n may be 0
+    out = np.bincount(flat, weights=weights.ravel(), minlength=m * d)
     return out.reshape(m, d).astype(np.float64, copy=False)  # int64 when there are no values
 
 
@@ -166,10 +162,8 @@ def apply_sketch(s: SparseSketch | DenseSketch, a) -> np.ndarray:
     if s.n != a.shape[0]:
         raise ValueError(f"sketch has n={s.n} but matrix has {a.shape[0]} rows")
     if isinstance(s, DenseSketch):
-        from .linalg import matmul
-
-        return matmul(s.matrix, a)
-    return scatter_rows(s.value_of, s.row_of, s.col_of, s.m, a)
+        return s.matrix @ a
+    return scatter_rows(s.value_of, s.row_of, s.m, a)
 
 
 def densify(s: SparseSketch) -> np.ndarray:

@@ -282,17 +282,23 @@ def grid_search_robust_minimizer(train: SpectralProfile,
     Feasible points have denominator < delta on at most a rho fraction
     of the train profiles; among them the empirical loss minimizer
     wins, ties going to the lexicographically smallest vector. Profiles
-    are scored one at a time, so memory stays O(grid).
+    are scored in slices of at most _MC_CHUNK (direction, profile) pairs,
+    or one profile, and summed one at a time in order.
     """
     if train.count == 0:
         raise ValueError("empty train set")
     grid = discretize_sphere(train.dim, params.eps_grid)
+    r = train.sigma.shape[-1]
+    sigma, u_basis = train.sigma.reshape(-1, r), train.u_basis.reshape(-1, train.dim, r)
+    step = max(1, _MC_CHUNK // grid.shape[0])
     obj_sum = np.zeros(grid.shape[0])
     bad = np.zeros(grid.shape[0], dtype=np.int64)
-    for p in train:
-        full, _, den = _objective_values(grid, p)
-        obj_sum += full
-        bad += den < params.delta
+    for lo in range(0, train.count, step):
+        part = SpectralProfile(sigma[lo:lo + step], u_basis[lo:lo + step])
+        full, _, den = _objective_values(grid, part)
+        for row in full:
+            obj_sum += row
+        bad += np.sum(den < params.delta, axis=0)
     feasible = bad / train.count <= params.rho
     if not np.any(feasible):
         return RobustSearchResult(None, None, 0)

@@ -7,14 +7,14 @@ from lrsketch.seeding import rng_from
 
 def tape_grad(build, x0):
     tape = Tape()
-    leaf = tape.leaf_values(x0, np.ones(x0.shape[0], dtype=bool))
+    leaf = tape.leaf_values(x0)
     tape.output = build(tape, leaf)
     return float(tape.value(tape.output)), tape.backward_values()
 
 
 def forward_value(build, x0):
     tape = Tape()
-    leaf = tape.leaf_values(x0, np.ones(x0.shape[0], dtype=bool))
+    leaf = tape.leaf_values(x0)
     return float(tape.value(build(tape, leaf)))
 
 
@@ -92,10 +92,9 @@ class TestPrimitiveGradients:
         rng = rng_from(5)
         a = rng.standard_normal((4, 3))
         rows = np.array([0, 1, 0, 1])
-        cols = np.arange(4)
 
         def build(eng, leaf):
-            sa = eng.sketch_apply(leaf, rows, cols, 2, a)
+            sa = eng.sketch_apply(leaf, rows, 2, a)
             w = eng.matvec(sa, eng.const(np.array([0.3, -0.7, 0.2])))
             return eng.vec_norm(w)
 
@@ -112,7 +111,7 @@ class TestTapeMechanics:
 
         tape = Tape()
         x0 = rng.standard_normal(4)
-        leaf = tape.leaf_values(x0, np.ones(4, dtype=bool))
+        leaf = tape.leaf_values(x0)
         tape.output = build(tape, leaf)
         g1 = tape.backward_values()
         g2 = tape.backward_values()
@@ -125,17 +124,7 @@ class TestTapeMechanics:
 
     def test_handles_are_topologically_ordered(self):
         tape = Tape()
-        leaf = tape.leaf_values(np.ones(3), np.ones(3, dtype=bool))
+        leaf = tape.leaf_values(np.ones(3))
         c = tape.const(np.eye(3))
         out = tape.vec_norm(tape.matvec(c, leaf))
         assert leaf < c < out == len(tape) - 1
-
-    def test_mask_zeroes_gradient_positions(self):
-        rng = rng_from(7)
-        a = rng.standard_normal((3, 3))
-        tape = Tape()
-        mask = np.array([True, False, True])
-        leaf = tape.leaf_values(rng.standard_normal(3), mask)
-        tape.output = tape.vec_norm(tape.matvec(tape.const(a), leaf))
-        g = tape.backward_values()
-        assert g[1] == 0.0 and g[0] != 0.0 and g[2] != 0.0

@@ -340,15 +340,20 @@ class TestUsageErrors:
                                    "path": str(tmp_path / "nope.json")}])
         assert main(["gen-data", "--config", str(p)]) == 1
 
-    @pytest.mark.parametrize("case", ["config_as_manifest", "missing_dmat"])
+    @pytest.mark.parametrize("case", ["config_as_manifest", "missing_dmat",
+                                      "non_string_entry", "empty_dmat"])
     def test_gen_data_bad_manifest_exits_one(self, tmp_path, capsys, case):
         if case == "config_as_manifest":
             manifest = os.path.join(os.path.dirname(__file__), "..", "configs",
                                     "spiked_small.json")
         else:
             manifest = str(tmp_path / "manifest.json")
+            train = [1] if case == "non_string_entry" else ["train_000.dmat"]
             with open(manifest, "w") as fh:
-                json.dump({"train": ["train_000.dmat"], "test": ["test_000.dmat"]}, fh)
+                json.dump({"train": train, "test": ["test_000.dmat"]}, fh)
+            if case == "empty_dmat":
+                for name in ("train_000.dmat", "test_000.dmat"):
+                    save_dmat(tmp_path / name, np.zeros((0, 5)))
         p = tmp_path / "bad.json"
         write_config(p, datasets=[{"name": "x", "kind": "files", "path": manifest}])
         assert main(["gen-data", "--config", str(p)]) == 1

@@ -5,7 +5,7 @@ from lrsketch.diffsvd import (PowerSvdConfig, backward, power_svd,
                               scw_forward_with_tape, scw_power_loss)
 from lrsketch.linalg import SvdFactors, frobenius_norm, matmul, reference_svd
 from lrsketch.seeding import rng_from
-from lrsketch.sketch import SketchBlock, SparseSketch, sparse_random_sketch
+from lrsketch.sketch import sparse_random_sketch
 
 
 def gapped_matrix(n, d, ratio, seed):
@@ -44,6 +44,11 @@ class TestPowerSvd:
         a = np.outer(rng.standard_normal(6), rng.standard_normal(4))
         f = power_svd(a, PowerSvdConfig(t_iters=100, init_seed=3))
         assert f.rank == 1
+
+    def test_factor_below_relative_tolerance_dropped(self):
+        # one power round leaves the second sigma positive, far below 1e-12 * sigma_0
+        f = power_svd(np.diag([1.0, 1e-13]), PowerSvdConfig(t_iters=1, init_seed=1))
+        assert f.rank == 1 and f.sigma[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_matrix(self):
         f = power_svd(np.zeros((4, 3)), PowerSvdConfig(t_iters=10, init_seed=1))
@@ -139,32 +144,6 @@ class TestBackward:
         s = sparse_random_sketch(3, 8, seed=71)
         _, tape = scw_forward_with_tape(a, s, 2, PowerSvdConfig(t_iters=60, init_seed=72))
         assert np.abs(backward(tape)).max() < 1e-8
-
-    def test_all_masked_gives_zero_vector(self):
-        rng = rng_from(80)
-        a = rng.standard_normal((8, 6))
-        s0 = sparse_random_sketch(3, 8, seed=81)
-        b = s0.blocks[0]
-        s = SparseSketch(8, (SketchBlock(b.m, b.row_of, b.value_of,
-                                         np.zeros(8, dtype=bool)),))
-        _, tape = scw_forward_with_tape(a, s, 2, PowerSvdConfig(t_iters=40, init_seed=82))
-        assert np.array_equal(backward(tape), np.zeros(8))
-
-    def test_masked_value_changes_loss_but_not_gradient(self):
-        rng = rng_from(90)
-        a = rng.standard_normal((8, 6))
-        s0 = sparse_random_sketch(3, 8, seed=91)
-        b = s0.blocks[0]
-        mask = np.ones(8, dtype=bool)
-        mask[2] = False
-        s = SparseSketch(8, (SketchBlock(b.m, b.row_of, b.value_of, mask),))
-        cfg = PowerSvdConfig(t_iters=40, init_seed=92)
-        loss, tape = scw_forward_with_tape(a, s, 2, cfg)
-        g = backward(tape)
-        assert g[2] == 0.0
-        bumped = s.value_of.copy()
-        bumped[2] += 0.5
-        assert scw_power_loss(a, s.with_values(bumped), 2, cfg) != loss
 
     def test_gradient_through_mixed_block_structure(self):
         from lrsketch.sketch import concat_sketches

@@ -111,6 +111,11 @@ class TestNormalizeTopSingular:
         with pytest.raises(ValueError, match="zero"):
             normalize_top_singular(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+    def test_empty_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="zero"):
+            normalize_top_singular(np.zeros(shape))
+
 
 class TestOptimalLoss:
     def test_low_rank_set_is_zero(self):

@@ -144,6 +144,22 @@ class TestScwLossAndGrad:
         assert loss == pytest.approx(tape_loss, rel=1e-10)
         assert np.abs(grad - tape_grad).max() <= 1e-10 * np.abs(tape_grad).max()
 
+    def test_tape_matches_on_frozen_block(self):
+        # both gradients cover every stored value; masking is the trainer's job
+        spec = DatasetSpec(name="f", kind="spiked", n=24, d=16, count_train=1,
+                           count_test=1, spikes=3, decay=0.8, noise=0.1, drift=0.05,
+                           seed=12)
+        a = generate_dataset(spec)[0][0]
+        b = sparse_random_sketch(2, 24, seed=84).blocks[0]
+        frozen = SparseSketch(24, (SketchBlock(b.m, b.row_of, b.value_of,
+                                               np.zeros(24, dtype=bool)),))
+        s = concat_sketches(jittered(sparse_random_sketch(4, 24, seed=85), 86), frozen)
+        grad = scw_loss_and_grad(a, s, 3)[1]
+        _, tape = scw_forward_with_tape(a, s, 3, PowerSvdConfig(t_iters=100))
+        tape_grad = backward(tape)
+        assert np.all(tape_grad[24:] != 0.0)
+        assert np.abs(grad - tape_grad).max() <= 1e-10 * np.abs(tape_grad).max()
+
     @pytest.mark.parametrize("seed", range(4))
     def test_loss_is_squared_scw_loss_bitwise(self, seed):
         rng = rng_from(72, seed)
@@ -200,7 +216,7 @@ class TestScwLossAndGrad:
                 continue  # the gradient is rounding noise there
             grad = scw_loss_and_grad(a, s, int(rng.integers(1, blocks * m + 1)))[1]
             along = np.bincount(s.row_of, weights=s.value_of * grad, minlength=s.m)
-            reach = np.abs(s.value_of) * np.linalg.norm(a[s.col_of], axis=1)
+            reach = np.abs(s.value_of) * np.tile(np.linalg.norm(a, axis=1), blocks)
             scale = np.bincount(s.row_of, weights=reach, minlength=s.m) * np.sum(a * a) / sv[rank - 1]
             assert np.all(np.abs(along) <= 1e-13 * scale)
             checked += 1

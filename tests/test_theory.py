@@ -344,6 +344,28 @@ class TestGridSearch:
         assert robustness_fraction(res.s, train, 0.05) == 0.0
         assert abs(float(res.s @ s)) < 0.99
 
+    @pytest.mark.parametrize("shape", [(1,), (400,), (20, 21)])
+    def test_sliced_search_matches_per_profile_loop_bitwise(self, shape):
+        # oracle: one profile per kernel call, summed in profile order
+        flat = planted_profile_family(int(np.prod(shape)), 93)
+        train = SpectralProfile(flat.sigma.reshape(shape + (2,)),
+                                flat.u_basis.reshape(shape + (2, 2)))
+        params = RobustnessParams(0.05, 0.05, eps_grid=0.05)
+        grid = discretize_sphere(2, params.eps_grid)
+        obj_sum = np.zeros(grid.shape[0])
+        bad = np.zeros(grid.shape[0], dtype=np.int64)
+        for p in train:
+            full, _, den = _objective_values(grid, p)
+            obj_sum += full
+            bad += den < params.delta
+        feasible = bad / train.count <= params.rho
+        losses = np.where(feasible, -obj_sum / train.count, np.inf)
+        best = int(np.argmin(losses))
+        res = grid_search_robust_minimizer(train, params)
+        assert res.feasible_count == int(np.sum(feasible))
+        assert res.s.tobytes() == grid[best].tobytes()
+        assert res.train_loss == losses[best]
+
     def test_no_robust_solution_reported(self):
         # every direction is degenerate at huge delta
         prof = SpectralProfile(np.ones(1), np.eye(2)[:, :1])
