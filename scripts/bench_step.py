@@ -6,14 +6,20 @@ Usage:
 
 At 64x48, k=4, m=8 (the spiked_bundle shape, 4 train matrices) it times
 apply_sketch, svd of SA (and np.linalg.svd alone on the same SA),
-scw_loss, scw_loss_and_grad, one SGD step and a 40-iteration learned
-train, with BLAS pinned to one thread. One SGD step is
-(train at 40 iterations - train at 0) / 40. Each timing is the median
-over --repeats of the mean call time in a repeat, in microseconds. The
-run is stored under --label in the output JSON together with nproc, the
-numpy and Python versions and the BLAS thread count; runs under other
-labels already in the file are kept, so one file can hold a before and
-an after.
+scw_loss, scw_loss_and_grad, optimal_loss of the 4 train matrices,
+normalize_top_singular of one matrix scaled by 2, one SGD step and a
+40-iteration learned train, with BLAS pinned to one thread.
+
+Each operation's calls per repeat are picked once with autorange (at
+least 0.2 s). The repeats then run round-robin: repeat r of every
+operation runs before repeat r+1 of any, so a machine that drifts in
+speed slows all operations alike. One SGD step is (train at 40
+iterations - train at 0) / 40 within the same round. Each operation
+gets the p25, median and p75 over --repeats of its mean call time in a
+repeat, in microseconds. The run is stored under --label in the output
+JSON together with nproc, the numpy and Python versions and the BLAS
+thread count; runs under other labels already in the file are kept, so
+one file can hold a before and an after.
 """
 
 import os
@@ -26,7 +32,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
-import statistics  # noqa: E402
 import timeit  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
@@ -41,12 +46,19 @@ K, M, ITERATIONS = 4, 8, 40
 TRAIN = trainer.TrainConfig(k=K, lr=1.0, iterations=ITERATIONS, seed=20261018)
 
 
+def quartiles(samples) -> dict:
+    p25, median, p75 = np.percentile(samples, [25, 50, 75])
+    return {"p25": round(float(p25), 1), "median": round(float(median), 1),
+            "p75": round(float(p75), 1)}
+
+
 def timings(repeats: int) -> dict:
-    """Median microseconds per call of each timed operation."""
+    """p25, median and p75 microseconds per call of each timed operation."""
     train_set, _ = evalbench.generate_dataset(SPEC)
     a = train_set[0]
     s = sketch.sparse_random_sketch(M, SPEC.n, 7)
     sa = sketch.apply_sketch(s, a)
+    raw = 2.0 * a
     idle = replace(TRAIN, iterations=0)
     ops = {
         "apply_sketch": lambda: sketch.apply_sketch(s, a),
@@ -54,17 +66,21 @@ def timings(repeats: int) -> dict:
         "svd_sa": lambda: linalg.svd(sa),
         "scw_loss": lambda: scw.scw_loss(a, s, K),
         "scw_loss_and_grad": lambda: scw.scw_loss_and_grad(a, s, K),
+        "optimal_loss": lambda: evalbench.optimal_loss(train_set, K),
+        "normalize_top_singular": lambda: evalbench.normalize_top_singular(raw),
         "train_0": lambda: trainer.train(train_set, M, idle),
         f"train_{ITERATIONS}": lambda: trainer.train(train_set, M, TRAIN),
     }
-    out = {}
-    for name, fn in ops.items():
-        timer = timeit.Timer(fn)
-        number, _ = timer.autorange()  # calls per repeat: at least 0.2 s
-        per_call = [t / number for t in timer.repeat(repeat=repeats, number=number)]
-        out[name] = statistics.median(per_call) * 1e6
-    out["sgd_step"] = (out[f"train_{ITERATIONS}"] - out.pop("train_0")) / ITERATIONS
-    return out
+    timers = {name: timeit.Timer(fn) for name, fn in ops.items()}
+    numbers = {name: timer.autorange()[0] for name, timer in timers.items()}
+    samples = {name: [] for name in ops}
+    for _ in range(repeats):
+        for name, timer in timers.items():
+            samples[name].append(timer.timeit(numbers[name]) / numbers[name] * 1e6)
+    train_0 = samples.pop("train_0")
+    samples["sgd_step"] = [(full - zero) / ITERATIONS
+                           for full, zero in zip(samples[f"train_{ITERATIONS}"], train_0)]
+    return {name: quartiles(us) for name, us in samples.items()}
 
 
 def machine() -> dict:
@@ -84,18 +100,17 @@ def main() -> None:
         parser.error("--repeats must be >= 1")
     doc = {"shape": f"{SPEC.n}x{SPEC.d} spiked, k={K}, m={M}, "
                     f"{SPEC.count_train} train matrices, learned mode",
-           "unit": "us, median over repeats", "runs": {}}
+           "unit": "us per call: p25, median, p75 over round-robin repeats", "runs": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc["runs"] = json.load(fh).get("runs", {})
-    run = {"machine": machine(), "repeats": args.repeats,
-           "median_us": {k: round(v, 1) for k, v in timings(args.repeats).items()}}
+    run = {"machine": machine(), "repeats": args.repeats, "us": timings(args.repeats)}
     doc["runs"][args.label] = run
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    for name, us in run["median_us"].items():
-        print(f"{name:20s} {us:10.1f} us")
+    for name, q in run["us"].items():
+        print(f"{name:24s} {q['p25']:10.1f} {q['median']:10.1f} {q['p75']:10.1f} us")
     print(f"wrote {args.out} [{args.label}]")
 
 

@@ -1,6 +1,7 @@
 """Sketch-based rank-k matrix approximation with trainable sparse sketches."""
 
-from .linalg import SvdFactors, best_rank_k, frobenius_norm, matmul, reference_svd, svd
+from .linalg import (SvdFactors, best_rank_k, frobenius_norm, matmul, reference_svd,
+                     singular_values, svd)
 from .sketch import (DenseSketch, SketchBlock, SparseSketch, apply_sketch,
                      concat_sketches, dense_random_sketch, densify, empty_sketch,
                      identity_pattern_sketch, sparse_random_sketch, sketches_equal)

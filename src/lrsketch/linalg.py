@@ -1,10 +1,11 @@
-"""Dense matrix arithmetic, the LAPACK `svd` and two reference oracles.
+"""Dense matrix arithmetic, the LAPACK `svd` and reference oracles.
 
 Matrices are plain 2-D float64 numpy arrays in row-major order. Hot
-paths use `svd` and `@`. The reference SVD is a one-sided Jacobi
-iteration, independent of LAPACK and of the power-method SVD, so they
-can cross-check each other. `matmul` accumulates over the inner index in
-ascending order, which makes it bit-reproducible against a naive triple loop.
+paths use `svd`, `singular_values` (when no vectors are needed) and
+`@`. The reference SVD is a one-sided Jacobi iteration, independent of
+LAPACK and of the power-method SVD, so they can cross-check each other.
+`matmul` accumulates over the inner index in ascending order, which
+makes it bit-reproducible against a naive triple loop.
 """
 
 from __future__ import annotations
@@ -138,6 +139,11 @@ def svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
     return _canonical(u, sigma, vt.T, rank_tol)
 
 
+def singular_values(a) -> np.ndarray:
+    """All singular values by LAPACK, non-increasing, without vectors or rank rule."""
+    return np.linalg.svd(require_finite(as_matrix(a), "SVD input"), compute_uv=False)
+
+
 def reference_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
     """Compact SVD by one-sided Jacobi iteration: the oracle for `svd`."""
     a = as_matrix(a)
@@ -152,7 +158,10 @@ def reference_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
 
 
 def best_rank_k(a, k: int) -> np.ndarray:
-    """Truncated-SVD reconstruction from the top min(k, rank) triples."""
+    """Truncated-SVD reconstruction from the top min(k, rank) triples.
+
+    The oracle for Eckart-Young scoring: no hot path builds it.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     a = as_matrix(a)

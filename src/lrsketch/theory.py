@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, orthonormal_basis, svd
+from .linalg import as_matrix, frobenius_norm, orthonormal_basis, singular_values
 from .seeding import derived_seed, rng_from
 
 # Denominators below this are treated as degenerate.
@@ -96,10 +96,10 @@ def require_normalized(p: SpectralProfile) -> SpectralProfile:
 def stable_rank(a) -> float:
     """Squared Frobenius-to-operator norm ratio of a matrix."""
     a = as_matrix(a)
-    f = svd(a)
-    if f.rank == 0:
+    sigma = singular_values(a)
+    if not sigma.size or sigma[0] <= 0.0:
         raise ValueError("stable rank of a zero matrix is undefined")
-    return (frobenius_norm(a) / f.sigma[0]) ** 2
+    return (frobenius_norm(a) / sigma[0]) ** 2
 
 
 def _objective_values(grid: np.ndarray, p: SpectralProfile):

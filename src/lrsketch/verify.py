@@ -14,7 +14,7 @@ import numpy as np
 
 from .diffsvd import PowerSvdConfig, backward, scw_forward_with_tape, scw_power_loss
 from .linalg import best_rank_k, frobenius_norm, matmul
-from .scw import scw_loss
+from .scw import scw_loss, scw_loss_and_grad
 from .seeding import derived_seed, rng_from
 from .sketch import (apply_sketch, concat_sketches, densify,
                      identity_pattern_sketch, sparse_random_sketch)
@@ -73,31 +73,53 @@ def check_scw_identity(cfg: VerifyConfig) -> CheckResult:
                        f"worst |loss - optimal| = {worst:.3e} (allowed 1e-8)")
 
 
-def check_gradients(cfg: VerifyConfig) -> CheckResult:
-    """Reverse-mode gradients against central finite differences.
+def _fd_budget_used(loss_fn, s, g) -> float:
+    """Worst |g - fd| / (1e-6 + 1e-4 * |fd|) over s's values; <= 1 passes.
 
-    Pass condition per coordinate: |ad - fd| <= 1e-6 + 1e-4 * |fd|.
+    fd is the central difference of loss_fn(sketch) with step 1e-5.
     """
     h = 1e-5
-    worst = 0.0  # |ad - fd| / (atol + rtol * |fd|); <= 1 passes
+    worst = 0.0
+    vals = s.value_of
+    for i in range(vals.shape[0]):
+        vp, vm = vals.copy(), vals.copy()
+        vp[i] += h
+        vm[i] -= h
+        fd = (loss_fn(s.with_values(vp)) - loss_fn(s.with_values(vm))) / (2 * h)
+        worst = max(worst, abs(g[i] - fd) / (1e-6 + 1e-4 * abs(fd)))
+    return worst
+
+
+def _gradient_result(name: str, worst: float) -> CheckResult:
+    return CheckResult(name, worst <= 1.0,
+                       f"worst |ad-fd| at {worst:.3f} of the 1e-4 relative / "
+                       f"1e-6 absolute budget (<= 1 passes)")
+
+
+def check_gradients(cfg: VerifyConfig) -> CheckResult:
+    """Taped reverse-mode gradients against central finite differences."""
+    worst = 0.0
     for t in range(cfg.gradient_instances):
         rng = rng_from(cfg.seed, 2, t)
         a = rng.standard_normal((8, 6))
         s = sparse_random_sketch(3, 8, derived_seed(cfg.seed, 2, t))
         pcfg = PowerSvdConfig(t_iters=60, init_seed=derived_seed(cfg.seed, 2, t, 1))
         _, tape = scw_forward_with_tape(a, s, 2, pcfg)
-        g = backward(tape)
-        vals = s.value_of
-        for i in range(vals.shape[0]):
-            vp, vm = vals.copy(), vals.copy()
-            vp[i] += h
-            vm[i] -= h
-            fd = (scw_power_loss(a, s.with_values(vp), 2, pcfg)
-                  - scw_power_loss(a, s.with_values(vm), 2, pcfg)) / (2 * h)
-            worst = max(worst, abs(g[i] - fd) / (1e-6 + 1e-4 * abs(fd)))
-    return CheckResult("gradient-fidelity", worst <= 1.0,
-                       f"worst |ad-fd| at {worst:.3f} of the 1e-4 relative / "
-                       f"1e-6 absolute budget (<= 1 passes)")
+        worst = max(worst, _fd_budget_used(lambda sk: scw_power_loss(a, sk, 2, pcfg),
+                                           s, backward(tape)))
+    return _gradient_result("gradient-fidelity", worst)
+
+
+def check_exact_gradients(cfg: VerifyConfig) -> CheckResult:
+    """Training's closed-form gradient against central differences of scw_loss ** 2."""
+    worst = 0.0
+    for t in range(cfg.gradient_instances):
+        rng = rng_from(cfg.seed, 5, t)
+        a = rng.standard_normal((8, 6))
+        s = sparse_random_sketch(3, 8, derived_seed(cfg.seed, 5, t))
+        worst = max(worst, _fd_budget_used(lambda sk: scw_loss(a, sk, 2) ** 2,
+                                           s, scw_loss_and_grad(a, s, 2)[1]))
+    return _gradient_result("exact-gradient-fidelity", worst)
 
 
 def check_robustness_counterexample(cfg: VerifyConfig) -> CheckResult:
@@ -164,6 +186,7 @@ def run_verification(cfg: VerifyConfig | None = None,
         check_dominance(cfg, concat_fn),
         check_scw_identity(cfg),
         check_gradients(cfg),
+        check_exact_gradients(cfg),
         lemma,
         check_robustness_counterexample(cfg),
         trend,

@@ -10,7 +10,7 @@ from lrsketch.evalbench import (DatasetSpec, ResultRecord, err_metric,
                                 results_to_csv, run_experiment)
 from lrsketch import linalg
 from lrsketch.formats import save_dmat, save_matrix_csv
-from lrsketch.linalg import reference_svd
+from lrsketch.linalg import best_rank_k, frobenius_norm, reference_svd
 from lrsketch.scw import scw_loss
 from lrsketch.seeding import rng_from
 from lrsketch.sketch import (concat_sketches, dense_random_sketch,
@@ -136,6 +136,33 @@ class TestOptimalLoss:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             optimal_loss([], 2)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="k must be"):
+            optimal_loss([np.eye(3)], 0)
+
+    @pytest.mark.parametrize("scale_exp", [-6, 0, 6])
+    @pytest.mark.parametrize("kind", ["tall", "wide", "square"])
+    def test_matches_truncation_oracle(self, kind, scale_exp):
+        """Eckart-Young from sigma alone equals the residual of best_rank_k.
+
+        Draws cover rank below and above k and k >= min(n, d).
+        """
+        scale = 10.0 ** scale_exp
+        for t in range(25):
+            rng = rng_from(61, ["tall", "wide", "square"].index(kind), scale_exp + 6, t)
+            short, long_ = int(rng.integers(1, 9)), int(rng.integers(9, 16))
+            n, d = {"tall": (long_, short), "wide": (short, long_),
+                    "square": (long_, long_)}[kind]
+            rank = int(rng.integers(1, min(n, d) + 1))
+            a = scale * (rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d)))
+            k = int(rng.integers(1, min(n, d) + 3))
+            oracle = frobenius_norm(a - best_rank_k(a, k))
+            assert abs(optimal_loss([a], k) - oracle) <= 1e-12 * frobenius_norm(a)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (0, 5), (5, 0), (0, 0)])
+    def test_zero_and_empty_matrices_score_zero(self, shape):
+        assert optimal_loss([np.zeros(shape)], 2) == 0.0
 
 
 class TestErrMetric:
@@ -283,3 +310,24 @@ class TestHotPathsSkipJacobi:
     def test_run_experiment(self, sketch_type):
         cfg = tiny_train_cfg(iterations=2)
         assert np.isfinite(run_experiment(tiny_spec(), 3, 4, sketch_type, 1, cfg).err)
+
+
+class TestSigmaOnlyPathsSkipVectors:
+    """Readers that need only singular values never ask LAPACK for vectors."""
+
+    @pytest.fixture(autouse=True)
+    def no_vectors(self, monkeypatch):
+        real = np.linalg.svd
+
+        def sigma_only(a, full_matrices=True, compute_uv=True, hermitian=False):
+            if compute_uv:
+                raise AssertionError("sigma-only path computed singular vectors")
+            return real(a, full_matrices=full_matrices, compute_uv=False,
+                        hermitian=hermitian)
+        monkeypatch.setattr(np.linalg, "svd", sigma_only)
+
+    def test_generation_normalization_optimum_and_stable_rank(self):
+        train_set, test = generate_dataset(tiny_spec())
+        assert optimal_loss(test, 3) > 0
+        assert stable_rank(train_set[0]) >= 1.0
+        assert normalize_top_singular(2.0 * test[0]).shape == test[0].shape

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrsketch.linalg import (RANK_TOL, SvdFactors, _jacobi_tall, best_rank_k,
-                             frobenius_norm, matmul, reference_svd, svd)
+                             frobenius_norm, matmul, reference_svd, singular_values, svd)
 
 
 def sorting_canonical(u, sigma, v, rank_tol):
@@ -270,6 +270,32 @@ class TestCanonicalAgainstSorting:
         f = fn(np.zeros(shape))
         assert f.rank == 0 and f.sigma.shape == (0,)
         assert f.u.shape == (shape[0], 0) and f.v.shape == (shape[1], 0)
+
+
+class TestSingularValues:
+    @pytest.mark.parametrize("shape", [(9, 5), (5, 9), (6, 6)])
+    def test_matches_svd_sigma(self, shape):
+        a = np.random.default_rng(23).standard_normal(shape)
+        out = singular_values(a)
+        assert out.shape == (min(shape),)
+        assert np.all(np.diff(out) <= 0.0)
+        np.testing.assert_allclose(out, svd(a).sigma, rtol=1e-13, atol=0.0)
+
+    def test_no_rank_rule(self):
+        out = singular_values(np.diag([3.0, 0.0, 1e-300]))
+        assert out.tolist() == [3.0, 1e-300, 0.0]
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+    def test_empty(self, shape):
+        assert singular_values(np.zeros(shape)).shape == (0,)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="SVD input"):
+            singular_values(np.array([[1.0, np.inf]]))
+
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            singular_values(np.ones(3))
 
 
 class TestBestRankK:

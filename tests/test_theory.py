@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lrsketch.linalg import frobenius_norm, svd
 from lrsketch.seeding import derived_seed, rng_from
 from lrsketch.theory import (DegenerateDirectionError, RobustnessParams,
                              SpectralProfile, _objective_values, discretize_sphere,
@@ -36,6 +37,20 @@ class TestStableRank:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             stable_rank(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_rejected(self, shape):
+        with pytest.raises(ValueError, match="zero matrix"):
+            stable_rank(np.zeros(shape))
+
+    def test_matches_svd_sigma(self):
+        for t in range(50):
+            rng = rng_from(62, t)
+            n, d = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            rank = int(rng.integers(1, min(n, d) + 1))
+            a = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+            expect = (frobenius_norm(a) / svd(a).sigma[0]) ** 2
+            assert stable_rank(a) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
     def test_profile_stable_rank(self):
         assert two_level_profile().stable_rank() == pytest.approx(1.25)
