@@ -7,8 +7,12 @@ Usage:
 At 64x48, k=4, m=8 (the spiked_bundle shape, 4 train matrices) it times
 apply_sketch, svd of SA (and np.linalg.svd alone on the same SA),
 scw_loss, scw_loss_and_grad, optimal_loss of the 4 train matrices,
-normalize_top_singular of one matrix scaled by 2, one SGD step and a
-40-iteration learned train, with BLAS pinned to one thread.
+normalize_top_singular of one matrix scaled by 2, generate_dataset of
+that 5-matrix spec, one SGD step and a 40-iteration learned train, with
+BLAS pinned to one thread. sweep_4_cells is one sweep shaped like
+perfbench's sketch_eval: with the run_experiment memo cleared first, 4
+cells (sparse and dense random sketches at (k, m) = (4, 8) and (2, 6),
+3 trials each) on one 64x48 spec with 1 train and 2 test matrices.
 
 Each operation's calls per repeat are picked once with autorange (at
 least 0.2 s). The repeats then run round-robin: repeat r of every
@@ -44,6 +48,15 @@ SPEC = evalbench.DatasetSpec(name="step", kind="spiked", n=64, d=48, count_train
                              seed=20261018)
 K, M, ITERATIONS = 4, 8, 40
 TRAIN = trainer.TrainConfig(k=K, lr=1.0, iterations=ITERATIONS, seed=20261018)
+SWEEP_SPEC = replace(SPEC, name="sweep", count_train=1, count_test=2)
+SWEEP_CELLS = [(k, m, st) for k, m in ((4, 8), (2, 6))
+               for st in ("sparse_random", "dense_random")]
+
+
+def sweep_4_cells() -> None:
+    evalbench._sweep_inputs.cache_clear()
+    for k, m, st in SWEEP_CELLS:
+        evalbench.run_experiment(SWEEP_SPEC, k, m, st, 3, TRAIN)
 
 
 def quartiles(samples) -> dict:
@@ -68,6 +81,8 @@ def timings(repeats: int) -> dict:
         "scw_loss_and_grad": lambda: scw.scw_loss_and_grad(a, s, K),
         "optimal_loss": lambda: evalbench.optimal_loss(train_set, K),
         "normalize_top_singular": lambda: evalbench.normalize_top_singular(raw),
+        "generate_dataset": lambda: evalbench.generate_dataset(SPEC),
+        "sweep_4_cells": sweep_4_cells,
         "train_0": lambda: trainer.train(train_set, M, idle),
         f"train_{ITERATIONS}": lambda: trainer.train(train_set, M, TRAIN),
     }

@@ -11,7 +11,8 @@ Writes a (series, x, y) plot-data CSV with x = trainable rows.
 import sys
 from dataclasses import replace
 
-from lrsketch.evalbench import DatasetSpec, err_metric, generate_dataset, write_xy_csv
+from lrsketch.evalbench import (DatasetSpec, generate_dataset, mean_scw_loss, optimal_loss,
+                                write_xy_csv)
 from lrsketch.seeding import derived_seed
 from lrsketch.trainer import TrainConfig, train
 
@@ -24,12 +25,13 @@ TRAIN = TrainConfig(k=K, lr=1.0, iterations=200, seed=20260808, mode="mixed_join
 
 def run(out_csv: str) -> None:
     train_set, test_set = generate_dataset(SPEC)
+    app = optimal_loss(test_set, K)
     rows = []
     for learned_rows in range(M + 1):
         cfg = replace(TRAIN, learned_rows=learned_rows,
                       seed=derived_seed(TRAIN.seed, learned_rows))
         sketch, rep = train(train_set, M, cfg)
-        err = err_metric(test_set, sketch, K)
+        err = mean_scw_loss(test_set, sketch, K) - app  # err_metric, optimum computed once
         rows.append(("mixed_j", learned_rows, err))
         print(f"learned_rows={learned_rows}: train loss "
               f"{rep.initial_loss:.4f} -> {rep.final_loss:.4f}, excess error {err:.4f}")

@@ -11,6 +11,7 @@ divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -18,10 +19,10 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from .diffsvd import PowerSvdConfig
-from .evalbench import (SKETCH_TYPES, TRAIN_MODES, DatasetSpec, evaluate_cell,
-                        generate_dataset, optimal_loss, random_sketch, results_to_csv,
-                        write_xy_csv)
+from .evalbench import (SKETCH_TYPES, TRAIN_MODES, DatasetSpec, _tail_mean, evaluate_cell,
+                        generate_dataset, random_sketch, results_to_csv, write_xy_csv)
 from .formats import atomic_open, load_sketch, save_dmat, save_sketch
+from .linalg import singular_values
 from .seeding import derived_seed
 from .trainer import TrainConfig, TrainingDivergedError, learned_rows, report_to_csv, train
 from .verify import VerifyConfig, lemma_and_trend, run_verification
@@ -268,7 +269,8 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     for di, spec in enumerate(cfg.datasets):
         _, test_set = _load_dataset_files(cfg, spec)
         n = test_set[0].shape[0]
-        app_by_k = {k: optimal_loss(test_set, k) for k in {k for k, _ in cfg.pairs}}
+        sigmas = [singular_values(a) for a in test_set]
+        app_by_k = {k: _tail_mean(sigmas, k) for k in {k for k, _ in cfg.pairs}}
         for k, m in cfg.pairs:
             for st in cfg.sketch_types:
                 sketches = [_eval_sketch(cfg, di, spec, n, k, m, st, t)
@@ -336,6 +338,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lrsketch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,6 +8,7 @@ means the sketch costs nothing over exact truncated SVD.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, replace
@@ -163,17 +164,22 @@ def generate_dataset(spec: DatasetSpec):
     return _generate_synthetic(spec)
 
 
+def _tail_mean(sigmas, k: int) -> float:
+    """Mean over matrices of sqrt(sum_{i>k} sigma_i^2), from their singular values."""
+    if not sigmas:
+        raise ValueError("empty test set")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return float(np.mean([np.sqrt(np.sum(s[k:] ** 2)) for s in sigmas]))
+
+
 def optimal_loss(test, k: int) -> float:
     """Mean Frobenius distance from each matrix to its best rank-k approximation.
 
     By Eckart-Young that distance is sqrt(sum_{i>k} sigma_i^2), so only
     singular values are computed.
     """
-    if not test:
-        raise ValueError("empty test set")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return float(np.mean([np.sqrt(np.sum(singular_values(a)[k:] ** 2)) for a in test]))
+    return _tail_mean([singular_values(a) for a in test], k)
 
 
 def mean_scw_loss(test, s, k: int) -> float:
@@ -213,8 +219,8 @@ def evaluate_cell(dataset: str, k: int, m: int, sketch_type: str, test, sketches
                               std_err, len(errs))
 
 
-def _run_trials(name: str, train_set, test, k: int, m: int, sketch_type: str,
-                trials: int, train_cfg: TrainConfig) -> ResultRecord:
+def _run_trials(name: str, train_set, test, app: float, k: int, m: int,
+                sketch_type: str, trials: int, train_cfg: TrainConfig) -> ResultRecord:
     seeds = [derived_seed(train_cfg.seed, _SEED_TRIAL, t) for t in range(trials)]
     if sketch_type in TRAIN_MODES:
         cfg = replace(train_cfg, k=k, mode=TRAIN_MODES[sketch_type])
@@ -222,7 +228,28 @@ def _run_trials(name: str, train_set, test, k: int, m: int, sketch_type: str,
     else:
         n = test[0].shape[0]
         sketches = [random_sketch(sketch_type, m, n, seed) for seed in seeds]
-    return evaluate_cell(name, k, m, sketch_type, test, sketches, optimal_loss(test, k))[1]
+    return evaluate_cell(name, k, m, sketch_type, test, sketches, app)[1]
+
+
+@functools.lru_cache(maxsize=1)
+def _sweep_inputs(spec: DatasetSpec):
+    """(train, test, singular values of each test matrix), as read-only arrays
+    because every caller shares them.
+
+    Memoized for the last synthetic spec, so consecutive cells of a sweep
+    generate their dataset once; a `files` spec bypasses it through
+    __wrapped__, because the files can change between calls.
+    """
+    train_set, test = generate_dataset(spec)
+    sigmas = [singular_values(a) for a in test]
+    for a in train_set + test + sigmas:
+        a.flags.writeable = False
+    return tuple(train_set), tuple(test), tuple(sigmas)
+
+
+def _experiment_inputs(spec: DatasetSpec):
+    """_sweep_inputs(spec), computed afresh for a `files` spec."""
+    return (_sweep_inputs.__wrapped__ if spec.kind == "files" else _sweep_inputs)(spec)
 
 
 def run_experiment(spec: DatasetSpec, k: int, m: int, sketch_type: str,
@@ -230,10 +257,15 @@ def run_experiment(spec: DatasetSpec, k: int, m: int, sketch_type: str,
     """Evaluate one (dataset, k, m, sketch type) cell over several trials.
 
     The dataset is fixed by spec.seed; trials differ in the sketch /
-    training randomness, seeded from train_cfg.seed.
+    training randomness, seeded from train_cfg.seed. The last synthetic
+    dataset and its test spectra stay memoized, so a sweep over sketch
+    types and (k, m) on one spec generates them once; what stays held
+    after a sweep is that one dataset, which its peak memory already
+    includes. `files` datasets are read afresh on every call.
     """
-    train_set, test = generate_dataset(spec)
-    return _run_trials(spec.name, train_set, test, k, m, sketch_type, trials, train_cfg)
+    train_set, test, sigmas = _experiment_inputs(spec)
+    return _run_trials(spec.name, train_set, test, _tail_mean(sigmas, k), k, m,
+                       sketch_type, trials, train_cfg)
 
 
 def mixed_training_set_experiment(specs, eval_spec: DatasetSpec, k: int, m: int,
@@ -245,8 +277,9 @@ def mixed_training_set_experiment(specs, eval_spec: DatasetSpec, k: int, m: int,
     rows = {a.shape[0] for a in train_set}
     if len(rows) != 1:
         raise ValueError(f"union train sets disagree on row count: {sorted(rows)}")
-    _, test = generate_dataset(eval_spec)
-    return _run_trials(eval_spec.name, train_set, test, k, m, "learned", trials, train_cfg)
+    _, test, sigmas = _experiment_inputs(eval_spec)
+    return _run_trials(eval_spec.name, train_set, test, _tail_mean(sigmas, k), k, m,
+                       "learned", trials, train_cfg)
 
 
 def results_to_csv(records, path) -> None:

@@ -180,16 +180,16 @@ class TestEvalCommand:
                              for p in paths])
         assert sketches[0] == sketches[1]
 
-    def test_optimal_loss_once_per_k(self, tmp_path, monkeypatch):
-        calls, real = [], cli.optimal_loss
-        monkeypatch.setattr(cli, "optimal_loss",
-                            lambda test_set, k: calls.append(k) or real(test_set, k))
+    def test_test_spectra_once_per_matrix(self, tmp_path, monkeypatch):
+        """One SVD per test matrix scores every k: two distinct k, 2 test matrices."""
+        calls, real = [], cli.singular_values
+        monkeypatch.setattr(cli, "singular_values", lambda a: calls.append(a.shape) or real(a))
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, sketch_types=["sparse_random", "dense_random"],
-                     pairs=[[2, 2], [2, 4], [2, 6]])
+                     pairs=[[2, 2], [2, 4], [3, 6]])
         main(["gen-data", "--config", str(cfg_path)])
         assert main(["eval", "--config", str(cfg_path)]) == 0
-        assert calls == [2]
+        assert calls == [(16, 12)] * 2
 
     def test_plot_data_written(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -410,3 +410,27 @@ class TestUsageErrors:
         named = rel if rel.startswith("sketches") else "data/demo/manifest.json"
         assert capsys.readouterr().err.startswith(
             f"error: {os.path.join(cfg['out_dir'], named)}: ")
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call's flags reach the next."""
+
+    def test_successive_calls_do_not_share_flags(self, monkeypatch):
+        seen = []
+
+        def record(args):
+            seen.append((args.command, args.seed, args.out,
+                         getattr(args, "inject_broken_concat", None)))
+            return 0
+        monkeypatch.setattr(cli, "cmd_verify", record)
+        monkeypatch.setattr(cli, "cmd_theory", record)
+        for argv in (["verify", "--seed", "5", "--inject-broken-concat"], ["verify"],
+                     ["theory", "--seed", "7", "--out", "x"], ["theory"],
+                     ["verify", "--seed", "6"]):
+            assert main(argv) == 0
+        assert main(["verify", "--no-such-flag"]) == 1
+        assert main(["verify"]) == 0
+        assert seen == [("verify", 5, None, True), ("verify", None, None, False),
+                        ("theory", 7, "x", None), ("theory", None, None, None),
+                        ("verify", 6, None, False), ("verify", None, None, False)]
+        assert cli._build_parser() is cli._build_parser()

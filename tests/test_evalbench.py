@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lrsketch.diffsvd import PowerSvdConfig
-from lrsketch.evalbench import (DatasetSpec, ResultRecord, err_metric,
-                                generate_dataset, mixed_training_set_experiment,
+from lrsketch.evalbench import (SKETCH_TYPES, DatasetSpec, ResultRecord, _sweep_inputs,
+                                err_metric, generate_dataset, mixed_training_set_experiment,
                                 normalize_top_singular, optimal_loss,
                                 results_to_csv, run_experiment)
 from lrsketch import linalg
@@ -239,6 +239,80 @@ class TestRunExperiment:
         assert first == again
 
 
+class TestSweepMemo:
+    """Consecutive cells on one synthetic spec share its dataset and test spectra."""
+
+    def test_warm_equals_cold(self):
+        spec, cfg = tiny_spec(seed=17), tiny_train_cfg(iterations=20)
+        for k in (2, 3):
+            for st in SKETCH_TYPES:
+                _sweep_inputs.cache_clear()
+                cold = run_experiment(spec, k, 4, st, 2, cfg)
+                warm = run_experiment(spec, k, 4, st, 2, cfg)
+                assert _sweep_inputs.cache_info().hits >= 1
+                assert warm == cold
+
+    def test_memo_read_only_and_generation_fresh(self):
+        spec = tiny_spec(seed=18)
+        run_experiment(spec, 3, 4, "sparse_random", 1, tiny_train_cfg())
+        train_set, test, sigmas = _sweep_inputs(spec)
+        for a in train_set + test + sigmas:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        fresh_train, fresh_test = generate_dataset(spec)
+        for memo, fresh in zip(train_set + test, fresh_train + fresh_test):
+            assert fresh.flags.writeable and fresh is not memo
+            assert fresh.tobytes() == memo.tobytes()
+
+    def test_files_spec_reads_rewritten_file(self, tmp_path):
+        train, test = generate_dataset(tiny_spec(count_train=2, count_test=2))
+        other = generate_dataset(tiny_spec(seed=99, count_train=2, count_test=2))[1]
+
+        def write(directory, test_mats):
+            directory.mkdir(exist_ok=True)
+            manifest = {"train": [], "test": []}
+            for role, mats in (("train", train), ("test", test_mats)):
+                for i, a in enumerate(mats):
+                    save_dmat(directory / f"{role}_{i}.dmat", a)
+                    manifest[role].append(f"{role}_{i}.dmat")
+            (directory / "manifest.json").write_text(json.dumps(manifest))
+            return DatasetSpec(name="f", kind="files", path=str(directory / "manifest.json"))
+
+        cfg = tiny_train_cfg()
+        spec = write(tmp_path / "a", test)
+        first = run_experiment(spec, 3, 4, "sparse_random", 2, cfg)
+        assert write(tmp_path / "a", other) == spec
+        second = run_experiment(spec, 3, 4, "sparse_random", 2, cfg)
+        expected = run_experiment(write(tmp_path / "b", other), 3, 4, "sparse_random", 2, cfg)
+        assert second != first
+        assert second == expected
+
+    @pytest.mark.parametrize("k, sketch_type, trials, match", [
+        (0, "sparse_random", 1, "k must be"),
+        (3, "magic", 1, "sketch type"),
+        (3, "sparse_random", 0, "trials"),
+        (3, "learned", 0, "trials"),
+    ], ids=["k_zero", "unknown_type", "no_random_trials", "no_trained_trials"])
+    def test_bad_cell_raises_and_memo_stays_usable(self, k, sketch_type, trials, match):
+        spec, cfg = tiny_spec(seed=19), tiny_train_cfg()
+        _sweep_inputs.cache_clear()
+        before = run_experiment(spec, 3, 4, "sparse_random", 2, cfg)
+        with pytest.raises(ValueError, match=match):
+            run_experiment(spec, k, 4, sketch_type, trials, cfg)
+        assert run_experiment(spec, 3, 4, "sparse_random", 2, cfg) == before
+        _sweep_inputs.cache_clear()
+        assert run_experiment(spec, 3, 4, "sparse_random", 2, cfg) == before
+
+    def test_holds_at_most_one_dataset(self):
+        cfg = tiny_train_cfg()
+        for seed in (20, 21, 20):
+            run_experiment(tiny_spec(seed=seed), 3, 4, "sparse_random", 1, cfg)
+            assert _sweep_inputs.cache_info().currsize <= 1
+        mixed_training_set_experiment([tiny_spec(seed=21)], tiny_spec(seed=22), 3, 4, cfg)
+        assert _sweep_inputs.cache_info().currsize <= 1
+
+
 class TestMixedTrainingSets:
     def test_union_of_self_matches_run_experiment(self):
         spec = tiny_spec()
@@ -298,6 +372,7 @@ class TestHotPathsSkipJacobi:
         def refuse(a):
             raise AssertionError("hot path reached the Jacobi reference SVD")
         monkeypatch.setattr(linalg, "_jacobi_tall", refuse)
+        _sweep_inputs.cache_clear()  # so run_experiment generates under the patch
 
     def test_dataset_losses_and_stable_rank(self):
         train_set, test = generate_dataset(tiny_spec())
