@@ -6,7 +6,9 @@ Usage:
 
 At 64x48, k=4, m=8 (the spiked_bundle shape, 4 train matrices) it times
 apply_sketch, svd of SA (and np.linalg.svd alone on the same SA),
-scw_loss, scw_loss_and_grad, optimal_loss of the 4 train matrices,
+scw_loss, scw_loss_and_grad, step_kernel (what an SGD step runs per
+sampled matrix in its place: scatter_flat and sa_loss_and_grad on index
+arrays built beforehand), optimal_loss of the 4 train matrices,
 normalize_top_singular of one matrix scaled by 2, generate_dataset of
 that 5-matrix spec, one SGD step and a 40-iteration learned train, with
 BLAS pinned to one thread. sweep_4_cells is one sweep shaped like
@@ -71,6 +73,7 @@ def timings(repeats: int) -> dict:
     a = train_set[0]
     s = sketch.sparse_random_sketch(M, SPEC.n, 7)
     sa = sketch.apply_sketch(s, a)
+    flat, index = sketch.scatter_index(s.row_of, SPEC.d), scw.grad_index(s)
     raw = 2.0 * a
     idle = replace(TRAIN, iterations=0)
     ops = {
@@ -79,6 +82,8 @@ def timings(repeats: int) -> dict:
         "svd_sa": lambda: linalg.svd(sa),
         "scw_loss": lambda: scw.scw_loss(a, s, K),
         "scw_loss_and_grad": lambda: scw.scw_loss_and_grad(a, s, K),
+        "step_kernel": lambda: scw.sa_loss_and_grad(
+            a, sketch.scatter_flat(s.value_of, flat, M, a), K, index),
         "optimal_loss": lambda: evalbench.optimal_loss(train_set, K),
         "normalize_top_singular": lambda: evalbench.normalize_top_singular(raw),
         "generate_dataset": lambda: evalbench.generate_dataset(SPEC),

@@ -23,12 +23,13 @@ class ScwOutput:
     loss: float  # Frobenius distance to the input
 
 
-def _solve(a: np.ndarray, s: SparseSketch | DenseSketch, k: int):
-    """The two SVDs of the pipeline: (SA's factors, B = AV, B's top-k left
-    basis, [B]_k V^T), with None for the last three when SA has rank 0."""
+def _solve(a: np.ndarray, sa: np.ndarray, k: int):
+    """The two SVDs of the pipeline, given A and SA: (SA's factors, B = AV,
+    B's top-k left basis, [B]_k V^T), with None for the last three when SA
+    has rank 0."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    f = svd(apply_sketch(s, a))
+    f = svd(sa)
     if f.rank == 0:
         return f, None, None, None
     b = a @ f.v  # n x r
@@ -41,7 +42,7 @@ def _solve(a: np.ndarray, s: SparseSketch | DenseSketch, k: int):
 def scw_approximate(a, s: SparseSketch | DenseSketch, k: int) -> ScwOutput:
     """Run the sketch-and-solve pipeline: SA -> SVD -> [AV]_k V^T."""
     a = as_matrix(a)
-    f, _, _, approx = _solve(a, s, k)
+    f, _, _, approx = _solve(a, apply_sketch(s, a), k)
     if approx is None:
         zero = np.zeros_like(a)
         return ScwOutput(zero, np.zeros((a.shape[1], 0)), frobenius_norm(a))
@@ -50,6 +51,27 @@ def scw_approximate(a, s: SparseSketch | DenseSketch, k: int) -> ScwOutput:
 
 def scw_loss(a, s: SparseSketch | DenseSketch, k: int) -> float:
     return scw_approximate(a, s, k).loss
+
+
+def grad_index(s: SparseSketch) -> np.ndarray:
+    """Flat index row_of[j] * n + j % n of each stored value in the m x n dL/dS."""
+    return (s.row_of.reshape(len(s.blocks), s.n) * s.n + np.arange(s.n)).ravel()
+
+
+def sa_loss_and_grad(a: np.ndarray, sa: np.ndarray, k: int,
+                     index: np.ndarray) -> tuple[float, np.ndarray]:
+    """scw_loss_and_grad's kernel, given a 2-D float64 A, SA and grad_index(S).
+
+    One SGD step runs it per sampled matrix; A, grad_index and the
+    scatter index behind SA are built once per run.
+    """
+    f, b, uk, approx = _solve(a, sa, k)
+    if approx is None:
+        return frobenius_norm(a) ** 2, np.zeros(index.shape[0])
+    ua = uk.T @ a
+    g_sa = (f.u / f.sigma) @ (b.T @ uk) @ (ua - (ua @ f.v) @ f.v.T)
+    g_s = -2.0 * (g_sa @ a.T)
+    return frobenius_norm(a - approx) ** 2, g_s.take(index)
 
 
 def scw_loss_and_grad(a, s: SparseSketch, k: int) -> tuple[float, np.ndarray]:
@@ -62,14 +84,7 @@ def scw_loss_and_grad(a, s: SparseSketch, k: int) -> tuple[float, np.ndarray]:
     At rank 0 the gradient is taken as zero.
     """
     a = as_matrix(a)
-    f, b, uk, approx = _solve(a, s, k)
-    if approx is None:
-        return frobenius_norm(a) ** 2, np.zeros(s.value_of.shape[0])
-    ua = uk.T @ a
-    g_sa = (f.u / f.sigma) @ (b.T @ uk) @ (ua - (ua @ f.v) @ f.v.T)
-    g_s = -2.0 * (g_sa @ a.T)
-    g_vals = g_s[s.row_of.reshape(-1, s.n), np.arange(s.n)]
-    return frobenius_norm(a - approx) ** 2, g_vals.ravel()
+    return sa_loss_and_grad(a, apply_sketch(s, a), k, grad_index(s))
 
 
 def check_concat_dominance(a, s1: SparseSketch, s2: SparseSketch,

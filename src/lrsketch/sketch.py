@@ -47,8 +47,8 @@ class SparseSketch:
 
     Stored values run block by block, and value j of each block sits in
     column j. The stacked arrays are built once per sketch, shared and
-    read-only; with_values hands row_of and trainable_mask on, so SGD
-    builds them once per pattern.
+    read-only; with_values hands row_of and trainable_mask on to the
+    sketch it returns.
     """
 
     n: int
@@ -141,6 +141,11 @@ def empty_sketch(n: int) -> SparseSketch:
     return SparseSketch(n, ())
 
 
+def scatter_index(rows: np.ndarray, d: int) -> np.ndarray:
+    """Flat output index rows[j] * d + c of update (j, c) in scatter_rows's m x d output."""
+    return (rows[:, None] * d + np.arange(d)).ravel()
+
+
 def scatter_rows(values: np.ndarray, rows: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
     """Accumulate values[j] * a[j % n] into output row rows[j], n = len(a).
 
@@ -149,8 +154,12 @@ def scatter_rows(values: np.ndarray, rows: np.ndarray, m: int, a: np.ndarray) ->
     so each output row accumulates in ascending column order, matching
     matmul against the densified sketch bit for bit.
     """
+    return scatter_flat(values, scatter_index(rows, a.shape[1]), m, a)
+
+
+def scatter_flat(values: np.ndarray, flat: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
+    """scatter_rows with its index prebuilt: flat = scatter_index(rows, a.shape[1])."""
     n, d = a.shape
-    flat = (rows[:, None] * d + np.arange(d)).ravel()
     weights = values.reshape(len(values) // max(n, 1), n, 1) * a  # n may be 0
     out = np.bincount(flat, weights=weights.ravel(), minlength=m * d)
     return out.reshape(m, d).astype(np.float64, copy=False)  # int64 when there are no values

@@ -1,10 +1,12 @@
 """SGD over sketch values.
 
 Plain constant-rate SGD on the exact squared sketch-and-solve loss,
-with its closed-form gradient (`scw_loss_and_grad`): the hash pattern
-(which row each column hits) is frozen, only the stored values move,
-and masked values never move. Every mode trains a block stacked on a
-frozen random block (`train`).
+with its closed-form gradient (`scw.sa_loss_and_grad`, the kernel of
+`scw_loss_and_grad`): the hash pattern (which row each column hits) is
+frozen, only the stored values move, and masked values never move. So a
+run builds the index arrays the pattern fixes once, steps on the value
+vector alone, and builds the trained sketch after its last step. Every
+mode trains a block stacked on a frozen random block (`train`).
 
 Losses are the mean squared sketch-and-solve loss (`scw_loss`, the loss
 `eval` measures) over the train set, of the m-row sketch returned. A
@@ -21,9 +23,11 @@ import numpy as np
 
 from .diffsvd import PowerSvdConfig
 from .formats import atomic_open
-from .scw import scw_loss, scw_loss_and_grad
+from .linalg import as_matrix
+from .scw import grad_index, sa_loss_and_grad, scw_loss
 from .seeding import derived_seed, rng_from
-from .sketch import SparseSketch, concat_sketches, empty_sketch, sparse_random_sketch
+from .sketch import (SparseSketch, concat_sketches, empty_sketch, scatter_flat, scatter_index,
+                     sparse_random_sketch)
 
 # seed derivation tags under TrainConfig.seed
 _SEED_INIT = 0  # initial trainable sketch
@@ -88,10 +92,16 @@ def _mean_loss(train_set, sketch, k: int) -> float:
 
 def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
              cfg: TrainConfig) -> tuple[SparseSketch, TrainReport]:
-    """SGD over sketch; returns concat_sketches(sketch, tail) and its losses."""
+    """SGD over sketch's values; returns concat_sketches(trained, tail) and its losses.
+
+    The matrices, the scatter index of each column count in the train
+    set and the gradient index are built once per run.
+    """
     t0 = time.perf_counter()
-    start = sketch
     initial = _mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
+    mats = [as_matrix(a) for a in train_set]
+    flat = {d: scatter_index(sketch.row_of, d) for d in {a.shape[1] for a in mats}}
+    index, m = grad_index(sketch), sketch.m
     batch_rng = rng_from(cfg.seed, _SEED_BATCH)
     mask, vals = sketch.trainable_mask, sketch.value_of
     losses = np.empty(cfg.batch_size)
@@ -100,7 +110,9 @@ def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
         idx = np.sort(batch_rng.integers(0, len(train_set), size=cfg.batch_size))
         grad = np.zeros(vals.shape[0])
         for j, ii in enumerate(idx):
-            loss, g = scw_loss_and_grad(train_set[ii], sketch, cfg.k)
+            a = mats[ii]
+            sa = scatter_flat(vals, flat[a.shape[1]], m, a)
+            loss, g = sa_loss_and_grad(a, sa, cfg.k, index)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at iteration {step} (matrix {ii}); lower lr")
@@ -111,13 +123,13 @@ def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
         if not np.isfinite(vals).all():
             raise TrainingDivergedError(
                 f"non-finite sketch values after iteration {step}; lower lr")
-        sketch = sketch.with_values(vals)
         history.append((step, float(losses.sum()) / cfg.batch_size))  # bit-equal to np.mean
-    final = _mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
+    trained = sketch.with_values(vals)
+    final = _mean_loss(train_set, concat_sketches(trained, tail), cfg.k)
     if final > initial:  # SGD ended above its start: keep the start
-        sketch, final = start, initial
+        trained, final = sketch, initial
     report = TrainReport(tuple(history), initial, final, time.perf_counter() - t0)
-    return concat_sketches(sketch, tail), report
+    return concat_sketches(trained, tail), report
 
 
 def learned_rows(cfg: TrainConfig, m: int) -> int:

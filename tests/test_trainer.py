@@ -1,14 +1,15 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lrsketch import autodiff
+from lrsketch import autodiff, trainer
 from lrsketch.diffsvd import PowerSvdConfig
 from lrsketch.evalbench import DatasetSpec, generate_dataset
-from lrsketch.scw import scw_loss
+from lrsketch.scw import scw_loss, scw_loss_and_grad
 from lrsketch.seeding import derived_seed, rng_from
-from lrsketch.sketch import SparseSketch, sketches_equal, sparse_random_sketch
+from lrsketch.sketch import SparseSketch, concat_sketches, sketches_equal, sparse_random_sketch
 from lrsketch.trainer import TrainConfig, TrainingDivergedError, report_to_csv, train
 
 
@@ -32,6 +33,107 @@ def quick_cfg(**kw):
                 power_cfg=PowerSvdConfig(t_iters=20))
     base.update(kw)
     return TrainConfig(**base)
+
+
+def reference_run_sgd(train_set, sketch, tail, cfg):
+    """The per-step loop trainer._run_sgd replaced: the bit-for-bit oracle.
+
+    Every step rebuilds the sketch with with_values and takes the loss
+    and gradient through scw_loss_and_grad.
+    """
+    start = sketch
+    initial = trainer._mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
+    batch_rng = rng_from(cfg.seed, trainer._SEED_BATCH)
+    mask, vals = sketch.trainable_mask, sketch.value_of
+    losses = np.empty(cfg.batch_size)
+    history = []
+    for step in range(1, cfg.iterations + 1):
+        idx = np.sort(batch_rng.integers(0, len(train_set), size=cfg.batch_size))
+        grad = np.zeros(vals.shape[0])
+        for j, ii in enumerate(idx):
+            loss, g = scw_loss_and_grad(train_set[ii], sketch, cfg.k)
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(f"non-finite loss at iteration {step}")
+            grad += g
+            losses[j] = loss
+        grad /= cfg.batch_size
+        vals = np.where(mask, vals - cfg.lr * grad, vals)
+        if not np.isfinite(vals).all():
+            raise TrainingDivergedError(f"non-finite sketch values after iteration {step}")
+        sketch = sketch.with_values(vals)
+        history.append((step, float(losses.sum()) / cfg.batch_size))
+    final = trainer._mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
+    if final > initial:
+        sketch, final = start, initial
+    report = trainer.TrainReport(tuple(history), initial, final, 0.0)
+    return concat_sketches(sketch, tail), report
+
+
+def assert_trains_like_reference(train_set, m, cfg, monkeypatch):
+    """train(...) matches train(...) run through reference_run_sgd, byte for byte."""
+    got_s, got = train(train_set, m, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "_run_sgd", reference_run_sgd)
+        want_s, want = train(train_set, m, cfg)
+    assert got_s.value_of.tobytes() == want_s.value_of.tobytes()
+    assert got_s.row_of.tobytes() == want_s.row_of.tobytes()
+    assert [it for it, _ in got.loss_history] == [it for it, _ in want.loss_history]
+    assert (np.array([x for _, x in got.loss_history]).tobytes()
+            == np.array([x for _, x in want.loss_history]).tobytes())
+    assert np.float64(got.initial_loss).tobytes() == np.float64(want.initial_loss).tobytes()
+    assert np.float64(got.final_loss).tobytes() == np.float64(want.final_loss).tobytes()
+    return got
+
+
+MODES = ("learned", "mixed_joint", "mixed_separate")
+
+
+class TestBitIdenticalToReferenceLoop:
+    @pytest.mark.parametrize("seed", [5, 6, 7, 8])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_modes_batches_seeds(self, small_train_set, mode, batch_size, seed, monkeypatch):
+        cfg = quick_cfg(mode=mode, learned_rows=2, batch_size=batch_size, seed=seed)
+        rep = assert_trains_like_reference(small_train_set, 4, cfg, monkeypatch)
+        assert len(rep.loss_history) == cfg.iterations
+
+    def test_keep_start(self, monkeypatch):
+        # TestKeepStart's case: the 6-row sketch ends above its start
+        train_set, _ = generate_dataset(TestKeepStart.SPEC)
+        rep = assert_trains_like_reference(train_set, 6, replace(TestKeepStart.CFG, seed=46),
+                                           monkeypatch)
+        assert rep.final_loss == rep.initial_loss
+        assert len(rep.loss_history) == 10
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sketch_with_empty_row(self, small_train_set, mode, monkeypatch):
+        # at seed 3 the trained block has a row no column hits, so SA
+        # (8 x 9 for learned) is rank-deficient
+        cfg = quick_cfg(mode=mode, learned_rows=4, batch_size=2, seed=3)
+        init, _ = train(small_train_set, 8, replace(cfg, iterations=0))
+        block = init.blocks[0]
+        assert np.bincount(block.row_of, minlength=block.m).min() == 0
+        assert_trains_like_reference(small_train_set, 8, cfg, monkeypatch)
+
+    def test_non_contiguous_matrices(self, small_train_set, monkeypatch):
+        train_set = [np.asfortranarray(a) for a in small_train_set]
+        assert_trains_like_reference(train_set, 4, quick_cfg(batch_size=3), monkeypatch)
+
+
+class TestMixedColumnCounts:
+    # train checks row counts only: a union of 32x24 and 32x20 matrices is legal
+    SPECS = [DatasetSpec(name=f"d{d}", kind="spiked", n=32, d=d, count_train=2,
+                         count_test=1, spikes=3, decay=0.8, noise=0.1, drift=0.05,
+                         seed=40 + d) for d in (24, 20)]
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_trains_like_reference(self, mode, batch_size, monkeypatch):
+        train_set = [a for sp in self.SPECS for a in generate_dataset(sp)[0]]
+        assert sorted({a.shape[1] for a in train_set}) == [20, 24]
+        cfg = quick_cfg(k=3, lr=1.0, mode=mode, learned_rows=3, batch_size=batch_size,
+                        iterations=20)
+        assert_trains_like_reference(train_set, 6, cfg, monkeypatch)
 
 
 class TestTrainSketch:

@@ -2,13 +2,14 @@ import numpy as np
 
 from lrsketch import scw, verify
 from lrsketch.linalg import as_matrix, frobenius_norm
+from lrsketch.sketch import apply_sketch
 from lrsketch.verify import VerifyConfig, check_exact_gradients
 
 
 def gradient_without_projector(a, s, k):
     """scw_loss_and_grad with the (I - V V^T) factor dropped: a wrong gradient."""
     a = as_matrix(a)
-    f, b, uk, approx = scw._solve(a, s, k)
+    f, b, uk, approx = scw._solve(a, apply_sketch(s, a), k)
     g_sa = (f.u / f.sigma) @ (b.T @ uk) @ (uk.T @ a)
     g_s = -2.0 * (g_sa @ a.T)
     g_vals = g_s[s.row_of.reshape(-1, s.n), np.arange(s.n)]
