@@ -8,13 +8,16 @@ At 64x48, k=4, m=8 (the spiked_bundle shape, 4 train matrices) it times
 apply_sketch, svd of SA (and np.linalg.svd alone on the same SA),
 scw_loss, scw_loss_and_grad, step_kernel (what an SGD step runs per
 sampled matrix in its place: scatter_flat and sa_loss_and_grad on index
-arrays built beforehand), optimal_loss of the 4 train matrices,
+arrays and ||A||_F^2 taken beforehand), optimal_loss of the 4 train matrices,
 normalize_top_singular of one matrix scaled by 2, generate_dataset of
 that 5-matrix spec, one SGD step and a 40-iteration learned train, with
 BLAS pinned to one thread. sweep_4_cells is one sweep shaped like
 perfbench's sketch_eval: with the run_experiment memo cleared first, 4
 cells (sparse and dense random sketches at (k, m) = (4, 8) and (2, 6),
 3 trials each) on one 64x48 spec with 1 train and 2 test matrices.
+step_kernel_1024x768 is step_kernel at IVY19's Hyper-like shape: one
+spiked 1024x768 matrix with 10 spikes, k=10, m=20, made before any
+timing starts.
 
 Each operation's calls per repeat are picked once with autorange (at
 least 0.2 s). The repeats then run round-robin: repeat r of every
@@ -53,6 +56,8 @@ TRAIN = trainer.TrainConfig(k=K, lr=1.0, iterations=ITERATIONS, seed=20261018)
 SWEEP_SPEC = replace(SPEC, name="sweep", count_train=1, count_test=2)
 SWEEP_CELLS = [(k, m, st) for k, m in ((4, 8), (2, 6))
                for st in ("sparse_random", "dense_random")]
+LARGE_SPEC = replace(SPEC, name="large", n=1024, d=768, count_train=1, spikes=10)
+LARGE_K, LARGE_M = 10, 20
 
 
 def sweep_4_cells() -> None:
@@ -67,13 +72,22 @@ def quartiles(samples) -> dict:
             "p75": round(float(p75), 1)}
 
 
+def step_kernel(a: np.ndarray, k: int, m: int):
+    """What one SGD step runs per sampled matrix, on a seed-7 m-row sketch of a."""
+    s = sketch.sparse_random_sketch(m, a.shape[0], 7)
+    flat, index = sketch.scatter_index(s.row_of, a.shape[1]), scw.grad_index(s)
+    sq_norm = linalg.frobenius_norm(a) ** 2
+    return lambda: scw.sa_loss_and_grad(
+        a, sketch.scatter_flat(s.value_of, flat, m, a), k, index, sq_norm)
+
+
 def timings(repeats: int) -> dict:
     """p25, median and p75 microseconds per call of each timed operation."""
     train_set, _ = evalbench.generate_dataset(SPEC)
     a = train_set[0]
     s = sketch.sparse_random_sketch(M, SPEC.n, 7)
     sa = sketch.apply_sketch(s, a)
-    flat, index = sketch.scatter_index(s.row_of, SPEC.d), scw.grad_index(s)
+    large = evalbench.generate_dataset(LARGE_SPEC)[0][0]
     raw = 2.0 * a
     idle = replace(TRAIN, iterations=0)
     ops = {
@@ -82,8 +96,8 @@ def timings(repeats: int) -> dict:
         "svd_sa": lambda: linalg.svd(sa),
         "scw_loss": lambda: scw.scw_loss(a, s, K),
         "scw_loss_and_grad": lambda: scw.scw_loss_and_grad(a, s, K),
-        "step_kernel": lambda: scw.sa_loss_and_grad(
-            a, sketch.scatter_flat(s.value_of, flat, M, a), K, index),
+        "step_kernel": step_kernel(a, K, M),
+        "step_kernel_1024x768": step_kernel(large, LARGE_K, LARGE_M),
         "optimal_loss": lambda: evalbench.optimal_loss(train_set, K),
         "normalize_top_singular": lambda: evalbench.normalize_top_singular(raw),
         "generate_dataset": lambda: evalbench.generate_dataset(SPEC),
@@ -119,7 +133,8 @@ def main() -> None:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
     doc = {"shape": f"{SPEC.n}x{SPEC.d} spiked, k={K}, m={M}, "
-                    f"{SPEC.count_train} train matrices, learned mode",
+                    f"{SPEC.count_train} train matrices, learned mode; step_kernel_"
+                    f"{LARGE_SPEC.n}x{LARGE_SPEC.d} at k={LARGE_K}, m={LARGE_M}",
            "unit": "us per call: p25, median, p75 over round-robin repeats", "runs": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:

@@ -25,7 +25,7 @@ class ScwOutput:
 
 def _solve(a: np.ndarray, sa: np.ndarray, k: int):
     """The two SVDs of the pipeline, given A and SA: (SA's factors, B = AV,
-    B's top-k left basis, [B]_k V^T), with None for the last three when SA
+    B's factors, r = min(k, rank B)), with None for the last three when SA
     has rank 0."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -34,18 +34,17 @@ def _solve(a: np.ndarray, sa: np.ndarray, k: int):
         return f, None, None, None
     b = a @ f.v  # n x r
     fb = svd(b)
-    r = min(k, fb.rank)
-    uk = fb.u[:, :r]
-    return f, b, uk, ((uk * fb.sigma[:r]) @ fb.v[:, :r].T) @ f.v.T
+    return f, b, fb, min(k, fb.rank)
 
 
 def scw_approximate(a, s: SparseSketch | DenseSketch, k: int) -> ScwOutput:
     """Run the sketch-and-solve pipeline: SA -> SVD -> [AV]_k V^T."""
     a = as_matrix(a)
-    f, _, _, approx = _solve(a, apply_sketch(s, a), k)
-    if approx is None:
+    f, _, fb, r = _solve(a, apply_sketch(s, a), k)
+    if fb is None:
         zero = np.zeros_like(a)
         return ScwOutput(zero, np.zeros((a.shape[1], 0)), frobenius_norm(a))
+    approx = ((fb.u[:, :r] * fb.sigma[:r]) @ fb.v[:, :r].T) @ f.v.T
     return ScwOutput(approx, f.v, frobenius_norm(a - approx))
 
 
@@ -58,33 +57,35 @@ def grad_index(s: SparseSketch) -> np.ndarray:
     return (s.row_of.reshape(len(s.blocks), s.n) * s.n + np.arange(s.n)).ravel()
 
 
-def sa_loss_and_grad(a: np.ndarray, sa: np.ndarray, k: int,
-                     index: np.ndarray) -> tuple[float, np.ndarray]:
-    """scw_loss_and_grad's kernel, given a 2-D float64 A, SA and grad_index(S).
-
-    One SGD step runs it per sampled matrix; A, grad_index and the
-    scatter index behind SA are built once per run.
+def sa_loss_and_grad(a: np.ndarray, sa: np.ndarray, k: int, index: np.ndarray,
+                     sq_norm: float) -> tuple[float, np.ndarray]:
+    """scw_loss_and_grad's kernel, given a 2-D float64 A, SA, grad_index(S)
+    and ||A||_F^2, which a run builds once; one SGD step runs it per
+    sampled matrix. It builds no approximation and no residual.
     """
-    f, b, uk, approx = _solve(a, sa, k)
-    if approx is None:
-        return frobenius_norm(a) ** 2, np.zeros(index.shape[0])
+    f, b, fb, r = _solve(a, sa, k)
+    if fb is None:
+        return sq_norm, np.zeros(index.shape[0])
+    uk = fb.u[:, :r]
     ua = uk.T @ a
     g_sa = (f.u / f.sigma) @ (b.T @ uk) @ (ua - (ua @ f.v) @ f.v.T)
     g_s = -2.0 * (g_sa @ a.T)
-    return frobenius_norm(a - approx) ** 2, g_s.take(index)
+    sk = fb.sigma[:r]
+    return max(sq_norm - float(sk @ sk), 0.0), g_s.take(index)
 
 
 def scw_loss_and_grad(a, s: SparseSketch, k: int) -> tuple[float, np.ndarray]:
-    """scw_loss(a, s, k) ** 2 and its gradient w.r.t. s's stored values.
+    """The squared loss and its gradient w.r.t. s's stored values.
 
     With SA = U Sigma V^T and U_k the top-k left basis of B = AV, the
-    loss is ||A||^2 - ||U_k^T A V||^2, and the projector derivative
-    (Golub & Pereyra 1973) gives dL/d(SA) = -2 U Sigma^-1 (B^T U_k)
-    U_k^T A (I - V V^T); value j of a block scales A[j] into its row.
-    At rank 0 the gradient is taken as zero.
+    loss is ||A||^2 - ||U_k^T A V||^2 = ||A||^2 - sum_{i <= min(k, rank B)}
+    sigma_i(B)^2, clamped at 0: scw_loss(a, s, k) ** 2 to about
+    eps * ||A||^2. The projector derivative (Golub & Pereyra 1973) gives
+    dL/d(SA) = -2 U Sigma^-1 (B^T U_k) U_k^T A (I - V V^T); value j of a
+    block scales A[j] into its row. At rank 0 the gradient is taken as zero.
     """
     a = as_matrix(a)
-    return sa_loss_and_grad(a, apply_sketch(s, a), k, grad_index(s))
+    return sa_loss_and_grad(a, apply_sketch(s, a), k, grad_index(s), frobenius_norm(a) ** 2)
 
 
 def check_concat_dominance(a, s1: SparseSketch, s2: SparseSketch,

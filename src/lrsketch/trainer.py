@@ -9,8 +9,10 @@ vector alone, and builds the trained sketch after its last step. Every
 mode trains a block stacked on a frozen random block (`train`).
 
 Losses are the mean squared sketch-and-solve loss (`scw_loss`, the loss
-`eval` measures) over the train set, of the m-row sketch returned. A
-run whose final loss is above its initial one returns its start.
+`eval` measures) over the train set, of the m-row sketch returned, except
+the loss history: each step's batch loss comes residual-free from the
+step kernel and matches that to about eps * ||A||^2. A run whose final
+loss is above its initial one returns its start.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .diffsvd import PowerSvdConfig
 from .formats import atomic_open
-from .linalg import as_matrix
+from .linalg import as_matrix, frobenius_norm
 from .scw import grad_index, sa_loss_and_grad, scw_loss
 from .seeding import derived_seed, rng_from
 from .sketch import (SparseSketch, concat_sketches, empty_sketch, scatter_flat, scatter_index,
@@ -68,8 +70,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainReport:
-    # (iteration, mean scw_loss**2 over the batch) of what SGD moves;
-    # for mixed_separate, the block
+    # (iteration, mean residual-free loss over the batch, within about
+    # eps * ||A||^2 of scw_loss**2) of what SGD moves; for mixed_separate, the block
     loss_history: tuple[tuple[int, float], ...]
     initial_loss: float  # mean scw_loss**2 of the m-row sketch over the train set, before SGD
     final_loss: float  # same, for the returned sketch; never above initial_loss
@@ -94,12 +96,13 @@ def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
              cfg: TrainConfig) -> tuple[SparseSketch, TrainReport]:
     """SGD over sketch's values; returns concat_sketches(trained, tail) and its losses.
 
-    The matrices, the scatter index of each column count in the train
-    set and the gradient index are built once per run.
+    The matrices, their squared norms, the scatter index of each column
+    count in the train set and the gradient index are built once per run.
     """
     t0 = time.perf_counter()
     initial = _mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
     mats = [as_matrix(a) for a in train_set]
+    sq_norms = [frobenius_norm(a) ** 2 for a in mats]
     flat = {d: scatter_index(sketch.row_of, d) for d in {a.shape[1] for a in mats}}
     index, m = grad_index(sketch), sketch.m
     batch_rng = rng_from(cfg.seed, _SEED_BATCH)
@@ -112,7 +115,7 @@ def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
         for j, ii in enumerate(idx):
             a = mats[ii]
             sa = scatter_flat(vals, flat[a.shape[1]], m, a)
-            loss, g = sa_loss_and_grad(a, sa, cfg.k, index)
+            loss, g = sa_loss_and_grad(a, sa, cfg.k, index, sq_norms[ii])
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at iteration {step} (matrix {ii}); lower lr")

@@ -111,15 +111,21 @@ def check_gradients(cfg: VerifyConfig) -> CheckResult:
 
 
 def check_exact_gradients(cfg: VerifyConfig) -> CheckResult:
-    """Training's closed-form gradient against central differences of scw_loss ** 2."""
-    worst = 0.0
+    """Training's closed-form gradient against central differences of scw_loss ** 2,
+    and its residual-free loss against scw_loss ** 2 within 1e-13 ||A||^2."""
+    worst, gaps = 0.0, []
     for t in range(cfg.gradient_instances):
         rng = rng_from(cfg.seed, 5, t)
         a = rng.standard_normal((8, 6))
         s = sparse_random_sketch(3, 8, derived_seed(cfg.seed, 5, t))
-        worst = max(worst, _fd_budget_used(lambda sk: scw_loss(a, sk, 2) ** 2,
-                                           s, scw_loss_and_grad(a, s, 2)[1]))
-    return _gradient_result("exact-gradient-fidelity", worst)
+        loss, grad = scw_loss_and_grad(a, s, 2)
+        gaps.append(abs(loss - scw_loss(a, s, 2) ** 2) / frobenius_norm(a) ** 2)
+        worst = max(worst, _fd_budget_used(lambda sk: scw_loss(a, sk, 2) ** 2, s, grad))
+    gap = float(np.max(gaps))  # a NaN fails
+    grad_check = _gradient_result("exact-gradient-fidelity", worst)
+    return CheckResult(grad_check.name, grad_check.passed and gap <= 1e-13,
+                       f"{grad_check.detail}; worst |loss - scw_loss^2| / ||A||^2 = "
+                       f"{gap:.3e} (allowed 1e-13)")
 
 
 def check_robustness_counterexample(cfg: VerifyConfig) -> CheckResult:

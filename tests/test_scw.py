@@ -3,12 +3,13 @@ import pytest
 
 from lrsketch.diffsvd import PowerSvdConfig, backward, scw_forward_with_tape
 from lrsketch.evalbench import DatasetSpec, generate_dataset
-from lrsketch.linalg import best_rank_k, frobenius_norm, matmul, reference_svd
-from lrsketch.scw import (check_concat_dominance, scw_approximate, scw_loss,
-                          scw_loss_and_grad)
+from lrsketch.linalg import (as_matrix, best_rank_k, frobenius_norm, matmul,
+                             reference_svd, svd)
+from lrsketch.scw import (check_concat_dominance, grad_index, sa_loss_and_grad,
+                          scw_approximate, scw_loss, scw_loss_and_grad)
 from lrsketch.seeding import rng_from
-from lrsketch.sketch import (SparseSketch, SketchBlock, concat_sketches, densify,
-                             empty_sketch, identity_pattern_sketch,
+from lrsketch.sketch import (SparseSketch, SketchBlock, apply_sketch, concat_sketches,
+                             densify, empty_sketch, identity_pattern_sketch,
                              sparse_random_sketch)
 
 
@@ -126,6 +127,47 @@ def fd_grad(a, s, k, h=1e-6):
     return out
 
 
+def residual_free_loss(a, s, k):
+    """||A||^2 - sum_{i <= min(k, rank B)} sigma_i(B)^2 with B = AV, clamped at 0.
+
+    The identity the step loss is taken from, built here from linalg.svd:
+    the bit-for-bit reference of scw_loss_and_grad's loss.
+    """
+    a = as_matrix(a)
+    sq_norm = frobenius_norm(a) ** 2
+    f = svd(apply_sketch(s, a))
+    if f.rank == 0:
+        return sq_norm
+    sigma = svd(a @ f.v).sigma[:k]
+    return max(sq_norm - float(sigma @ sigma), 0.0)
+
+
+def assert_step_loss(loss, a, s, k):
+    """loss is residual_free_loss bit for bit, within 1e-13 ||A||^2 of scw_loss ** 2."""
+    assert loss == residual_free_loss(a, s, k)
+    assert abs(loss - scw_loss(a, s, k) ** 2) <= 1e-13 * frobenius_norm(a) ** 2
+
+
+def reference_sa_loss_and_grad(a, sa, k, index):
+    """The step kernel as it was before the residual-free loss: the gradient's oracle.
+
+    It builds [AV]_k V^T and scores the residual; its gradient expression is
+    the one sa_loss_and_grad must keep bit for bit.
+    """
+    f = svd(sa)
+    if f.rank == 0:
+        return frobenius_norm(a) ** 2, np.zeros(index.shape[0])
+    b = a @ f.v
+    fb = svd(b)
+    r = min(k, fb.rank)
+    uk = fb.u[:, :r]
+    approx = ((uk * fb.sigma[:r]) @ fb.v[:, :r].T) @ f.v.T
+    ua = uk.T @ a
+    g_sa = (f.u / f.sigma) @ (b.T @ uk) @ (ua - (ua @ f.v) @ f.v.T)
+    g_s = -2.0 * (g_sa @ a.T)
+    return frobenius_norm(a - approx) ** 2, g_s.take(index)
+
+
 def jittered(s, seed):
     """s with its stored values scaled by factors in [0.5, 1.5)."""
     return s.with_values(s.value_of * rng_from(seed).uniform(0.5, 1.5, s.value_of.shape[0]))
@@ -165,7 +207,22 @@ class TestScwLossAndGrad:
         rng = rng_from(72, seed)
         a = rng.standard_normal((10, 7))
         s = jittered(sparse_random_sketch(4, 10, seed=seed), seed)
-        assert scw_loss_and_grad(a, s, 2)[0] == scw_loss(a, s, 2) ** 2
+        assert_step_loss(scw_loss_and_grad(a, s, 2)[0], a, s, 2)
+
+    def test_exact_recovery_reads_zero_or_rounding(self):
+        # identity sketch, rank-2 8x6 A, k=3: [AV]_k V^T = A, and the
+        # squared residual reads about 1e-29. The subtraction lands within a few eps
+        # of 0 on either side, and the clamp turns the negative side into 0.0
+        zeros = 0
+        for t in range(100):
+            rng = rng_from(89, t)
+            a = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 6))
+            s = identity_pattern_sketch(8)
+            loss = scw_loss_and_grad(a, s, 3)[0]
+            assert_step_loss(loss, a, s, 3)
+            assert 0.0 <= loss <= 1e-13 * frobenius_norm(a) ** 2
+            zeros += loss == 0.0
+        assert zeros > 0
 
     @pytest.mark.parametrize("n, d, m, k", [(9, 6, 3, 2), (12, 8, 5, 3), (7, 10, 4, 1)])
     def test_matches_finite_differences(self, n, d, m, k):
@@ -228,7 +285,7 @@ class TestScwLossAndGrad:
         vals = np.where(s.row_of == s.row_of[0], 0.0, s.value_of)
         s = s.with_values(vals)
         loss, grad = scw_loss_and_grad(a, s, 2)
-        assert loss == scw_loss(a, s, 2) ** 2
+        assert_step_loss(loss, a, s, 2)
         assert np.all(np.isfinite(grad))
         assert np.abs(grad[s.row_of == s.row_of[0]]).max() <= 1e-12
 
@@ -246,8 +303,36 @@ class TestScwLossAndGrad:
         a = (q1 * np.array([1.0, 0.5, 0.5, 0.2, 0.1])) @ q2.T
         s = identity_pattern_sketch(8)
         loss, grad = scw_loss_and_grad(a, s, 2)
-        assert loss == scw_loss(a, s, 2) ** 2
+        assert_step_loss(loss, a, s, 2)
         assert np.all(np.isfinite(grad))
+
+
+class TestGradientBitsKept:
+    """sa_loss_and_grad's gradient equals reference_sa_loss_and_grad's byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["plain", "rank_deficient", "zeroed_rows", "two_block"])
+    def test_matches_reference_kernel(self, kind):
+        k_at_rank = 0
+        for t in range(60):
+            rng = rng_from(90, len(kind), t)
+            m = int(rng.integers(1, 6))
+            n, d = int(rng.integers(m + 1, 16)), int(rng.integers(1, 12))
+            a = rng.standard_normal((n, d))
+            if kind == "rank_deficient":  # rank(SA) <= rank(A) = 1
+                a = rng.standard_normal((n, 1)) @ rng.standard_normal((1, d))
+            s = jittered(sparse_random_sketch(m, n, seed=t), t)
+            if kind == "zeroed_rows":
+                s = s.with_values(np.where(s.row_of == s.row_of[0], 0.0, s.value_of))
+            if kind == "two_block":
+                s = concat_sketches(s, sparse_random_sketch(int(rng.integers(1, 4)), n, seed=t + 500))
+            k = int(rng.integers(1, s.m + 3))
+            sa, index = apply_sketch(s, a), grad_index(s)
+            loss, grad = sa_loss_and_grad(a, sa, k, index, frobenius_norm(a) ** 2)
+            ref_loss, ref_grad = reference_sa_loss_and_grad(a, sa, k, index)
+            assert grad.tobytes() == ref_grad.tobytes()
+            assert abs(loss - ref_loss) <= 1e-13 * frobenius_norm(a) ** 2
+            k_at_rank += k >= svd(sa).rank
+        assert k_at_rank >= 10
 
 
 class TestConcatDominance:

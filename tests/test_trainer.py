@@ -7,10 +7,12 @@ import pytest
 from lrsketch import autodiff, trainer
 from lrsketch.diffsvd import PowerSvdConfig
 from lrsketch.evalbench import DatasetSpec, generate_dataset
+from lrsketch.linalg import frobenius_norm
 from lrsketch.scw import scw_loss, scw_loss_and_grad
 from lrsketch.seeding import derived_seed, rng_from
 from lrsketch.sketch import SparseSketch, concat_sketches, sketches_equal, sparse_random_sketch
 from lrsketch.trainer import TrainConfig, TrainingDivergedError, report_to_csv, train
+from test_scw import reference_sa_loss_and_grad, residual_free_loss
 
 
 @pytest.fixture(scope="module")
@@ -258,22 +260,42 @@ class TestExactGradient:
         assert rep1.loss_history == rep2.loss_history
 
     def test_history_is_exact_batch_loss(self, small_train_set):
-        # batch_size 1 and lr 0: every step's loss is one matrix's scw_loss ** 2
-        _, rep = train(small_train_set, 4, quick_cfg(lr=0.0, iterations=8))
-        init = sparse_random_sketch(4, 12, derived_seed(5, 0))
-        exact = {scw_loss(a, init, 2) ** 2 for a in small_train_set}
-        assert all(loss in exact for _, loss in rep.loss_history)
+        # batch_size 1 and lr 0: every step's loss is its matrix's
+        # residual-free loss, within 1e-13 ||A||^2 of scw_loss ** 2
+        cfg = quick_cfg(lr=0.0, iterations=8)
+        _, rep = train(small_train_set, 4, cfg)
+        init = sparse_random_sketch(4, 12, derived_seed(cfg.seed, 0))
+        batch_rng = rng_from(cfg.seed, 1)  # the trainer's batch stream
+        for _, loss in rep.loss_history:
+            a = small_train_set[int(batch_rng.integers(0, len(small_train_set), size=1)[0])]
+            assert loss == residual_free_loss(a, init, 2)
+            assert abs(loss - scw_loss(a, init, 2) ** 2) <= 1e-13 * frobenius_norm(a) ** 2
 
     def test_history_is_np_mean_of_batch(self, small_train_set):
         # lr 0 keeps the start; a batch of 9 sums pairwise in numpy
         cfg = quick_cfg(lr=0.0, iterations=4, batch_size=9)
         _, rep = train(small_train_set, 4, cfg)
         init = sparse_random_sketch(4, 12, derived_seed(cfg.seed, 0))
-        losses = [scw_loss(a, init, 2) ** 2 for a in small_train_set]
+        losses = [residual_free_loss(a, init, 2) for a in small_train_set]
+        squares = [scw_loss(a, init, 2) ** 2 for a in small_train_set]
+        bound = 1e-13 * max(frobenius_norm(a) ** 2 for a in small_train_set)
         batch_rng = rng_from(cfg.seed, 1)  # the trainer's batch stream
         for _, loss in rep.loss_history:
             idx = np.sort(batch_rng.integers(0, len(losses), size=9))
             assert loss == float(np.mean([losses[i] for i in idx]))
+            assert abs(loss - float(np.mean([squares[i] for i in idx]))) <= bound
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_values_match_reference_kernel(self, small_train_set, mode, monkeypatch):
+        # the residual-free loss leaves every gradient bit, so every trained value
+        cfg = quick_cfg(mode=mode, learned_rows=2, batch_size=2)
+        got, rep = train(small_train_set, 4, cfg)
+        monkeypatch.setattr(trainer, "sa_loss_and_grad",
+                            lambda a, sa, k, index, _: reference_sa_loss_and_grad(a, sa, k, index))
+        want, ref = train(small_train_set, 4, cfg)
+        assert rep.final_loss < rep.initial_loss  # the trained values were returned
+        assert got.value_of.tobytes() == want.value_of.tobytes()
+        assert np.float64(rep.final_loss).tobytes() == np.float64(ref.final_loss).tobytes()
 
 
 class TestMixedJoint:

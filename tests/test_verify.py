@@ -9,11 +9,19 @@ from lrsketch.verify import VerifyConfig, check_exact_gradients
 def gradient_without_projector(a, s, k):
     """scw_loss_and_grad with the (I - V V^T) factor dropped: a wrong gradient."""
     a = as_matrix(a)
-    f, b, uk, approx = scw._solve(a, apply_sketch(s, a), k)
+    f, b, fb, r = scw._solve(a, apply_sketch(s, a), k)
+    uk = fb.u[:, :r]
     g_sa = (f.u / f.sigma) @ (b.T @ uk) @ (uk.T @ a)
     g_s = -2.0 * (g_sa @ a.T)
     g_vals = g_s[s.row_of.reshape(-1, s.n), np.arange(s.n)]
-    return frobenius_norm(a - approx) ** 2, g_vals.ravel()
+    sk = fb.sigma[:r]
+    return frobenius_norm(a) ** 2 - float(sk @ sk), g_vals.ravel()
+
+
+def loss_off_by_1e10(a, s, k):
+    """scw_loss_and_grad with its loss raised by 1e-10 ||A||^2: a wrong loss."""
+    loss, grad = scw.scw_loss_and_grad(a, s, k)
+    return loss + 1e-10 * frobenius_norm(a) ** 2, grad
 
 
 class TestExactGradientFidelity:
@@ -26,6 +34,18 @@ class TestExactGradientFidelity:
         monkeypatch.setattr(verify, "scw_loss_and_grad", gradient_without_projector)
         result = check_exact_gradients(VerifyConfig())
         assert not result.passed, result.detail
+
+    def test_reports_loss_identity_gap(self):
+        detail = check_exact_gradients(VerifyConfig()).detail
+        gap = float(detail.rsplit("worst |loss - scw_loss^2| / ||A||^2 = ", 1)[1].split()[0])
+        assert gap <= 1e-13
+
+    def test_fails_on_loss_off_the_identity(self, monkeypatch):
+        monkeypatch.setattr(verify, "scw_loss_and_grad", loss_off_by_1e10)
+        result = check_exact_gradients(VerifyConfig())
+        assert not result.passed, result.detail
+        gap = float(result.detail.rsplit("= ", 1)[1].split()[0])
+        assert 0.9e-10 <= gap <= 1.1e-10
 
     def test_runs_beside_taped_check(self):
         names = [r.name for r in verify.run_verification(VerifyConfig())]
