@@ -25,10 +25,15 @@ operation runs before repeat r+1 of any, so a machine that drifts in
 speed slows all operations alike. One SGD step is (train at 40
 iterations - train at 0) / 40 within the same round. Each operation
 gets the p25, median and p75 over --repeats of its mean call time in a
-repeat, in microseconds. The run is stored under --label in the output
-JSON together with nproc, the numpy and Python versions and the BLAS
-thread count; runs under other labels already in the file are kept, so
-one file can hold a before and an after.
+repeat, in microseconds ("us"). Each round also times perfbench's
+machine-speed reference kernel (perfbench/calibrate.py) once, and
+"scaled_us" gives the same quartiles with every repeat scaled by
+NOMINAL_S over that round's reference time, so runs taken while the
+machine ran at different speeds stay comparable. The run is stored
+under --label in the output JSON together with nproc, the numpy and
+Python versions and the BLAS thread count; runs under other labels
+already in the file are kept, so one file can hold a before and an
+after.
 """
 
 import os
@@ -41,12 +46,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import sys  # noqa: E402
 import timeit  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from lrsketch import evalbench, linalg, scw, sketch, trainer  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "perfbench"))
+from calibrate import NOMINAL_S, reference_seconds  # noqa: E402
 
 SPEC = evalbench.DatasetSpec(name="step", kind="spiked", n=64, d=48, count_train=4,
                              count_test=1, spikes=4, decay=0.8, noise=0.1, drift=0.05,
@@ -81,8 +91,9 @@ def step_kernel(a: np.ndarray, k: int, m: int):
         a, sketch.scatter_flat(s.value_of, flat, m, a), k, index, sq_norm)
 
 
-def timings(repeats: int) -> dict:
-    """p25, median and p75 microseconds per call of each timed operation."""
+def timings(repeats: int) -> tuple[dict, dict]:
+    """p25, median and p75 microseconds per call of each timed operation,
+    raw and scaled by NOMINAL_S over each round's reference time."""
     train_set, _ = evalbench.generate_dataset(SPEC)
     a = train_set[0]
     s = sketch.sparse_random_sketch(M, SPEC.n, 7)
@@ -108,13 +119,17 @@ def timings(repeats: int) -> dict:
     timers = {name: timeit.Timer(fn) for name, fn in ops.items()}
     numbers = {name: timer.autorange()[0] for name, timer in timers.items()}
     samples = {name: [] for name in ops}
+    speed = []  # NOMINAL_S / reference time, one per round
     for _ in range(repeats):
+        speed.append(NOMINAL_S / reference_seconds())
         for name, timer in timers.items():
             samples[name].append(timer.timeit(numbers[name]) / numbers[name] * 1e6)
     train_0 = samples.pop("train_0")
     samples["sgd_step"] = [(full - zero) / ITERATIONS
                            for full, zero in zip(samples[f"train_{ITERATIONS}"], train_0)]
-    return {name: quartiles(us) for name, us in samples.items()}
+    return ({name: quartiles(us) for name, us in samples.items()},
+            {name: quartiles([x * f for x, f in zip(us, speed)])
+             for name, us in samples.items()})
 
 
 def machine() -> dict:
@@ -135,17 +150,22 @@ def main() -> None:
     doc = {"shape": f"{SPEC.n}x{SPEC.d} spiked, k={K}, m={M}, "
                     f"{SPEC.count_train} train matrices, learned mode; step_kernel_"
                     f"{LARGE_SPEC.n}x{LARGE_SPEC.d} at k={LARGE_K}, m={LARGE_M}",
-           "unit": "us per call: p25, median, p75 over round-robin repeats", "runs": {}}
+           "unit": "us per call: p25, median, p75 over round-robin repeats; scaled_us "
+                   "at the speed where perfbench's reference kernel takes NOMINAL_S",
+           "runs": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc["runs"] = json.load(fh).get("runs", {})
-    run = {"machine": machine(), "repeats": args.repeats, "us": timings(args.repeats)}
+    us, scaled_us = timings(args.repeats)
+    run = {"machine": machine(), "repeats": args.repeats, "us": us, "scaled_us": scaled_us}
     doc["runs"][args.label] = run
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    for name, q in run["us"].items():
-        print(f"{name:24s} {q['p25']:10.1f} {q['median']:10.1f} {q['p75']:10.1f} us")
+    for name, q in us.items():
+        sq = scaled_us[name]
+        print(f"{name:24s} {q['p25']:10.1f} {q['median']:10.1f} {q['p75']:10.1f} us"
+              f"  scaled {sq['p25']:10.1f} {sq['median']:10.1f} {sq['p75']:10.1f}")
     print(f"wrote {args.out} [{args.label}]")
 
 

@@ -25,7 +25,7 @@ from .formats import atomic_open, load_sketch, save_dmat, save_sketch
 from .linalg import singular_values
 from .seeding import derived_seed
 from .trainer import TrainConfig, TrainingDivergedError, learned_rows, report_to_csv, train
-from .verify import VerifyConfig, lemma_and_trend, run_verification
+from .verify import SEED as VERIFY_SEED, lemma_and_trend, run_verification
 
 CONFIG_VERSION = 1
 
@@ -296,8 +296,8 @@ def _write_plot_data(cfg: ExperimentConfig, records) -> None:
         write_xy_csv(os.path.join(plot_dir, f"err_vs_m_{dataset}_k{k}.csv"), rows)
 
 
-def _verify_cfg(args) -> VerifyConfig:
-    return VerifyConfig() if args.seed is None else VerifyConfig(seed=args.seed)
+def _verify_seed(args) -> int:
+    return VERIFY_SEED if args.seed is None else args.seed
 
 
 def _print_checks(results) -> int:
@@ -311,7 +311,7 @@ def cmd_verify(args) -> int:
     kwargs = {}
     if args.inject_broken_concat:  # negative-control hook: drops the first block
         kwargs["concat_fn"] = lambda s1, s2: s2
-    results = run_verification(_verify_cfg(args), **kwargs)
+    results = run_verification(_verify_seed(args), **kwargs)
     failed = _print_checks(results)
     print(f"verify: {len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 2
@@ -321,7 +321,7 @@ def cmd_theory(args) -> int:
     """Write theory.csv: the numbers behind verify's lemma and trend checks."""
     out_dir = args.out or "runs"
     os.makedirs(out_dir, exist_ok=True)
-    *checks, rows = lemma_and_trend(_verify_cfg(args))
+    *checks, rows = lemma_and_trend(_verify_seed(args))
     path = os.path.join(out_dir, "theory.csv")
     with atomic_open(path, "w", encoding="ascii") as fh:
         fh.write("d,r_prime,empirical_mean,product,N,gap\n")

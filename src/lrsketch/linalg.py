@@ -114,16 +114,16 @@ def _jacobi_tall(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, sigma, v
 
 
-def _canonical(u, sigma, v, rank_tol: float) -> SvdFactors:
+def _canonical(u, sigma, v) -> SvdFactors:
     """Truncate and sign-fix an SVD; the rules every SVD here shares.
 
     sigma must be non-increasing, as LAPACK returns it (reference_svd
     sorts first). Rank is the count of singular values above
-    rank_tol * sigma[0]. Column signs are fixed so the largest-magnitude
+    RANK_TOL * sigma[0]. Column signs are fixed so the largest-magnitude
     entry of each u column is positive; u and v come out Fortran-ordered.
     """
     smax = sigma[0] if sigma.size else 0.0
-    rank = int(np.count_nonzero(sigma > rank_tol * smax)) if smax > 0.0 else 0
+    rank = int(np.count_nonzero(sigma > RANK_TOL * smax)) if smax > 0.0 else 0
     u, sigma, v = u[:, :rank], sigma[:rank], v[:, :rank]
     if rank:
         flip = np.copysign(1.0, u[np.abs(u).argmax(axis=0), np.arange(rank)])
@@ -131,12 +131,12 @@ def _canonical(u, sigma, v, rank_tol: float) -> SvdFactors:
     return SvdFactors(u=u, sigma=sigma, v=v)
 
 
-def svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
+def svd(a) -> SvdFactors:
     """Compact SVD by LAPACK, with reference_svd's rank and sign rules."""
     a = as_matrix(a)
     require_finite(a, "SVD input")
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    return _canonical(u, sigma, vt.T, rank_tol)
+    return _canonical(u, sigma, vt.T)
 
 
 def singular_values(a) -> np.ndarray:
@@ -144,7 +144,7 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(require_finite(as_matrix(a), "SVD input"), compute_uv=False)
 
 
-def reference_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
+def reference_svd(a) -> SvdFactors:
     """Compact SVD by one-sided Jacobi iteration: the oracle for `svd`."""
     a = as_matrix(a)
     require_finite(a, "SVD input")
@@ -154,7 +154,7 @@ def reference_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
     if transposed:
         u, v = v, u
     order = np.argsort(-sigma, kind="stable")
-    return _canonical(u[:, order], sigma[order], v[:, order], rank_tol)
+    return _canonical(u[:, order], sigma[order], v[:, order])
 
 
 def best_rank_k(a, k: int) -> np.ndarray:

@@ -33,6 +33,10 @@ _GRID_BUDGET = 10**7
 # A uniformly random direction achieves expected objective on the order of
 # 1 / stable rank, so (mean objective x stable rank) should stay above this.
 LEMMA_BOUND = 1.0 / 20.0
+# The planted 2-D family (see planted_profile_family).
+PLANTED_ANGLE = 0.4
+PLANTED_JITTER = 0.5
+PLANTED_LAM2 = (0.3, 0.7)
 
 
 class DegenerateDirectionError(ValueError):
@@ -57,7 +61,9 @@ class SpectralProfile:
         if self.sigma.ndim < 1 or self.u_basis.ndim != self.sigma.ndim + 1 \
                 or self.u_basis.shape[:-2] + self.u_basis.shape[-1:] != self.sigma.shape:
             raise ValueError("u_basis must be (..., dim, r) for sigma (..., r)")
-        if self.sigma.size and (np.any(self.sigma <= 0)
+        if not (np.isfinite(self.sigma).all() and np.isfinite(self.u_basis).all()):
+            raise ValueError("sigma and u_basis must be finite")
+        if self.sigma.size and (not np.all(self.sigma > 0)
                                 or np.any(np.diff(self.sigma, axis=-1) > 1e-12)):
             raise ValueError("sigma must be positive and nonincreasing")
 
@@ -250,17 +256,15 @@ def empirical_losses(s, train: SpectralProfile,
 class RobustnessParams:
     rho: float
     delta: float
-    eta: float = 0.5
     eps_grid: float = 0.05
 
     def __post_init__(self):
+        # written so that NaN fails each range check
         if not 0 <= self.rho <= 1:
             raise ValueError("rho must be in [0, 1]")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if not 0 < self.eta < 1:
-            raise ValueError("eta must be in (0, 1)")
-        if self.eps_grid <= 0:
+        if not self.eps_grid > 0:
             raise ValueError("eps_grid must be positive")
 
 
@@ -328,61 +332,51 @@ def flat_profile(dim: int, seed: int) -> SpectralProfile:
                            orthonormal_basis(rng.standard_normal((dim, dim))))
 
 
-def planted_profile_family(count: int, seed: int, angle_center: float = 0.4,
-                           angle_jitter: float = 0.5,
-                           lam2_range: tuple[float, float] = (0.3, 0.7)) -> SpectralProfile:
-    """Stack of `count` 2-D profiles: basis rotated by a jittered shared
-    angle theta, spectrum (1, lam2)."""
+def planted_profile_family(count: int, seed: int) -> SpectralProfile:
+    """Stack of `count` 2-D profiles: basis rotated by the angle
+    PLANTED_ANGLE + PLANTED_JITTER * N(0, 1), spectrum (1, lam2) with lam2
+    uniform on PLANTED_LAM2."""
     rng = rng_from(seed)
     theta, lam2 = np.empty(count), np.empty(count)
     for i in range(count):
-        theta[i] = angle_center + angle_jitter * rng.standard_normal()
-        lam2[i] = rng.uniform(*lam2_range)
+        theta[i] = PLANTED_ANGLE + PLANTED_JITTER * rng.standard_normal()
+        lam2[i] = rng.uniform(*PLANTED_LAM2)
     cos, sin = np.cos(theta), np.sin(theta)
     u = np.stack([cos, -sin, sin, cos], axis=-1).reshape(count, 2, 2)
     return SpectralProfile(np.stack([np.ones(count), lam2], axis=-1), u)
 
 
-def fragile_counterexample(eps: float = 0.01, dim: int = 2):
-    """Direction that aces rank-1 training data but has a fragile denominator.
+def fragile_counterexample(eps: float = 0.01):
+    """2-D direction that aces rank-1 training data but has a fragile denominator.
 
     Returns (s, train_profiles, adversarial_profile): on the rank-1
     train profiles (a stack of one) s scores a perfect objective yet its
     denominator is eps^2, and the adversarial profile drives its
-    objective near zero.
+    objective near zero. The adversarial spectrum (sqrt(1 - 100 eps^2),
+    10 eps) is real and nonincreasing only for eps in (0, 1/sqrt(200)].
     """
-    if dim < 2:
-        raise ValueError("need dim >= 2")
-    s = np.zeros(dim)
-    s[0], s[1] = eps, np.sqrt(1.0 - eps * eps)
-    e1 = np.zeros((dim, 1))
-    e1[0, 0] = 1.0
-    train = SpectralProfile(np.ones((1, 1)), e1[None])
+    if not 0 < eps <= 1.0 / np.sqrt(200.0):
+        raise ValueError(f"eps must be in (0, 1/sqrt(200)], got {eps}")
+    s = np.array([eps, np.sqrt(1.0 - eps * eps)])
+    train = SpectralProfile(np.ones((1, 1)), np.array([[[1.0], [0.0]]]))
     adv_sig = np.array([np.sqrt(1.0 - 100.0 * eps * eps), 10.0 * eps])
-    adv_u = np.zeros((dim, 2))
-    adv_u[0, 0] = 1.0
-    adv_u[1, 1] = 1.0
-    return s, train, SpectralProfile(adv_sig, adv_u)
+    return s, train, SpectralProfile(adv_sig, np.eye(2))
 
 
 def generalization_gap_sweep(n_values, splits: int, holdout_count: int,
-                             params: RobustnessParams, seed: int,
-                             family_kwargs: dict | None = None):
+                             params: RobustnessParams, seed: int):
     """Mean |holdout - train| loss gap of the robust minimizer vs train size.
 
     For each N, draws `splits` fresh train/holdout pairs from the same
     2-D planted family, grid-searches the robust minimizer on train and
     records the absolute loss gap. Returns [(N, mean gap), ...].
     """
-    kwargs = family_kwargs or {}
     out = []
     for n_ix, n_train in enumerate(n_values):
         gaps = []
         for split in range(splits):
-            tr = planted_profile_family(n_train,
-                                        derived_seed(seed, n_ix, split, 0), **kwargs)
-            ho = planted_profile_family(holdout_count,
-                                        derived_seed(seed, n_ix, split, 1), **kwargs)
+            tr = planted_profile_family(n_train, derived_seed(seed, n_ix, split, 0))
+            ho = planted_profile_family(holdout_count, derived_seed(seed, n_ix, split, 1))
             res = grid_search_robust_minimizer(tr, params)
             if not res.feasible:
                 raise RuntimeError(f"no robust direction for N={n_train}, split={split}")

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from lrsketch import cli
+from lrsketch import cli, verify
 from lrsketch.cli import main
 from lrsketch.evalbench import generate_dataset
 from lrsketch.formats import load_sketch, save_dmat
@@ -203,6 +203,11 @@ class TestEvalCommand:
         assert len(lines) == 4
 
 
+def check_lines(results):
+    """verify's [PASS]/[FAIL] report lines for these results."""
+    return [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}" for r in results]
+
+
 class TestVerifyCommand:
     def test_default_checks_pass(self, capsys):
         assert main(["verify", "--seed", "20260101"]) == 0
@@ -215,6 +220,25 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[FAIL] concat-dominance" in out
 
+    def test_seed_reaches_every_check(self, capsys, monkeypatch):
+        seeded = ("check_dominance", "check_scw_identity", "check_gradients",
+                  "check_exact_gradients", "lemma_and_trend", "check_apply_bitwise")
+        seen = {}
+
+        def spy(name, fn):
+            def wrapped(seed, *args, **kwargs):
+                seen.setdefault(name, []).append(seed)
+                return fn(seed, *args, **kwargs)
+            return wrapped
+        for name in seeded:
+            monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
+        assert main(["verify", "--seed", "7"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert seen == {name: [7] for name in seeded}
+        lines = check_lines(verify.run_verification(7))
+        assert out[:-1] == lines
+        assert lines != check_lines(verify.run_verification())
+
 
 class TestTheoryCommand:
     def test_writes_report_csv(self, tmp_path):
@@ -222,6 +246,13 @@ class TestTheoryCommand:
         lines = (tmp_path / "theory.csv").read_text().strip().splitlines()
         assert lines[0] == "d,r_prime,empirical_mean,product,N,gap"
         assert len(lines) > 10
+
+    def test_seed_reaches_rows(self, tmp_path):
+        assert main(["theory", "--seed", "7", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "theory.csv").read_text().splitlines()[1:]
+        rows = verify.lemma_and_trend(7)[2]
+        assert lines == [",".join("" if x is None else str(x) for x in row) for row in rows]
+        assert rows != verify.lemma_and_trend(verify.SEED)[2]
 
 
 def _cut(path, keep):

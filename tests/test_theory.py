@@ -3,7 +3,8 @@ import pytest
 
 from lrsketch.linalg import frobenius_norm, svd
 from lrsketch.seeding import derived_seed, rng_from
-from lrsketch.theory import (DegenerateDirectionError, RobustnessParams,
+from lrsketch.theory import (PLANTED_ANGLE, PLANTED_JITTER, PLANTED_LAM2,
+                             DegenerateDirectionError, RobustnessParams,
                              SpectralProfile, _objective_values, discretize_sphere,
                              empirical_losses, flat_profile, fragile_counterexample,
                              full_objective, generalization_gap_sweep,
@@ -121,6 +122,23 @@ class TestObjectives:
             SpectralProfile(np.ones(2), np.eye(3))
         with pytest.raises(ValueError, match="u_basis"):
             SpectralProfile(np.ones(2), np.ones(2))
+
+    @pytest.mark.parametrize("sigma, u_basis", [
+        (np.array([np.nan, 0.5]), np.eye(2)),
+        (np.array([1.0, np.nan]), np.eye(2)),
+        (np.array([np.inf, 0.5]), np.eye(2)),
+        (np.array([[1.0, 0.5], [np.nan, 0.5]]), np.stack([np.eye(2)] * 2)),
+        (np.array([1.0, 0.5]), np.array([[np.nan, 0.0], [0.0, 1.0]])),
+        (np.array([1.0, 0.5]), np.array([[1.0, 0.0], [0.0, np.inf]])),
+    ])
+    def test_non_finite_profile_rejected(self, sigma, u_basis):
+        with pytest.raises(ValueError, match="finite"):
+            SpectralProfile(sigma, u_basis)
+
+    @pytest.mark.parametrize("sigma", [[1.0, 0.0], [1.0, -0.5], [0.0]])
+    def test_non_positive_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="positive"):
+            SpectralProfile(np.array(sigma), np.eye(2)[:, :len(sigma)])
 
 
 class TestStackedKernel:
@@ -296,10 +314,38 @@ class TestRobustness:
         assert expected < 0.05
         assert robustness_fraction(s, adv, 0.05) == 1.0
 
+    @pytest.mark.parametrize("eps", [0.0, -0.01, 0.071, 0.1, 0.2, np.nan, np.inf])
+    def test_counterexample_eps_out_of_range(self, eps):
+        with pytest.raises(ValueError, match=r"eps must be in \(0, 1/sqrt\(200\)\]"):
+            fragile_counterexample(eps)
+
+    @pytest.mark.parametrize("eps", [1e-6, 0.05, 1.0 / np.sqrt(200.0)])
+    def test_counterexample_eps_in_range(self, eps):
+        s, train, adv = fragile_counterexample(eps)
+        assert np.isfinite(adv.sigma).all() and np.all(adv.sigma > 0)
+        assert float(np.linalg.norm(s)) == pytest.approx(1.0, abs=1e-15)
+        assert s.shape == (2,) and train.dim == adv.dim == 2
+
     def test_counterexample_objective_collapses(self):
         s, train, adv = fragile_counterexample(0.01)
         assert full_objective(s, train) == pytest.approx(1.0)
         assert full_objective(s, adv) < 0.02
+
+
+class TestRobustnessParams:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rho": -0.1}, "rho"), ({"rho": 1.1}, "rho"), ({"rho": np.nan}, "rho"),
+        ({"delta": 0.0}, "delta"), ({"delta": -1.0}, "delta"),
+        ({"delta": np.nan}, "delta"),
+        ({"eps_grid": 0.0}, "eps_grid"), ({"eps_grid": np.nan}, "eps_grid"),
+    ])
+    def test_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RobustnessParams(**{"rho": 0.05, "delta": 0.05, **kwargs})
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    def test_range_ends_accepted(self, rho):
+        assert RobustnessParams(rho, 1e-300, eps_grid=1e-300).rho == rho
 
 
 class TestEmpiricalLosses:
@@ -414,11 +460,11 @@ class TestGeneralizationSweep:
     def test_family_matches_per_profile_rotations_bitwise(self):
         # the per-profile construction: theta then lam2 from one stream
         rng = rng_from(6)
-        fam = planted_profile_family(50, seed=6, angle_center=0.1, lam2_range=(0.2, 0.9))
+        fam = planted_profile_family(50, seed=6)
         assert fam.sigma.shape == (50, 2) and fam.u_basis.shape == (50, 2, 2)
         for p in fam:
-            theta = 0.1 + 0.5 * rng.standard_normal()
-            lam2 = rng.uniform(0.2, 0.9)
+            theta = PLANTED_ANGLE + PLANTED_JITTER * rng.standard_normal()
+            lam2 = rng.uniform(*PLANTED_LAM2)
             u = np.array([[np.cos(theta), -np.sin(theta)],
                           [np.sin(theta), np.cos(theta)]])
             assert p.u_basis.tobytes() == u.tobytes()

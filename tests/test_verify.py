@@ -3,7 +3,7 @@ import numpy as np
 from lrsketch import scw, verify
 from lrsketch.linalg import as_matrix, frobenius_norm
 from lrsketch.sketch import apply_sketch
-from lrsketch.verify import VerifyConfig, check_exact_gradients
+from lrsketch.verify import SEED, check_exact_gradients
 
 
 def gradient_without_projector(a, s, k):
@@ -26,28 +26,28 @@ def loss_off_by_1e10(a, s, k):
 
 class TestExactGradientFidelity:
     def test_passes_on_training_gradient(self):
-        result = check_exact_gradients(VerifyConfig())
+        result = check_exact_gradients(SEED)
         assert result.name == "exact-gradient-fidelity"
         assert result.passed, result.detail
 
     def test_fails_without_projector_factor(self, monkeypatch):
         monkeypatch.setattr(verify, "scw_loss_and_grad", gradient_without_projector)
-        result = check_exact_gradients(VerifyConfig())
+        result = check_exact_gradients(SEED)
         assert not result.passed, result.detail
 
     def test_reports_loss_identity_gap(self):
-        detail = check_exact_gradients(VerifyConfig()).detail
+        detail = check_exact_gradients(SEED).detail
         gap = float(detail.rsplit("worst |loss - scw_loss^2| / ||A||^2 = ", 1)[1].split()[0])
         assert gap <= 1e-13
 
     def test_fails_on_loss_off_the_identity(self, monkeypatch):
         monkeypatch.setattr(verify, "scw_loss_and_grad", loss_off_by_1e10)
-        result = check_exact_gradients(VerifyConfig())
+        result = check_exact_gradients(SEED)
         assert not result.passed, result.detail
         gap = float(result.detail.rsplit("= ", 1)[1].split()[0])
         assert 0.9e-10 <= gap <= 1.1e-10
 
     def test_runs_beside_taped_check(self):
-        names = [r.name for r in verify.run_verification(VerifyConfig())]
+        names = [r.name for r in verify.run_verification(SEED)]
         assert len(names) == len(set(names)) == 8
         assert names.index("exact-gradient-fidelity") == names.index("gradient-fidelity") + 1
