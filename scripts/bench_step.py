@@ -17,7 +17,11 @@ cells (sparse and dense random sketches at (k, m) = (4, 8) and (2, 6),
 3 trials each) on one 64x48 spec with 1 train and 2 test matrices.
 step_kernel_1024x768 is step_kernel at IVY19's Hyper-like shape: one
 spiked 1024x768 matrix with 10 spikes, k=10, m=20, made before any
-timing starts.
+timing starts. import_cli is start-up: a fresh interpreter imports
+numpy untimed, then times `import lrsketch, lrsketch.cli`, by perfbench's
+own recipe (perfbench/run.py import_lrsketch), once per round. Without
+cached bytecode (PYTHONDONTWRITEBYTECODE=1 and no __pycache__ under
+src/), that time includes compiling every module it loads.
 
 Each operation's calls per repeat are picked once with autorange (at
 least 0.2 s). The repeats then run round-robin: repeat r of every
@@ -31,9 +35,9 @@ machine-speed reference kernel (perfbench/calibrate.py) once, and
 NOMINAL_S over that round's reference time, so runs taken while the
 machine ran at different speeds stay comparable. The run is stored
 under --label in the output JSON together with nproc, the numpy and
-Python versions and the BLAS thread count; runs under other labels
-already in the file are kept, so one file can hold a before and an
-after.
+Python versions, the BLAS thread count and sys.dont_write_bytecode;
+runs under other labels already in the file are kept, so one file can
+hold a before and an after.
 """
 
 import os
@@ -57,6 +61,7 @@ from lrsketch import evalbench, linalg, scw, sketch, trainer  # noqa: E402
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "perfbench"))
 from calibrate import NOMINAL_S, reference_seconds  # noqa: E402
+from run import import_lrsketch  # noqa: E402
 
 SPEC = evalbench.DatasetSpec(name="step", kind="spiked", n=64, d=48, count_train=4,
                              count_test=1, spikes=4, decay=0.8, noise=0.1, drift=0.05,
@@ -118,12 +123,13 @@ def timings(repeats: int) -> tuple[dict, dict]:
     }
     timers = {name: timeit.Timer(fn) for name, fn in ops.items()}
     numbers = {name: timer.autorange()[0] for name, timer in timers.items()}
-    samples = {name: [] for name in ops}
+    samples = {name: [] for name in [*ops, "import_cli"]}
     speed = []  # NOMINAL_S / reference time, one per round
     for _ in range(repeats):
         speed.append(NOMINAL_S / reference_seconds())
         for name, timer in timers.items():
             samples[name].append(timer.timeit(numbers[name]) / numbers[name] * 1e6)
+        samples["import_cli"].append(import_lrsketch()["raw"] * 1e6)
     train_0 = samples.pop("train_0")
     samples["sgd_step"] = [(full - zero) / ITERATIONS
                            for full, zero in zip(samples[f"train_{ITERATIONS}"], train_0)]
@@ -136,7 +142,7 @@ def machine() -> dict:
     affinity = getattr(os, "sched_getaffinity", None)
     return {"nproc": len(affinity(0)) if affinity else os.cpu_count(),
             "numpy": np.__version__, "python": platform.python_version(),
-            "blas_threads": int(BLAS_THREADS)}
+            "blas_threads": int(BLAS_THREADS), "dont_write_bytecode": sys.dont_write_bytecode}
 
 
 def main() -> None:

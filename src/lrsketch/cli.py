@@ -18,14 +18,12 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-from .diffsvd import PowerSvdConfig
 from .evalbench import (SKETCH_TYPES, TRAIN_MODES, DatasetSpec, _tail_mean, evaluate_cell,
                         generate_dataset, random_sketch, results_to_csv, write_xy_csv)
 from .formats import atomic_open, load_sketch, save_dmat, save_sketch
-from .linalg import singular_values
+from .linalg import PowerSvdConfig, singular_values
 from .seeding import derived_seed
 from .trainer import TrainConfig, TrainingDivergedError, learned_rows, report_to_csv, train
-from .verify import SEED as VERIFY_SEED, lemma_and_trend, run_verification
 
 CONFIG_VERSION = 1
 
@@ -296,8 +294,10 @@ def _write_plot_data(cfg: ExperimentConfig, records) -> None:
         write_xy_csv(os.path.join(plot_dir, f"err_vs_m_{dataset}_k{k}.csv"), rows)
 
 
+# verify, with theory and the taped SVD behind it, loads only for verify and theory
 def _verify_seed(args) -> int:
-    return VERIFY_SEED if args.seed is None else args.seed
+    from .verify import SEED
+    return SEED if args.seed is None else args.seed
 
 
 def _print_checks(results) -> int:
@@ -308,6 +308,7 @@ def _print_checks(results) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification
     kwargs = {}
     if args.inject_broken_concat:  # negative-control hook: drops the first block
         kwargs["concat_fn"] = lambda s1, s2: s2
@@ -319,6 +320,7 @@ def cmd_verify(args) -> int:
 
 def cmd_theory(args) -> int:
     """Write theory.csv: the numbers behind verify's lemma and trend checks."""
+    from .verify import lemma_and_trend
     out_dir = args.out or "runs"
     os.makedirs(out_dir, exist_ok=True)
     *checks, rows = lemma_and_trend(_verify_seed(args))

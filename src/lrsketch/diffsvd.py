@@ -19,33 +19,15 @@ finite-difference and Jacobi checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tape
-from .linalg import SvdFactors, as_matrix
+from .linalg import PowerSvdConfig, SvdFactors, as_matrix
 from .seeding import rng_from
 from .sketch import SparseSketch
 
 # Relative threshold below which power_svd drops trailing factors.
 DEFLATION_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PowerSvdConfig:
-    """Power-iteration SVD knobs.
-
-    t_iters: power iterations per singular triple.
-    init_seed: seed for the start vectors (one fresh vector per factor).
-    """
-
-    t_iters: int = 100
-    init_seed: int = 0
-
-    def __post_init__(self):
-        if self.t_iters < 1:
-            raise ValueError("t_iters must be >= 1")
 
 
 def _init_vector(dim: int, seed: int, stream: int, index: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -68,6 +69,8 @@ class DatasetSpec:
                 raise ValueError("dimensions must be >= 1")
             if self.count_train < 1 or self.count_test < 1:
                 raise ValueError("matrix counts must be >= 1")
+            if not all(map(math.isfinite, (self.decay, self.noise, self.drift))):
+                raise ValueError("decay, noise and drift must be finite")
             if self.spikes < 1 or self.noise < 0 or self.decay <= 0:
                 raise ValueError("invalid spike/noise/decay parameters")
             if self.spikes > min(self.n, self.d):

@@ -5,7 +5,9 @@ paths use `svd`, `singular_values` (when no vectors are needed) and
 `@`. The reference SVD is a one-sided Jacobi iteration, independent of
 LAPACK and of the power-method SVD, so they can cross-check each other.
 `matmul` accumulates over the inner index in ascending order, which
-makes it bit-reproducible against a naive triple loop.
+makes it bit-reproducible against a naive triple loop. The power-method
+SVD's `PowerSvdConfig` lives here, so a module that only passes one on
+(the trainer) does not load the taped SVD.
 """
 
 from __future__ import annotations
@@ -49,6 +51,22 @@ class SvdFactors:
 
     def reconstruct(self) -> np.ndarray:
         return matmul(self.u * self.sigma, self.v.T)
+
+
+@dataclass(frozen=True)
+class PowerSvdConfig:
+    """Knobs of the power-iteration SVD (`diffsvd`, which re-exports this).
+
+    t_iters: power iterations per singular triple.
+    init_seed: seed for the start vectors (one fresh vector per factor).
+    """
+
+    t_iters: int = 100
+    init_seed: int = 0
+
+    def __post_init__(self):
+        if self.t_iters < 1:
+            raise ValueError("t_iters must be >= 1")
 
 
 def matmul(a, b) -> np.ndarray:

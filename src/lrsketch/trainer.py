@@ -23,9 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffsvd import PowerSvdConfig
 from .formats import atomic_open
-from .linalg import as_matrix, frobenius_norm
+from .linalg import PowerSvdConfig, as_matrix, frobenius_norm
 from .scw import grad_index, sa_loss_and_grad, scw_loss
 from .seeding import derived_seed, rng_from
 from .sketch import (SparseSketch, concat_sketches, empty_sketch, scatter_flat, scatter_index,
@@ -58,7 +57,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.lr < 0:
+        if not self.lr >= 0:  # NaN fails too
             raise ValueError("lr must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")

@@ -92,7 +92,7 @@ def _fd_budget_used(loss_fn, s, g) -> float:
 
 def _gradient_result(name: str, worst: float) -> CheckResult:
     return CheckResult(name, worst <= 1.0,
-                       f"worst |ad-fd| at {worst:.3f} of the 1e-4 relative / "
+                       f"worst |ad-fd| at {worst:.3e} of the 1e-4 relative / "
                        f"1e-6 absolute budget (<= 1 passes)")
 
 

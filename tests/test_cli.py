@@ -314,6 +314,13 @@ _BAD_FIELD = {
     "train_lr_string": lambda c: c["train"].update(lr="fast"),
     "train_lr_bool": lambda c: c["train"].update(lr=True),
     "train_lr_negative": lambda c: c["train"].update(lr=-1.0),
+    "train_lr_nan": lambda c: c["train"].update(lr=float("nan")),
+    "dataset_decay_nan": lambda c: c["datasets"][0].update(decay=float("nan")),
+    "dataset_decay_inf": lambda c: c["datasets"][0].update(decay=float("inf")),
+    "dataset_noise_nan": lambda c: c["datasets"][0].update(noise=float("nan")),
+    "dataset_noise_inf": lambda c: c["datasets"][0].update(noise=float("inf")),
+    "dataset_drift_nan": lambda c: c["datasets"][0].update(drift=float("nan")),
+    "dataset_drift_inf": lambda c: c["datasets"][0].update(drift=float("-inf")),
     "train_iterations_float": lambda c: c["train"].update(iterations=2.5),
     "train_power_iters_zero": lambda c: c["train"].update(power_iters=0),
     "train_learned_rows_above_m": lambda c: c["train"].update(learned_rows=5),
@@ -364,6 +371,16 @@ class TestUsageErrors:
         _BAD_FIELD[case](cfg)
         p.write_text(json.dumps(cfg))
         assert main(["gen-data", "--config", str(p)]) == 1
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+    def test_nan_lr_is_usage_error_before_any_work(self, tmp_path, capsys, command):
+        # mixed_j with no learned rows never steps, so only the load-time check sees the NaN
+        p = tmp_path / "bad.json"
+        cfg = write_config(p, sketch_types=["mixed_j"],
+                           train={"lr": float("nan"), "learned_rows": 0})
+        assert main([command, "--config", str(p)]) == 1
+        assert "lr must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(cfg["out_dir"])
 
     def test_missing_files_path(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -81,6 +81,12 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="kind"):
             DatasetSpec(name="x", kind="nonsense", n=4, d=4)
 
+    @pytest.mark.parametrize("field", ["decay", "noise", "drift"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            tiny_spec(**{field: value})
+
 
 class TestNormalizeTopSingular:
     def test_diagonal(self):

@@ -381,3 +381,7 @@ class TestConfigValidation:
     def test_negative_lr(self):
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(k=1, lr=-0.1)
+
+    def test_nan_lr(self):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(k=1, lr=float("nan"))

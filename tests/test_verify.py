@@ -51,3 +51,12 @@ class TestExactGradientFidelity:
         names = [r.name for r in verify.run_verification(SEED)]
         assert len(names) == len(set(names)) == 8
         assert names.index("exact-gradient-fidelity") == names.index("gradient-fidelity") + 1
+
+
+class TestGradientMargins:
+    def test_default_seed_margin_shows_headroom(self):
+        for check in (verify.check_gradients, check_exact_gradients):
+            detail = check(SEED).detail
+            assert "at 0.000 of" not in detail
+            used = float(detail.split("worst |ad-fd| at ", 1)[1].split()[0])
+            assert 0.0 < used <= 1.0, detail
