@@ -90,7 +90,7 @@ def quartiles(samples) -> dict:
 def step_kernel(a: np.ndarray, k: int, m: int):
     """What one SGD step runs per sampled matrix, on a seed-7 m-row sketch of a."""
     s = sketch.sparse_random_sketch(m, a.shape[0], 7)
-    flat, index = sketch.scatter_index(s.row_of, a.shape[1]), scw.grad_index(s)
+    flat, index = sketch.scatter_index(s.row_of, a.shape[1]), sketch.grad_index(s)
     sq_norm = linalg.frobenius_norm(a) ** 2
     return lambda: scw.sa_loss_and_grad(
         a, sketch.scatter_flat(s.value_of, flat, m, a), k, index, sq_norm)

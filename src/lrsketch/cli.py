@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-from .evalbench import (SKETCH_TYPES, TRAIN_MODES, DatasetSpec, _tail_mean, evaluate_cell,
+from .evalbench import (SKETCH_TYPES, TRAIN_MODES, DatasetSpec, evaluate_cell,
                         generate_dataset, random_sketch, results_to_csv, write_xy_csv)
 from .formats import atomic_open, load_sketch, save_dmat, save_sketch
 from .linalg import PowerSvdConfig, singular_values
@@ -268,13 +268,11 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
         _, test_set = _load_dataset_files(cfg, spec)
         n = test_set[0].shape[0]
         sigmas = [singular_values(a) for a in test_set]
-        app_by_k = {k: _tail_mean(sigmas, k) for k in {k for k, _ in cfg.pairs}}
         for k, m in cfg.pairs:
             for st in cfg.sketch_types:
                 sketches = [_eval_sketch(cfg, di, spec, n, k, m, st, t)
                             for t in range(cfg.trials)]
-                records.append(evaluate_cell(spec.name, k, m, st, test_set, sketches,
-                                             app_by_k[k])[1])
+                records.append(evaluate_cell(spec.name, k, m, st, test_set, sigmas, sketches))
     results_to_csv(records, os.path.join(cfg.out_dir, "results.csv"))
     _write_plot_data(cfg, records)
     print(f"eval: wrote {len(records)} rows -> {os.path.join(cfg.out_dir, 'results.csv')}")
@@ -309,10 +307,7 @@ def _print_checks(results) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import run_verification
-    kwargs = {}
-    if args.inject_broken_concat:  # negative-control hook: drops the first block
-        kwargs["concat_fn"] = lambda s1, s2: s2
-    results = run_verification(_verify_seed(args), **kwargs)
+    results = run_verification(_verify_seed(args))
     failed = _print_checks(results)
     print(f"verify: {len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 2
@@ -344,18 +339,15 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lrsketch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("gen-data", True), ("train", True), ("eval", True),
-                               ("verify", False), ("theory", False)):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="experiment config JSON")
+    for name in ("gen-data", "train", "eval", "verify", "theory"):
+        p = sub.add_parser(name)  # each command takes only the flags it reads
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--out", help="output directory override")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
-        p.set_defaults(needs_config=needs_config)
-        if name == "verify":
-            p.add_argument("--inject-broken-concat", action="store_true",
-                           help=argparse.SUPPRESS)
+        if name != "verify":
+            p.add_argument("--out", help="output directory override")
+        if name not in ("verify", "theory"):
+            p.add_argument("--config", required=True, help="experiment config JSON")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="accepted for compatibility; has no effect")
     return parser
 
 
@@ -368,8 +360,6 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "theory":
             return cmd_theory(args)
-        if not args.config:
-            raise UsageError(f"{args.command} requires --config")
         cfg = load_config(args.config, seed_override=args.seed,
                           out_override=args.out)
         if args.command == "gen-data":

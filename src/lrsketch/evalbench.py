@@ -206,23 +206,21 @@ def random_sketch(sketch_type: str, m: int, n: int, seed: int):
     raise ValueError(f"unknown sketch type {sketch_type!r}")
 
 
-def evaluate_cell(dataset: str, k: int, m: int, sketch_type: str, test, sketches,
-                  app: float) -> tuple[list[float], ResultRecord]:
-    """Excess error of each sketch on a test set, and their mean/std-err record.
-
-    `app` is optimal_loss(test, k), computed once per (test set, k).
-    """
+def evaluate_cell(dataset: str, k: int, m: int, sketch_type: str, test, sigmas,
+                  sketches) -> ResultRecord:
+    """Mean and std-err of each sketch's excess error on a test set, the
+    optimum taken from `sigmas`, the test matrices' singular values."""
     if not sketches:
         raise ValueError("trials must be >= 1")
+    app = _tail_mean(sigmas, k)
     errs = [mean_scw_loss(test, s, k) - app for s in sketches]
     std_err = 0.0
     if len(errs) > 1:
         std_err = float(np.std(np.asarray(errs), ddof=1) / np.sqrt(len(errs)))
-    return errs, ResultRecord(dataset, k, m, sketch_type, float(np.mean(errs)),
-                              std_err, len(errs))
+    return ResultRecord(dataset, k, m, sketch_type, float(np.mean(errs)), std_err, len(errs))
 
 
-def _run_trials(name: str, train_set, test, app: float, k: int, m: int,
+def _run_trials(name: str, train_set, test, sigmas, k: int, m: int,
                 sketch_type: str, trials: int, train_cfg: TrainConfig) -> ResultRecord:
     seeds = [derived_seed(train_cfg.seed, _SEED_TRIAL, t) for t in range(trials)]
     if sketch_type in TRAIN_MODES:
@@ -231,7 +229,7 @@ def _run_trials(name: str, train_set, test, app: float, k: int, m: int,
     else:
         n = test[0].shape[0]
         sketches = [random_sketch(sketch_type, m, n, seed) for seed in seeds]
-    return evaluate_cell(name, k, m, sketch_type, test, sketches, app)[1]
+    return evaluate_cell(name, k, m, sketch_type, test, sigmas, sketches)
 
 
 @functools.lru_cache(maxsize=1)
@@ -267,8 +265,8 @@ def run_experiment(spec: DatasetSpec, k: int, m: int, sketch_type: str,
     includes. `files` datasets are read afresh on every call.
     """
     train_set, test, sigmas = _experiment_inputs(spec)
-    return _run_trials(spec.name, train_set, test, _tail_mean(sigmas, k), k, m,
-                       sketch_type, trials, train_cfg)
+    return _run_trials(spec.name, train_set, test, sigmas, k, m, sketch_type, trials,
+                       train_cfg)
 
 
 def mixed_training_set_experiment(specs, eval_spec: DatasetSpec, k: int, m: int,
@@ -277,12 +275,9 @@ def mixed_training_set_experiment(specs, eval_spec: DatasetSpec, k: int, m: int,
     train_set = []
     for sp in specs:
         train_set.extend(generate_dataset(sp)[0])
-    rows = {a.shape[0] for a in train_set}
-    if len(rows) != 1:
-        raise ValueError(f"union train sets disagree on row count: {sorted(rows)}")
     _, test, sigmas = _experiment_inputs(eval_spec)
-    return _run_trials(eval_spec.name, train_set, test, _tail_mean(sigmas, k), k, m,
-                       "learned", trials, train_cfg)
+    return _run_trials(eval_spec.name, train_set, test, sigmas, k, m, "learned", trials,
+                       train_cfg)
 
 
 def results_to_csv(records, path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, frobenius_norm, svd
-from .sketch import DenseSketch, SparseSketch, apply_sketch, concat_sketches
+from .sketch import DenseSketch, SparseSketch, apply_sketch, concat_sketches, grad_index
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,6 @@ def scw_approximate(a, s: SparseSketch | DenseSketch, k: int) -> ScwOutput:
 
 def scw_loss(a, s: SparseSketch | DenseSketch, k: int) -> float:
     return scw_approximate(a, s, k).loss
-
-
-def grad_index(s: SparseSketch) -> np.ndarray:
-    """Flat index row_of[j] * n + j % n of each stored value in the m x n dL/dS."""
-    return (s.row_of.reshape(len(s.blocks), s.n) * s.n + np.arange(s.n)).ravel()
 
 
 def sa_loss_and_grad(a: np.ndarray, sa: np.ndarray, k: int, index: np.ndarray,

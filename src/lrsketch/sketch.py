@@ -146,6 +146,11 @@ def scatter_index(rows: np.ndarray, d: int) -> np.ndarray:
     return (rows[:, None] * d + np.arange(d)).ravel()
 
 
+def grad_index(s: SparseSketch) -> np.ndarray:
+    """Flat index row_of[j] * n + j % n of each stored value in the m x n dL/dS."""
+    return (s.row_of.reshape(len(s.blocks), s.n) * s.n + np.arange(s.n)).ravel()
+
+
 def scatter_rows(values: np.ndarray, rows: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
     """Accumulate values[j] * a[j % n] into output row rows[j], n = len(a).
 

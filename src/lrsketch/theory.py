@@ -216,8 +216,8 @@ def discretize_sphere(d: int, eps: float) -> np.ndarray:
     Every point of the unit sphere lies within eps of some returned
     direction. Rows come back unit-norm and lexicographically sorted.
     """
-    if d < 1 or eps <= 0:
-        raise ValueError("need d >= 1 and eps > 0")
+    if d < 1 or not (math.isfinite(eps) and eps > 0):
+        raise ValueError("need d >= 1 and finite eps > 0")
     h = eps / np.sqrt(d)
     half = int(np.ceil(1.0 / h))
     per_axis = 2 * half + 1
@@ -264,8 +264,8 @@ class RobustnessParams:
             raise ValueError("rho must be in [0, 1]")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if not self.eps_grid > 0:
-            raise ValueError("eps_grid must be positive")
+        if not (math.isfinite(self.eps_grid) and self.eps_grid > 0):
+            raise ValueError("eps_grid must be finite and positive")
 
 
 @dataclass(frozen=True)

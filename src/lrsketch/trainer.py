@@ -18,17 +18,16 @@ loss is above its initial one returns its start.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .formats import atomic_open
 from .linalg import PowerSvdConfig, as_matrix, frobenius_norm
-from .scw import grad_index, sa_loss_and_grad, scw_loss
+from .scw import sa_loss_and_grad, scw_loss
 from .seeding import derived_seed, rng_from
-from .sketch import (SparseSketch, concat_sketches, empty_sketch, scatter_flat, scatter_index,
-                     sparse_random_sketch)
+from .sketch import (SparseSketch, concat_sketches, empty_sketch, grad_index, scatter_flat,
+                     scatter_index, sparse_random_sketch)
 
 # seed derivation tags under TrainConfig.seed
 _SEED_INIT = 0  # initial trainable sketch
@@ -74,7 +73,6 @@ class TrainReport:
     loss_history: tuple[tuple[int, float], ...]
     initial_loss: float  # mean scw_loss**2 of the m-row sketch over the train set, before SGD
     final_loss: float  # same, for the returned sketch; never above initial_loss
-    wall_time: float
 
 
 def _check_train_set(train_set) -> int:
@@ -98,7 +96,6 @@ def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
     The matrices, their squared norms, the scatter index of each column
     count in the train set and the gradient index are built once per run.
     """
-    t0 = time.perf_counter()
     initial = _mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
     mats = [as_matrix(a) for a in train_set]
     sq_norms = [frobenius_norm(a) ** 2 for a in mats]
@@ -130,8 +127,7 @@ def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
     final = _mean_loss(train_set, concat_sketches(trained, tail), cfg.k)
     if final > initial:  # SGD ended above its start: keep the start
         trained, final = sketch, initial
-    report = TrainReport(tuple(history), initial, final, time.perf_counter() - t0)
-    return concat_sketches(trained, tail), report
+    return concat_sketches(trained, tail), TrainReport(tuple(history), initial, final)
 
 
 def learned_rows(cfg: TrainConfig, m: int) -> int:

@@ -16,10 +16,9 @@ import numpy as np
 
 from .diffsvd import PowerSvdConfig, backward, scw_forward_with_tape, scw_power_loss
 from .linalg import best_rank_k, frobenius_norm, matmul
-from .scw import scw_loss, scw_loss_and_grad
+from .scw import check_concat_dominance, scw_loss, scw_loss_and_grad
 from .seeding import derived_seed, rng_from
-from .sketch import (apply_sketch, concat_sketches, densify,
-                     identity_pattern_sketch, sparse_random_sketch)
+from .sketch import apply_sketch, densify, identity_pattern_sketch, sparse_random_sketch
 from .theory import (LEMMA_BOUND, RobustnessParams, flat_profile,
                      fragile_counterexample, generalization_gap_sweep,
                      grid_search_robust_minimizer, lemma_means, objective_means,
@@ -41,7 +40,7 @@ LEMMA_SAMPLES = 20000
 TREND_SPLITS = 6
 
 
-def check_dominance(seed: int, concat_fn=concat_sketches) -> CheckResult:
+def check_dominance(seed: int) -> CheckResult:
     """Stacked sketches never lose to their first block alone."""
     worst = -np.inf
     for t in range(DOMINANCE_TRIALS):
@@ -52,8 +51,7 @@ def check_dominance(seed: int, concat_fn=concat_sketches) -> CheckResult:
         a = rng.standard_normal((n, d))
         s1 = sparse_random_sketch(m1, n, derived_seed(seed, 0, t, 1))
         s2 = sparse_random_sketch(m2, n, derived_seed(seed, 0, t, 2))
-        loss_star = scw_loss(a, concat_fn(s1, s2), k)
-        loss_1 = scw_loss(a, s1, k)
+        loss_star, loss_1 = check_concat_dominance(a, s1, s2, k)
         worst = max(worst, loss_star - loss_1)
     return CheckResult("concat-dominance", worst <= 1e-9,
                        f"worst loss(concat)-loss(s1) = {worst:.3e} (allowed 1e-9)")
@@ -183,11 +181,11 @@ def check_apply_bitwise(seed: int) -> CheckResult:
                        "30/30 trials equal the densified product bit for bit")
 
 
-def run_verification(seed: int = SEED, concat_fn=concat_sketches) -> list[CheckResult]:
-    """Run every check; `concat_fn` is a test hook for negative controls."""
+def run_verification(seed: int = SEED) -> list[CheckResult]:
+    """Run every check."""
     lemma, trend, _ = lemma_and_trend(seed)
     return [
-        check_dominance(seed, concat_fn),
+        check_dominance(seed),
         check_scw_identity(seed),
         check_gradients(seed),
         check_exact_gradients(seed),

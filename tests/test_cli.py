@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from lrsketch import cli, verify
+from lrsketch import cli, scw, verify
 from lrsketch.cli import main
 from lrsketch.evalbench import generate_dataset
 from lrsketch.formats import load_sketch, save_dmat
@@ -215,10 +215,13 @@ class TestVerifyCommand:
         assert "[PASS] concat-dominance" in out
         assert "[FAIL]" not in out
 
-    def test_broken_concat_fails_with_exit_two(self, capsys):
-        assert main(["verify", "--seed", "20260101", "--inject-broken-concat"]) == 2
+    def test_broken_concat_fails_with_exit_two(self, capsys, monkeypatch):
+        # negative control: a concat that drops the first block breaks dominance
+        monkeypatch.setattr(scw, "concat_sketches", lambda s1, s2: s2)
+        assert main(["verify", "--seed", "20260101"]) == 2
         out = capsys.readouterr().out
         assert "[FAIL] concat-dominance" in out
+        assert out.count("[FAIL]") == 1
 
     def test_seed_reaches_every_check(self, capsys, monkeypatch):
         seeded = ("check_dominance", "check_scw_identity", "check_gradients",
@@ -333,6 +336,20 @@ class TestUsageErrors:
 
     def test_missing_config(self):
         assert main(["train"]) == 1
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+    def test_config_is_a_required_flag(self, capsys, command):
+        assert main([command, "--seed", "3"]) == 1
+        assert "required: --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["verify", "--out", "x"], ["verify", "--jobs", "2"],
+                                      ["verify", "--config", "c"], ["theory", "--config", "c"],
+                                      ["theory", "--jobs", "2"]],
+                             ids=["verify_out", "verify_jobs", "verify_config",
+                                  "theory_config", "theory_jobs"])
+    def test_flag_the_command_does_not_use_is_rejected(self, capsys, argv):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_config_version(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -467,18 +484,17 @@ class TestParserReuse:
         seen = []
 
         def record(args):
-            seen.append((args.command, args.seed, args.out,
-                         getattr(args, "inject_broken_concat", None)))
+            seen.append((args.command, args.seed, getattr(args, "out", None)))
             return 0
         monkeypatch.setattr(cli, "cmd_verify", record)
         monkeypatch.setattr(cli, "cmd_theory", record)
-        for argv in (["verify", "--seed", "5", "--inject-broken-concat"], ["verify"],
+        for argv in (["verify", "--seed", "5"], ["verify"],
                      ["theory", "--seed", "7", "--out", "x"], ["theory"],
                      ["verify", "--seed", "6"]):
             assert main(argv) == 0
         assert main(["verify", "--no-such-flag"]) == 1
         assert main(["verify"]) == 0
-        assert seen == [("verify", 5, None, True), ("verify", None, None, False),
-                        ("theory", 7, "x", None), ("theory", None, None, None),
-                        ("verify", 6, None, False), ("verify", None, None, False)]
+        assert seen == [("verify", 5, None), ("verify", None, None),
+                        ("theory", 7, "x"), ("theory", None, None),
+                        ("verify", 6, None), ("verify", None, None)]
         assert cli._build_parser() is cli._build_parser()

@@ -5,12 +5,13 @@ import pytest
 
 from lrsketch.diffsvd import PowerSvdConfig
 from lrsketch.evalbench import (SKETCH_TYPES, DatasetSpec, ResultRecord, _sweep_inputs,
-                                err_metric, generate_dataset, mixed_training_set_experiment,
+                                err_metric, evaluate_cell, generate_dataset,
+                                mixed_training_set_experiment,
                                 normalize_top_singular, optimal_loss,
                                 results_to_csv, run_experiment)
 from lrsketch import linalg
 from lrsketch.formats import save_dmat, save_matrix_csv
-from lrsketch.linalg import best_rank_k, frobenius_norm, reference_svd
+from lrsketch.linalg import best_rank_k, frobenius_norm, reference_svd, singular_values
 from lrsketch.scw import scw_loss
 from lrsketch.seeding import rng_from
 from lrsketch.sketch import (concat_sketches, dense_random_sketch,
@@ -215,6 +216,34 @@ class TestErrMetric:
         assert np.argmin(errs) == np.argmin(errs_scaled)
 
 
+class TestEvaluateCell:
+    @staticmethod
+    def cell(sketches):
+        rng = rng_from(34)
+        test = [rng.standard_normal((8, 6)) for _ in range(3)]
+        sigmas = [singular_values(a) for a in test]
+        return test, evaluate_cell("demo", 2, 3, "sparse_random", test, sigmas, sketches)
+
+    def test_one_sketch_is_its_err_metric(self):
+        s = sparse_random_sketch(3, 8, 35)
+        test, rec = self.cell([s])
+        assert rec == ResultRecord("demo", 2, 3, "sparse_random", rec.err, 0.0, 1)
+        assert np.float64(rec.err).tobytes() == np.float64(err_metric(test, s, 2)).tobytes()
+
+    def test_two_sketches_std_err(self):
+        sketches = [sparse_random_sketch(3, 8, seed) for seed in (36, 37)]
+        test, rec = self.cell(sketches)
+        errs = [err_metric(test, s, 2) for s in sketches]
+        assert rec.trials == 2
+        assert rec.err == np.mean(errs)
+        assert rec.std_err == np.std(errs, ddof=1) / np.sqrt(2)
+        assert rec.std_err > 0
+
+    def test_no_sketches_raises(self):
+        with pytest.raises(ValueError, match="trials"):
+            self.cell([])
+
+
 class TestRunExperiment:
     def test_single_trial_zero_std_err(self):
         rec = run_experiment(tiny_spec(), 3, 4, "sparse_random", 1, tiny_train_cfg())
@@ -349,6 +378,12 @@ class TestMixedTrainingSets:
         union = mixed_training_set_experiment([spec_a, spec_b], spec_a, 3, 4,
                                               cfg, trials=1)
         assert union.err >= matched.err - 0.02
+
+    def test_row_mismatch_raises(self):
+        taller = tiny_spec(seed=8, n=22, name="taller")
+        with pytest.raises(ValueError, match="rows, expected"):
+            mixed_training_set_experiment([tiny_spec(), taller], tiny_spec(), 3, 4,
+                                          tiny_train_cfg())
 
 
 class TestResultsCsv:

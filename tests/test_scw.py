@@ -5,11 +5,11 @@ from lrsketch.diffsvd import PowerSvdConfig, backward, scw_forward_with_tape
 from lrsketch.evalbench import DatasetSpec, generate_dataset
 from lrsketch.linalg import (as_matrix, best_rank_k, frobenius_norm, matmul,
                              reference_svd, svd)
-from lrsketch.scw import (check_concat_dominance, grad_index, sa_loss_and_grad,
-                          scw_approximate, scw_loss, scw_loss_and_grad)
+from lrsketch.scw import (check_concat_dominance, sa_loss_and_grad, scw_approximate,
+                          scw_loss, scw_loss_and_grad)
 from lrsketch.seeding import rng_from
 from lrsketch.sketch import (SparseSketch, SketchBlock, apply_sketch, concat_sketches,
-                             densify, empty_sketch, identity_pattern_sketch,
+                             densify, empty_sketch, grad_index, identity_pattern_sketch,
                              sparse_random_sketch)
 
 

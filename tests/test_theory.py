@@ -284,6 +284,11 @@ class TestDiscretizeSphere:
         nearest = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots.max(axis=1)))
         assert nearest.max() <= eps
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite eps"):
+            discretize_sphere(2, eps)
+
     def test_deterministic_and_sorted(self):
         g1 = discretize_sphere(2, eps=0.3)
         g2 = discretize_sphere(2, eps=0.3)
@@ -342,6 +347,10 @@ class TestRobustnessParams:
     def test_out_of_range_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             RobustnessParams(**{"rho": 0.05, "delta": 0.05, **kwargs})
+
+    def test_infinite_eps_grid_rejected(self):
+        with pytest.raises(ValueError, match="eps_grid must be finite"):
+            RobustnessParams(rho=0.05, delta=0.05, eps_grid=np.inf)
 
     @pytest.mark.parametrize("rho", [0.0, 1.0])
     def test_range_ends_accepted(self, rho):

@@ -67,7 +67,7 @@ def reference_run_sgd(train_set, sketch, tail, cfg):
     final = trainer._mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
     if final > initial:
         sketch, final = start, initial
-    report = trainer.TrainReport(tuple(history), initial, final, 0.0)
+    report = trainer.TrainReport(tuple(history), initial, final)
     return concat_sketches(sketch, tail), report
 
 
@@ -164,6 +164,11 @@ class TestTrainSketch:
         sk2, rep2 = train(small_train_set, 4, quick_cfg())
         assert sketches_equal(sk1, sk2)
         assert rep1.loss_history == rep2.loss_history
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_same_seed_reports_are_equal(self, small_train_set, mode):
+        cfg = quick_cfg(mode=mode, learned_rows=2)
+        assert train(small_train_set, 4, cfg)[1] == train(small_train_set, 4, cfg)[1]
 
     def test_values_finite(self, small_train_set):
         sk, _ = train(small_train_set, 4, quick_cfg())
