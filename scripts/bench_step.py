@@ -17,7 +17,16 @@ cells (sparse and dense random sketches at (k, m) = (4, 8) and (2, 6),
 3 trials each) on one 64x48 spec with 1 train and 2 test matrices.
 step_kernel_1024x768 is step_kernel at IVY19's Hyper-like shape: one
 spiked 1024x768 matrix with 10 spikes, k=10, m=20, made before any
-timing starts. import_cli is start-up: a fresh interpreter imports
+timing starts. At the cli_pipeline shape (32x24 spiked, k=3, m=6, 4 train
+matrices), step_kernel_stack4 is one lockstep step per run-step: one
+stacked SA and sa_loss_and_grad_stack over 4 runs (the learned and
+mixed_joint runs below), its time divided by 4; train_loop_6 and
+train_many_6 are the 6 runs `lrsketch train` trains there (learned,
+mixed_joint and mixed_separate, two trials each, 10 iterations), as a
+loop of train calls and as one train_many. An lrsketch without
+train_many (an older checkout, timed for comparison) skips
+step_kernel_stack4 and train_many_6.
+import_cli is start-up: a fresh interpreter imports
 numpy untimed, then times `import lrsketch, lrsketch.cli`, by perfbench's
 own recipe (perfbench/run.py import_lrsketch), once per round. Without
 cached bytecode (PYTHONDONTWRITEBYTECODE=1 and no __pycache__ under
@@ -73,6 +82,13 @@ SWEEP_CELLS = [(k, m, st) for k, m in ((4, 8), (2, 6))
                for st in ("sparse_random", "dense_random")]
 LARGE_SPEC = replace(SPEC, name="large", n=1024, d=768, count_train=1, spikes=10)
 LARGE_K, LARGE_M = 10, 20
+PIPE_SPEC = replace(SPEC, name="pipe", n=32, d=24, spikes=3)
+PIPE_K, PIPE_M = 3, 6
+PIPE_RUNS = [trainer.TrainConfig(k=PIPE_K, lr=1.0, iterations=10, seed=20261018 + 10 * i + t,
+                                 mode=mode, learned_rows=PIPE_M // 2)
+             for i, mode in enumerate(("learned", "mixed_joint", "mixed_separate"))
+             for t in range(2)]
+STACK = 4  # step_kernel_stack4 steps the learned and mixed_joint runs of PIPE_RUNS
 
 
 def sweep_4_cells() -> None:
@@ -94,6 +110,19 @@ def step_kernel(a: np.ndarray, k: int, m: int):
     sq_norm = linalg.frobenius_norm(a) ** 2
     return lambda: scw.sa_loss_and_grad(
         a, sketch.scatter_flat(s.value_of, flat, m, a), k, index, sq_norm)
+
+
+def step_kernel_stack(train_set):
+    """One lockstep step of PIPE_RUNS[:STACK], run r on train matrix r."""
+    from lrsketch import lockstep
+    mats = np.stack(train_set)
+    sketches = [trainer._start(PIPE_SPEC.n, PIPE_M, cfg)[0] for cfg in PIPE_RUNS[:STACK]]
+    stack = lockstep.Stack(sketches, PIPE_SPEC.d, 1)
+    vals = np.concatenate([s.value_of for s in sketches])
+    which = np.arange(STACK)[None, :] % len(mats)
+    sq_norms = np.array([linalg.frobenius_norm(x) ** 2 for x in mats])[which.ravel()]
+    return lambda: scw.sa_loss_and_grad_stack(
+        mats[which.ravel()], stack.sa(vals, mats, which), PIPE_K, sq_norms)[1].take(stack.index)
 
 
 def timings(repeats: int) -> tuple[dict, dict]:
@@ -121,6 +150,11 @@ def timings(repeats: int) -> tuple[dict, dict]:
         "train_0": lambda: trainer.train(train_set, M, idle),
         f"train_{ITERATIONS}": lambda: trainer.train(train_set, M, TRAIN),
     }
+    pipe_set, _ = evalbench.generate_dataset(PIPE_SPEC)
+    ops["train_loop_6"] = lambda: [trainer.train(pipe_set, PIPE_M, c) for c in PIPE_RUNS]
+    if hasattr(trainer, "train_many"):
+        ops["step_kernel_stack4"] = step_kernel_stack(pipe_set)
+        ops["train_many_6"] = lambda: list(trainer.train_many(pipe_set, PIPE_M, PIPE_RUNS))
     timers = {name: timeit.Timer(fn) for name, fn in ops.items()}
     numbers = {name: timer.autorange()[0] for name, timer in timers.items()}
     samples = {name: [] for name in [*ops, "import_cli"]}
@@ -130,6 +164,8 @@ def timings(repeats: int) -> tuple[dict, dict]:
         for name, timer in timers.items():
             samples[name].append(timer.timeit(numbers[name]) / numbers[name] * 1e6)
         samples["import_cli"].append(import_lrsketch()["raw"] * 1e6)
+    if "step_kernel_stack4" in samples:  # per run-step
+        samples["step_kernel_stack4"] = [us / STACK for us in samples["step_kernel_stack4"]]
     train_0 = samples.pop("train_0")
     samples["sgd_step"] = [(full - zero) / ITERATIONS
                            for full, zero in zip(samples[f"train_{ITERATIONS}"], train_0)]

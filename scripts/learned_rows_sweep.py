@@ -14,7 +14,7 @@ from dataclasses import replace
 from lrsketch.evalbench import (DatasetSpec, generate_dataset, mean_scw_loss, optimal_loss,
                                 write_xy_csv)
 from lrsketch.seeding import derived_seed
-from lrsketch.trainer import TrainConfig, train
+from lrsketch.trainer import TrainConfig, train_many
 
 SPEC = DatasetSpec(name="spiked", kind="spiked", n=32, d=24, count_train=12,
                    count_test=8, spikes=3, decay=0.8, noise=0.1, drift=0.05,
@@ -27,10 +27,10 @@ def run(out_csv: str) -> None:
     train_set, test_set = generate_dataset(SPEC)
     app = optimal_loss(test_set, K)
     rows = []
-    for learned_rows in range(M + 1):
-        cfg = replace(TRAIN, learned_rows=learned_rows,
-                      seed=derived_seed(TRAIN.seed, learned_rows))
-        sketch, rep = train(train_set, M, cfg)
+    cfgs = [replace(TRAIN, learned_rows=learned_rows, seed=derived_seed(TRAIN.seed, learned_rows))
+            for learned_rows in range(M + 1)]
+    # the M + 1 runs share every shape, so they step in lockstep
+    for learned_rows, (sketch, rep) in enumerate(train_many(train_set, M, cfgs)):
         err = mean_scw_loss(test_set, sketch, K) - app  # err_metric, optimum computed once
         rows.append(("mixed_j", learned_rows, err))
         print(f"learned_rows={learned_rows}: train loss "

@@ -23,7 +23,8 @@ from .evalbench import (SKETCH_TYPES, TRAIN_MODES, DatasetSpec, evaluate_cell,
 from .formats import atomic_open, load_sketch, save_dmat, save_sketch
 from .linalg import PowerSvdConfig, singular_values
 from .seeding import derived_seed
-from .trainer import TrainConfig, TrainingDivergedError, learned_rows, report_to_csv, train
+from .trainer import (TrainConfig, TrainingDivergedError, learned_rows, report_to_csv,
+                      train_many)
 
 CONFIG_VERSION = 1
 
@@ -226,22 +227,20 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     """Train one sketch per (dataset, k, m, trainable type, trial)."""
     os.makedirs(os.path.join(cfg.out_dir, "sketches"), exist_ok=True)
     os.makedirs(os.path.join(cfg.out_dir, "reports"), exist_ok=True)
-    modes = [st for st in cfg.sketch_types if st in TRAIN_MODES]
+    runs = [(st, t) for st in cfg.sketch_types if st in TRAIN_MODES for t in range(cfg.trials)]
     for di, spec in enumerate(cfg.datasets):
         train_set, _ = _load_dataset_files(cfg, spec)
         for k, m in cfg.pairs:
-            for st in modes:
-                for t in range(cfg.trials):
-                    seed = derived_seed(cfg.seed, _SEED_TRAIN, di, k, m,
-                                        SKETCH_TYPES.index(st), t)
-                    sketch, report = train(train_set, m,
-                                           _train_cfg(cfg.train, k, m, TRAIN_MODES[st], seed))
-                    save_sketch(_sketch_path(cfg, spec.name, k, m, st, t), sketch)
-                    report_to_csv(report, os.path.join(
-                        cfg.out_dir, "reports",
-                        f"{spec.name}_k{k}_m{m}_{st}_t{t}.csv"))
-                    print(f"train: {spec.name} k={k} m={m} {st} trial {t}: "
-                          f"loss {report.initial_loss:.4f} -> {report.final_loss:.4f}")
+            cfgs = [_train_cfg(cfg.train, k, m, TRAIN_MODES[st], derived_seed(
+                cfg.seed, _SEED_TRAIN, di, k, m, SKETCH_TYPES.index(st), t)) for st, t in runs]
+            # the runs of one (dataset, k, m) step in lockstep; results come in this
+            # order, and a run that diverges raises at its turn, as a loop would
+            for (st, t), (sketch, report) in zip(runs, train_many(train_set, m, cfgs)):
+                save_sketch(_sketch_path(cfg, spec.name, k, m, st, t), sketch)
+                report_to_csv(report, os.path.join(
+                    cfg.out_dir, "reports", f"{spec.name}_k{k}_m{m}_{st}_t{t}.csv"))
+                print(f"train: {spec.name} k={k} m={m} {st} trial {t}: "
+                      f"loss {report.initial_loss:.4f} -> {report.final_loss:.4f}")
     return 0
 
 

@@ -21,7 +21,7 @@ from .formats import atomic_open, load_matrix
 from .scw import scw_loss
 from .seeding import derived_seed, rng_from
 from .sketch import dense_random_sketch, sparse_random_sketch
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, train_many
 
 SKETCH_TYPES = ("sparse_random", "dense_random", "learned", "mixed_j", "mixed_s")
 # trainer mode behind each trainable sketch type
@@ -225,7 +225,8 @@ def _run_trials(name: str, train_set, test, sigmas, k: int, m: int,
     seeds = [derived_seed(train_cfg.seed, _SEED_TRIAL, t) for t in range(trials)]
     if sketch_type in TRAIN_MODES:
         cfg = replace(train_cfg, k=k, mode=TRAIN_MODES[sketch_type])
-        sketches = [train(train_set, m, replace(cfg, seed=seed))[0] for seed in seeds]
+        cfgs = [replace(cfg, seed=seed) for seed in seeds]
+        sketches = [sketch for sketch, _ in train_many(train_set, m, cfgs)]
     else:
         n = test[0].shape[0]
         sketches = [random_sketch(sketch_type, m, n, seed) for seed in seeds]

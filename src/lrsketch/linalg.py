@@ -144,9 +144,15 @@ def _canonical(u, sigma, v) -> SvdFactors:
     rank = int(np.count_nonzero(sigma > RANK_TOL * smax)) if smax > 0.0 else 0
     u, sigma, v = u[:, :rank], sigma[:rank], v[:, :rank]
     if rank:
-        flip = np.copysign(1.0, u[np.abs(u).argmax(axis=0), np.arange(rank)])
+        flip = _signs(u)
         u, v = np.multiply(u, flip, order="F"), np.multiply(v, flip, order="F")
     return SvdFactors(u=u, sigma=sigma, v=v)
+
+
+def _signs(u: np.ndarray) -> np.ndarray:
+    """+-1 per column of the 2-D u: the sign of the column's largest-magnitude
+    entry (the first of equal ones)."""
+    return np.copysign(1.0, u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])])
 
 
 def svd(a) -> SvdFactors:
@@ -155,6 +161,23 @@ def svd(a) -> SvdFactors:
     require_finite(a, "SVD input")
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     return _canonical(u, sigma, vt.T)
+
+
+def svd_stack(a: np.ndarray) -> SvdFactors | None:
+    """`svd` of each slice of an (R, rows, cols) float64 stack, bit-equal, as
+    one SvdFactors of u (R, rows, r), sigma (R, r) and v (R, cols, r); None
+    when a slice is non-finite or below full rank, where `svd` would raise
+    or truncate."""
+    if not (a.size and np.isfinite(a).all()):
+        return None
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    if not (sigma[:, -1] > RANK_TOL * sigma[:, 0]).all():  # sigma is non-increasing
+        return None
+    count, rows, cols = u.shape  # the sign rule runs on all slices' columns side by side
+    flip = _signs(u.transpose(1, 0, 2).reshape(rows, count * cols)).reshape(count, 1, cols)
+    # Fortran-ordered slices, as svd returns u and v, so `@` runs each slice as the 2-D one
+    return SvdFactors(u=np.multiply(u, flip, out=np.empty_like(u.mT, order="C").mT),
+                      sigma=sigma, v=np.multiply(vt.mT, flip, out=np.empty_like(vt).mT))
 
 
 def singular_values(a) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, svd
+from .linalg import as_matrix, frobenius_norm, svd, svd_stack
 from .sketch import DenseSketch, SparseSketch, apply_sketch, concat_sketches, grad_index
 
 
@@ -37,6 +37,26 @@ def _solve(a: np.ndarray, sa: np.ndarray, k: int):
     return f, b, fb, min(k, fb.rank)
 
 
+def _solve_stack(a: np.ndarray, sa: np.ndarray, k: int):
+    """_solve over stacks of A and SA; None unless each SA and B is finite and full-rank."""
+    f = svd_stack(sa)
+    b = None if f is None else a @ f.v
+    fb = None if b is None else svd_stack(b)
+    return None if fb is None else (f, b, fb, min(k, fb.sigma.shape[1]))
+
+
+def _approx(f, fb, r: int) -> np.ndarray:
+    """[AV]_r V^T from the factors of SA and of B = AV; 2-D or stacked."""
+    return ((fb.u[..., :r] * fb.sigma[..., None, :r]) @ fb.v[..., :r].mT) @ f.v.mT
+
+
+def _grad_s(a: np.ndarray, f, b: np.ndarray, uk: np.ndarray) -> np.ndarray:
+    """The dense dL/dS (m x n) from A, SA's factors, B and U_k; 2-D or stacked."""
+    ua = uk.mT @ a
+    g_sa = (f.u / f.sigma[..., None, :]) @ (b.mT @ uk) @ (ua - (ua @ f.v) @ f.v.mT)
+    return -2.0 * (g_sa @ a.mT)
+
+
 def scw_approximate(a, s: SparseSketch | DenseSketch, k: int) -> ScwOutput:
     """Run the sketch-and-solve pipeline: SA -> SVD -> [AV]_k V^T."""
     a = as_matrix(a)
@@ -44,7 +64,7 @@ def scw_approximate(a, s: SparseSketch | DenseSketch, k: int) -> ScwOutput:
     if fb is None:
         zero = np.zeros_like(a)
         return ScwOutput(zero, np.zeros((a.shape[1], 0)), frobenius_norm(a))
-    approx = ((fb.u[:, :r] * fb.sigma[:r]) @ fb.v[:, :r].T) @ f.v.T
+    approx = _approx(f, fb, r)
     return ScwOutput(approx, f.v, frobenius_norm(a - approx))
 
 
@@ -61,12 +81,31 @@ def sa_loss_and_grad(a: np.ndarray, sa: np.ndarray, k: int, index: np.ndarray,
     f, b, fb, r = _solve(a, sa, k)
     if fb is None:
         return sq_norm, np.zeros(index.shape[0])
-    uk = fb.u[:, :r]
-    ua = uk.T @ a
-    g_sa = (f.u / f.sigma) @ (b.T @ uk) @ (ua - (ua @ f.v) @ f.v.T)
-    g_s = -2.0 * (g_sa @ a.T)
     sk = fb.sigma[:r]
-    return max(sq_norm - float(sk @ sk), 0.0), g_s.take(index)
+    return max(sq_norm - float(sk @ sk), 0.0), _grad_s(a, f, b, fb.u[:, :r]).take(index)
+
+
+def sa_loss_and_grad_stack(a: np.ndarray, sa: np.ndarray, k: int, sq_norms: np.ndarray):
+    """sa_loss_and_grad over (R, n, d) and (R, m, d) stacks of A and SA and
+    (R,) ||A||_F^2: (R,) losses and (R, m, n) dense gradients, each slice
+    bit-equal to its own call; None unless every SA and B is finite and
+    full-rank, where each slice must take sa_loss_and_grad's own path."""
+    solved = _solve_stack(a, sa, k)
+    if solved is None:
+        return None
+    f, b, fb, r = solved
+    sk = fb.sigma[:, None, :r]
+    return np.maximum(sq_norms - (sk @ sk.mT).ravel(), 0.0), _grad_s(a, f, b, fb.u[..., :r])
+
+
+def scw_loss_stack(a: np.ndarray, sa: np.ndarray, k: int) -> np.ndarray | None:
+    """scw_loss of each slice of stacks of A and SA, bit-equal; None as above."""
+    solved = _solve_stack(a, sa, k)
+    if solved is None:
+        return None
+    f, _, fb, r = solved
+    res = a - _approx(f, fb, r)
+    return np.sqrt(np.sum(res * res, axis=(1, 2)))
 
 
 def scw_loss_and_grad(a, s: SparseSketch, k: int) -> tuple[float, np.ndarray]:

@@ -13,11 +13,15 @@ Losses are the mean squared sketch-and-solve loss (`scw_loss`, the loss
 the loss history: each step's batch loss comes residual-free from the
 step kernel and matches that to about eps * ||A||^2. A run whose final
 loss is above its initial one returns its start.
+
+`train_many` gives each of many runs the bytes `train` gives it alone;
+runs that share every shape step together (`lockstep`).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,6 +93,43 @@ def _mean_loss(train_set, sketch, k: int) -> float:
     return sum(scw_loss(a, sketch, k) ** 2 for a in train_set) / len(train_set)
 
 
+class _Run:
+    """One run's step: its sketch's pattern, index arrays and cfg, built once."""
+
+    def __init__(self, sketch: SparseSketch, cfg: TrainConfig, widths):
+        self.cfg, self.m, self.mask = cfg, sketch.m, sketch.trainable_mask
+        self.flat = {d: scatter_index(sketch.row_of, d) for d in widths}  # per column count
+        self.index = grad_index(sketch)
+        self.losses = np.empty(cfg.batch_size)
+
+    def step(self, mats, sq_norms, vals: np.ndarray, idx, step: int):
+        """One SGD step over the batch idx: (new values, mean batch loss)."""
+        cfg, losses = self.cfg, self.losses
+        grad = np.zeros(vals.shape[0])
+        for j, ii in enumerate(idx):
+            a = mats[ii]
+            sa = scatter_flat(vals, self.flat[a.shape[1]], self.m, a)
+            loss, g = sa_loss_and_grad(a, sa, cfg.k, self.index, sq_norms[ii])
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"non-finite loss at iteration {step} (matrix {ii}); lower lr")
+            grad += g
+            losses[j] = loss
+        grad /= cfg.batch_size
+        vals = np.where(self.mask, vals - cfg.lr * grad, vals)
+        if not np.isfinite(vals).all():
+            raise TrainingDivergedError(
+                f"non-finite sketch values after iteration {step}; lower lr")
+        return vals, float(losses.sum()) / cfg.batch_size  # bit-equal to np.mean
+
+
+def _result(sketch, tail, trained, initial: float, final: float, history):
+    """concat_sketches(trained, tail) and its report; the start if SGD ended above it."""
+    if final > initial:  # SGD ended above its start: keep the start
+        trained, final = sketch, initial
+    return concat_sketches(trained, tail), TrainReport(tuple(history), initial, final)
+
+
 def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
              cfg: TrainConfig) -> tuple[SparseSketch, TrainReport]:
     """SGD over sketch's values; returns concat_sketches(trained, tail) and its losses.
@@ -99,35 +140,16 @@ def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
     initial = _mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
     mats = [as_matrix(a) for a in train_set]
     sq_norms = [frobenius_norm(a) ** 2 for a in mats]
-    flat = {d: scatter_index(sketch.row_of, d) for d in {a.shape[1] for a in mats}}
-    index, m = grad_index(sketch), sketch.m
+    run = _Run(sketch, cfg, {a.shape[1] for a in mats})
     batch_rng = rng_from(cfg.seed, _SEED_BATCH)
-    mask, vals = sketch.trainable_mask, sketch.value_of
-    losses = np.empty(cfg.batch_size)
-    history = []
+    vals, history = sketch.value_of, []
     for step in range(1, cfg.iterations + 1):
-        idx = np.sort(batch_rng.integers(0, len(train_set), size=cfg.batch_size))
-        grad = np.zeros(vals.shape[0])
-        for j, ii in enumerate(idx):
-            a = mats[ii]
-            sa = scatter_flat(vals, flat[a.shape[1]], m, a)
-            loss, g = sa_loss_and_grad(a, sa, cfg.k, index, sq_norms[ii])
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at iteration {step} (matrix {ii}); lower lr")
-            grad += g
-            losses[j] = loss
-        grad /= cfg.batch_size
-        vals = np.where(mask, vals - cfg.lr * grad, vals)
-        if not np.isfinite(vals).all():
-            raise TrainingDivergedError(
-                f"non-finite sketch values after iteration {step}; lower lr")
-        history.append((step, float(losses.sum()) / cfg.batch_size))  # bit-equal to np.mean
+        idx = np.sort(batch_rng.integers(0, len(mats), size=cfg.batch_size))
+        vals, loss = run.step(mats, sq_norms, vals, idx, step)
+        history.append((step, loss))
     trained = sketch.with_values(vals)
     final = _mean_loss(train_set, concat_sketches(trained, tail), cfg.k)
-    if final > initial:  # SGD ended above its start: keep the start
-        trained, final = sketch, initial
-    return concat_sketches(trained, tail), TrainReport(tuple(history), initial, final)
+    return _result(sketch, tail, trained, initial, final, history)
 
 
 def learned_rows(cfg: TrainConfig, m: int) -> int:
@@ -143,6 +165,20 @@ def learned_rows(cfg: TrainConfig, m: int) -> int:
     return m if cfg.mode == "learned" else cfg.learned_rows
 
 
+def _start(n: int, m: int, cfg: TrainConfig) -> tuple[SparseSketch, SparseSketch]:
+    """The (sketch, tail) that _run_sgd takes for cfg: what SGD moves and what it appends."""
+    rows = learned_rows(cfg, m)
+    sketch, tail = empty_sketch(n), empty_sketch(n)
+    if rows > 0:
+        sketch = sparse_random_sketch(rows, n, derived_seed(cfg.seed, _SEED_INIT))
+    if m > rows:
+        b = sparse_random_sketch(m - rows, n, derived_seed(cfg.seed, _SEED_FROZEN)).blocks[0]
+        tail = SparseSketch(n, (replace(b, trainable_mask=np.zeros(n, dtype=bool)),))
+    if cfg.mode == "mixed_separate":
+        return sketch, tail
+    return concat_sketches(sketch, tail), empty_sketch(n)
+
+
 def train(train_set, m: int, cfg: TrainConfig) -> tuple[SparseSketch, TrainReport]:
     """Train an m-row sketch: a trainable block stacked on a frozen random block.
 
@@ -152,16 +188,52 @@ def train(train_set, m: int, cfg: TrainConfig) -> tuple[SparseSketch, TrainRepor
     alone and appends the frozen block after.
     """
     n = _check_train_set(train_set)
-    rows = learned_rows(cfg, m)
-    sketch, tail = empty_sketch(n), empty_sketch(n)
-    if rows > 0:
-        sketch = sparse_random_sketch(rows, n, derived_seed(cfg.seed, _SEED_INIT))
-    if m > rows:
-        b = sparse_random_sketch(m - rows, n, derived_seed(cfg.seed, _SEED_FROZEN)).blocks[0]
-        tail = SparseSketch(n, (replace(b, trainable_mask=np.zeros(n, dtype=bool)),))
-    if cfg.mode == "mixed_separate":
-        return _run_sgd(train_set, sketch, tail, cfg)
-    return _run_sgd(train_set, concat_sketches(sketch, tail), empty_sketch(n), cfg)
+    return _run_sgd(train_set, *_start(n, m, cfg), cfg)
+
+
+def train_many(train_set, m: int, cfgs) -> Iterator[tuple[SparseSketch, TrainReport]]:
+    """train(train_set, m, cfg) for each cfg, in order, byte for byte.
+
+    Over a train set of one shape, runs that share the trained rows, k,
+    batch size and iteration count step in lockstep (`lockstep`); a
+    run alone in its group takes `_run_sgd`. Every cfg is checked before
+    any run steps. A group trains when the iterator reaches its first run,
+    and at a run that failed the iterator raises that run's own error.
+    """
+    n, cfgs = _check_train_set(train_set), list(cfgs)
+    starts = [_start(n, m, cfg) for cfg in cfgs]
+    one_shape = len({a.shape for a in train_set}) == 1
+    groups = {}
+    for i, ((sketch, _), cfg) in enumerate(zip(starts, cfgs)):
+        key = (sketch.m, cfg.k, cfg.batch_size, cfg.iterations) if one_shape else i
+        groups.setdefault(key, []).append(i)
+    return _in_order(train_set, starts, cfgs, list(groups.values()))
+
+
+def _in_order(train_set, starts, cfgs, groups):
+    done = {}
+    for i in range(len(cfgs)):
+        if i not in done:
+            group = next(g for g in groups if g[0] == i)
+            if len(group) == 1:
+                results = [_attempt(_run_sgd, train_set, *starts[i], cfgs[i])]
+            else:  # loaded here, so start-up does not compile it
+                from .lockstep import run_lockstep
+                results = run_lockstep(train_set, [starts[j] for j in group],
+                                       [cfgs[j] for j in group])
+            done.update(zip(group, results))
+        result = done.pop(i)
+        if isinstance(result, Exception):
+            raise result
+        yield result
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised, for the run's turn to re-raise."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # any error: train would raise it at this run's turn
+        return exc
 
 
 def report_to_csv(report: TrainReport, path) -> None:

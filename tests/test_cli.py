@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from lrsketch import cli, scw, verify
+from lrsketch import cli, scw, trainer, verify
 from lrsketch.cli import main
 from lrsketch.evalbench import generate_dataset
 from lrsketch.formats import load_sketch, save_dmat
@@ -103,6 +103,47 @@ class TestTrainCommand:
         main(["gen-data", "--config", str(cfg_path)])
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["train", "--config", str(cfg_path)]) == 3
+
+
+    def test_divergence_stderr_and_no_sketch(self, tmp_path, capsys):
+        # every trainable type and trial of the cell steps in one lockstep call;
+        # the first run's divergence is the error, and nothing is written
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path, sketch_types=["sparse_random", "learned", "mixed_j",
+                                                   "mixed_s"], trials=2,
+                           train={"lr": float("inf"), "iterations": 6, "power_iters": 10})
+        assert '"lr": Infinity' in cfg_path.read_text()
+        main(["gen-data", "--config", str(cfg_path)])
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", str(cfg_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "training diverged: non-finite sketch values after iteration 1; lower lr\n"
+        assert os.listdir(os.path.join(cfg["out_dir"], "sketches")) == []
+
+    def test_lockstep_writes_what_a_loop_of_train_writes(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, sketch_types=["learned", "mixed_j", "mixed_s"], trials=2,
+                     pairs=[[2, 4], [2, 6]],
+                     train={"lr": 0.5, "iterations": 15, "power_iters": 10})
+        main(["gen-data", "--config", str(cfg_path)])
+        outputs = []
+        for looped in (False, True):
+            if looped:
+                monkeypatch.setattr(cli, "train_many", lambda train_set, m, cfgs: (
+                    trainer.train(train_set, m, c) for c in cfgs))
+            out = tmp_path / f"out{looped}"
+            capsys.readouterr()
+            assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
+            assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+            files = {os.path.relpath(os.path.join(d, f), out):
+                     open(os.path.join(d, f), "rb").read()
+                     for d, _, names in os.walk(out) for f in names}
+            outputs.append((files, capsys.readouterr().out.replace(str(out), "OUT")))
+        # a sketch and a report per (m, type, trial), and the data: manifest, 3 train, 2 test
+        assert len(outputs[0][0]) == 2 * 2 * 3 * 2 + 6
+        assert outputs[0] == outputs[1]
 
 
 class TestEvalCommand:

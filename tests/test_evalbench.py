@@ -9,7 +9,7 @@ from lrsketch.evalbench import (SKETCH_TYPES, DatasetSpec, ResultRecord, _sweep_
                                 mixed_training_set_experiment,
                                 normalize_top_singular, optimal_loss,
                                 results_to_csv, run_experiment)
-from lrsketch import linalg
+from lrsketch import evalbench, linalg, trainer
 from lrsketch.formats import save_dmat, save_matrix_csv
 from lrsketch.linalg import best_rank_k, frobenius_norm, reference_svd, singular_values
 from lrsketch.scw import scw_loss
@@ -272,6 +272,15 @@ class TestRunExperiment:
         first = run_experiment(tiny_spec(), 3, 4, "sparse_random", 4, tiny_train_cfg())
         again = run_experiment(tiny_spec(), 3, 4, "sparse_random", 4, tiny_train_cfg())
         assert first == again
+
+
+    @pytest.mark.parametrize("sketch_type", ["learned", "mixed_j", "mixed_s"])
+    def test_trials_in_lockstep_equal_a_loop_of_train(self, sketch_type, monkeypatch):
+        cfg = tiny_train_cfg(iterations=30)
+        lockstep = run_experiment(tiny_spec(), 3, 4, sketch_type, 3, cfg)
+        monkeypatch.setattr(evalbench, "train_many", lambda train_set, m, cfgs: (
+            trainer.train(train_set, m, c) for c in cfgs))
+        assert run_experiment(tiny_spec(), 3, 4, sketch_type, 3, cfg) == lockstep
 
 
 class TestSweepMemo:

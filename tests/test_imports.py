@@ -82,6 +82,8 @@ def test_cli_pipeline_loads_no_off_path_module(tmp_path):
     for loaded in (after_import, after_run):
         assert "lrsketch.cli" in loaded and "lrsketch.trainer" in loaded
         assert not set(OFF_PATH) & set(loaded), loaded
+    # train's learned and mixed_j runs step in lockstep, which loads on first use
+    assert "lrsketch.lockstep" not in after_import and "lrsketch.lockstep" in after_run
     assert (tmp_path / "run" / "results.csv").is_file()
 
 

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrsketch.linalg import (RANK_TOL, SvdFactors, _jacobi_tall, best_rank_k,
-                             frobenius_norm, matmul, reference_svd, singular_values, svd)
+                             frobenius_norm, matmul, reference_svd, singular_values, svd,
+                             svd_stack)
+from lrsketch.seeding import rng_from
 
 
 def sorting_canonical(u, sigma, v, rank_tol):
@@ -337,3 +339,39 @@ class TestSvdFactors:
     def test_rank_property(self):
         f = SvdFactors(np.zeros((3, 0)), np.zeros(0), np.zeros((2, 0)))
         assert f.rank == 0
+
+
+class TestSvdStack:
+    """Each slice of svd_stack's factors is svd of that slice: same bytes, same layout."""
+
+    @pytest.mark.parametrize("shape", [(4, 6, 24), (3, 8, 48), (5, 32, 6), (2, 20, 768),
+                                       (3, 256, 8), (1, 5, 5)])
+    def test_slices_equal_svd(self, shape):
+        a = rng_from(71, *shape).standard_normal(shape)
+        f = svd_stack(a)
+        for i in range(shape[0]):
+            g = svd(a[i])
+            for x, y in ((f.u[i], g.u), (f.sigma[i], g.sigma), (f.v[i], g.v)):
+                assert x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
+                assert x.flags.f_contiguous == y.flags.f_contiguous
+
+    def test_signs_as_svd_on_tied_entries(self):
+        # a column whose largest magnitude is shared by a + and a - entry
+        a = np.array([[[1.0, -1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, -3.0]]])
+        f = svd_stack(a)
+        for i in range(2):
+            assert f.u[i].tobytes() == svd(a[i]).u.tobytes()
+
+    @pytest.mark.parametrize("kind", ["zero_row", "zero_slice", "non_finite", "empty"])
+    def test_none_where_svd_would_truncate_or_raise(self, kind):
+        a = rng_from(72).standard_normal((3, 4, 9))
+        if kind == "zero_row":
+            a[1, 2] = 0.0
+        if kind == "zero_slice":
+            a[2] = 0.0
+        if kind == "non_finite":
+            a[0, 0, 0] = np.nan
+        if kind == "empty":
+            a = np.zeros((3, 0, 9))
+        assert svd_stack(a) is None

@@ -4,9 +4,9 @@ import pytest
 from lrsketch.diffsvd import PowerSvdConfig, backward, scw_forward_with_tape
 from lrsketch.evalbench import DatasetSpec, generate_dataset
 from lrsketch.linalg import (as_matrix, best_rank_k, frobenius_norm, matmul,
-                             reference_svd, svd)
-from lrsketch.scw import (check_concat_dominance, sa_loss_and_grad, scw_approximate,
-                          scw_loss, scw_loss_and_grad)
+                             reference_svd, svd, svd_stack)
+from lrsketch.scw import (check_concat_dominance, sa_loss_and_grad, sa_loss_and_grad_stack,
+                          scw_approximate, scw_loss, scw_loss_and_grad, scw_loss_stack)
 from lrsketch.seeding import rng_from
 from lrsketch.sketch import (SparseSketch, SketchBlock, apply_sketch, concat_sketches,
                              densify, empty_sketch, grad_index, identity_pattern_sketch,
@@ -333,6 +333,39 @@ class TestGradientBitsKept:
             assert abs(loss - ref_loss) <= 1e-13 * frobenius_norm(a) ** 2
             k_at_rank += k >= svd(sa).rank
         assert k_at_rank >= 10
+
+
+class TestStackedKernels:
+    """Each slice of the stacked kernels equals its own 2-D call, byte for byte."""
+
+    @staticmethod
+    def stack(n, d, m, count, seed):
+        rng = rng_from(seed, n, d)
+        mats = [rng.standard_normal((n, d)) for _ in range(count)]
+        sketches = [jittered(sparse_random_sketch(m, n, seed=seed + i), seed + i)
+                    for i in range(count)]
+        sa = np.stack([apply_sketch(s, a) for s, a in zip(sketches, mats)])
+        return np.stack(mats), sketches, sa
+
+    @pytest.mark.parametrize("n,d,m,k", [(32, 24, 6, 3), (64, 48, 8, 4), (12, 9, 4, 6),
+                                         (256, 192, 8, 4)])
+    def test_slices_equal_own_calls(self, n, d, m, k):
+        a, sketches, sa = self.stack(n, d, m, 3, 62)  # every SA of full rank
+        sq_norms = np.array([frobenius_norm(x) ** 2 for x in a])
+        losses, grads = sa_loss_and_grad_stack(a, sa, k, sq_norms)
+        residuals = scw_loss_stack(a, sa, k)
+        for i, s in enumerate(sketches):
+            loss, grad = sa_loss_and_grad(a[i], sa[i], k, grad_index(s), sq_norms[i])
+            assert np.float64(loss).tobytes() == losses[i].tobytes()
+            assert grads[i].take(grad_index(s)).tobytes() == grad.tobytes()
+            assert np.float64(scw_loss(a[i], s, k)).tobytes() == residuals[i].tobytes()
+
+    def test_none_with_a_rank_zero_b(self):
+        a, _, sa = self.stack(12, 9, 4, 3, 62)
+        assert svd_stack(sa) is not None
+        a[1] = 0.0  # SA is kept, so its slices stay full rank; B = AV is zero there
+        assert sa_loss_and_grad_stack(a, sa, 2, np.ones(3)) is None
+        assert scw_loss_stack(a, sa, 2) is None
 
 
 class TestConcatDominance:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lrsketch import autodiff, trainer
+from lrsketch import autodiff, lockstep, trainer
 from lrsketch.diffsvd import PowerSvdConfig
 from lrsketch.evalbench import DatasetSpec, generate_dataset
 from lrsketch.linalg import frobenius_norm
@@ -390,3 +390,146 @@ class TestConfigValidation:
     def test_nan_lr(self):
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(k=1, lr=float("nan"))
+
+
+def train_alone(train_set, m, cfg):
+    """train(train_set, m, cfg), or the error it raises."""
+    try:
+        return train(train_set, m, cfg)
+    except (TrainingDivergedError, ValueError) as exc:
+        return exc
+
+
+def assert_same_run(got, want):
+    """Two (sketch, TrainReport) results agree byte for byte, block masks included."""
+    (got_s, got), (want_s, want) = got, want
+    assert got_s.value_of.tobytes() == want_s.value_of.tobytes()
+    assert [(b.m, b.row_of.tobytes(), b.trainable_mask.tobytes()) for b in got_s.blocks] == \
+        [(b.m, b.row_of.tobytes(), b.trainable_mask.tobytes()) for b in want_s.blocks]
+    assert got == want
+    floats = [x for _, x in got.loss_history] + [got.initial_loss, got.final_loss]
+    want_floats = [x for _, x in want.loss_history] + [want.initial_loss, want.final_loss]
+    assert np.array(floats).tobytes() == np.array(want_floats).tobytes()
+
+
+def spiked(n, d, count, seed):
+    spec = DatasetSpec(name="s", kind="spiked", n=n, d=d, count_train=count, count_test=1,
+                       spikes=3, decay=0.8, noise=0.1, drift=0.05, seed=seed)
+    return generate_dataset(spec)[0]
+
+
+def three_modes(**kw):
+    """Two runs of each mode; at m=4 with 2 learned rows, that is two lockstep groups."""
+    return [quick_cfg(mode=mode, learned_rows=2, seed=seed, **kw)
+            for mode in MODES for seed in (5, 6)]
+
+
+class TestTrainMany:
+    """train_many(train_set, m, cfgs)[i] is train(train_set, m, cfgs[i]), byte for byte."""
+
+    CASES = {
+        "three_modes": (None, 4, three_modes()),
+        "batch_2": (None, 4, three_modes(batch_size=2)),
+        "mixed_joint_no_learned_rows": (None, 4, [quick_cfg(seed=5)] + [
+            quick_cfg(mode="mixed_joint", learned_rows=0, seed=s) for s in (6, 7)]),
+        "lr_0": (None, 4, three_modes(lr=0.0)),
+        "one_run": (None, 4, [quick_cfg(batch_size=3)]),
+        # at seed 3 the trained block has a row no column hits, so its SA is rank-deficient
+        "empty_row": (None, 8, [quick_cfg(mode=mode, learned_rows=4, batch_size=2, seed=seed)
+                                for mode in ("learned", "mixed_joint") for seed in (3, 5)]),
+        "zero_matrix": ("zero", 4, three_modes(batch_size=2)),
+        "two_column_counts": ("widths", 6, [quick_cfg(k=3, lr=1.0, mode=mode, learned_rows=3,
+                                                      seed=seed, iterations=20)
+                                            for mode in MODES for seed in (5, 6)]),
+        # BLAS takes its blocked paths at this size
+        "256x192": ("large", 8, [quick_cfg(k=4, lr=1.0, mode=mode, learned_rows=4, seed=seed,
+                                           iterations=4)
+                                 for mode in ("learned", "mixed_joint") for seed in (5, 6)]),
+    }
+
+    @staticmethod
+    def train_set(kind, small):
+        if kind == "zero":  # B = AV is rank 0 whenever it is drawn
+            return small + [np.zeros_like(small[0])]
+        if kind == "widths":
+            return [a for sp in TestMixedColumnCounts.SPECS for a in generate_dataset(sp)[0]]
+        if kind == "large":
+            return spiked(256, 192, 2, 9)
+        return small
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_run_equals_train(self, small_train_set, case):
+        kind, m, cfgs = self.CASES[case]
+        train_set = self.train_set(kind, small_train_set)
+        got = list(trainer.train_many(train_set, m, cfgs))
+        assert len(got) == len(cfgs)
+        for result, cfg in zip(got, cfgs):
+            assert_same_run(result, train(train_set, m, cfg))
+
+    def test_scored_in_chunks(self, small_train_set, monkeypatch):
+        # 12 slices per stacked scoring call: the group of 4 runs scores its
+        # 6 matrices 3 at a time, the group of 2 all at once
+        monkeypatch.setattr(lockstep, "SCORE_ENTRIES", 6 * 2 * small_train_set[0].size)
+        cfgs = three_modes()
+        for result, cfg in zip(trainer.train_many(small_train_set, 4, cfgs), cfgs):
+            assert_same_run(result, train(small_train_set, 4, cfg))
+
+    def test_empty_row_is_there(self, small_train_set):
+        init, _ = train(small_train_set, 8, quick_cfg(learned_rows=4, seed=3, iterations=0))
+        assert np.bincount(init.blocks[0].row_of, minlength=8).min() == 0
+
+    def test_healthy_group_never_steps_alone(self, small_train_set, monkeypatch):
+        # a group of 4 with full-rank SA and B takes every step stacked
+        def alone(*args):
+            raise AssertionError("stepped alone")
+        monkeypatch.setattr(trainer._Run, "step", alone)
+        list(trainer.train_many(small_train_set, 4, three_modes()[:4]))
+
+    @pytest.mark.parametrize("kind,m,cfgs", [(None, 8, CASES["empty_row"][2]),
+                                             ("zero", 4, CASES["zero_matrix"][2][:4])])
+    def test_deficient_steps_step_alone(self, small_train_set, kind, m, cfgs, monkeypatch):
+        calls = []
+        step = trainer._Run.step
+        monkeypatch.setattr(trainer._Run, "step", lambda *a: calls.append(1) or step(*a))
+        list(trainer.train_many(self.train_set(kind, small_train_set), m, cfgs))
+        assert calls
+
+    def test_failure_raises_at_its_turn(self, small_train_set):
+        cfgs = [quick_cfg(lr=lr, seed=seed) for lr, seed in ((1.0, 5), (math.inf, 6), (1.0, 7))]
+        it = trainer.train_many(small_train_set, 4, cfgs)
+        assert_same_run(next(it), train(small_train_set, 4, cfgs[0]))
+        want = train_alone(small_train_set, 4, cfgs[1])
+        assert isinstance(want, TrainingDivergedError)
+        with pytest.raises(TrainingDivergedError) as got:
+            next(it)
+        assert str(got.value) == str(want)
+        assert next(it, None) is None
+
+    def test_group_steps_on_past_a_failed_run(self, small_train_set, monkeypatch):
+        # run 1 fails; runs 0 and 2 still equal train alone, taken one at a time
+        cfgs = [quick_cfg(lr=lr, seed=seed) for lr, seed in ((1.0, 5), (math.inf, 6), (1.0, 7))]
+        out = lockstep.run_lockstep(small_train_set, [trainer._start(12, 4, c) for c in cfgs],
+                                    cfgs)
+        assert str(out[1]) == str(train_alone(small_train_set, 4, cfgs[1]))
+        for i in (0, 2):
+            assert_same_run(out[i], train(small_train_set, 4, cfgs[i]))
+
+    def test_non_finite_sa_raises_value_error(self, small_train_set):
+        bad = small_train_set[0].copy()
+        bad[0, 0] = math.inf
+        train_set = small_train_set[1:] + [bad]
+        cfgs = three_modes()
+        want = train_alone(train_set, 4, cfgs[0])
+        assert isinstance(want, ValueError) and "non-finite" in str(want)
+        with pytest.raises(ValueError) as got:
+            list(trainer.train_many(train_set, 4, cfgs))
+        assert str(got.value) == str(want)
+
+    def test_learned_rows_checked_before_any_step(self, small_train_set, monkeypatch):
+        def stepped(*args):
+            raise AssertionError("a run stepped")
+        monkeypatch.setattr(trainer, "_run_sgd", stepped)
+        monkeypatch.setattr(lockstep, "run_lockstep", stepped)
+        cfgs = [quick_cfg(), quick_cfg(mode="mixed_separate", learned_rows=0)]
+        with pytest.raises(ValueError, match="learned_rows=0"):
+            trainer.train_many(small_train_set, 4, cfgs)
