@@ -18,9 +18,10 @@ cells (sparse and dense random sketches at (k, m) = (4, 8) and (2, 6),
 step_kernel_1024x768 is step_kernel at IVY19's Hyper-like shape: one
 spiked 1024x768 matrix with 10 spikes, k=10, m=20, made before any
 timing starts. At the cli_pipeline shape (32x24 spiked, k=3, m=6, 4 train
-matrices), step_kernel_stack4 is one lockstep step per run-step: one
-stacked SA and sa_loss_and_grad_stack over 4 runs (the learned and
-mixed_joint runs below), its time divided by 4; train_loop_6 and
+matrices), step_kernel_32x24 is step_kernel on the first train matrix,
+and step_kernel_stack4 is one lockstep step per run-step: one stacked SA
+and sa_loss_and_grad_stack over 4 runs (the learned and mixed_joint
+runs below), its time divided by 4; train_loop_6 and
 train_many_6 are the 6 runs `lrsketch train` trains there (learned,
 mixed_joint and mixed_separate, two trials each, 10 iterations), as a
 loop of train calls and as one train_many. An lrsketch without
@@ -151,6 +152,7 @@ def timings(repeats: int) -> tuple[dict, dict]:
         f"train_{ITERATIONS}": lambda: trainer.train(train_set, M, TRAIN),
     }
     pipe_set, _ = evalbench.generate_dataset(PIPE_SPEC)
+    ops["step_kernel_32x24"] = step_kernel(pipe_set[0], PIPE_K, PIPE_M)
     ops["train_loop_6"] = lambda: [trainer.train(pipe_set, PIPE_M, c) for c in PIPE_RUNS]
     if hasattr(trainer, "train_many"):
         ops["step_kernel_stack4"] = step_kernel_stack(pipe_set)
@@ -191,7 +193,9 @@ def main() -> None:
         parser.error("--repeats must be >= 1")
     doc = {"shape": f"{SPEC.n}x{SPEC.d} spiked, k={K}, m={M}, "
                     f"{SPEC.count_train} train matrices, learned mode; step_kernel_"
-                    f"{LARGE_SPEC.n}x{LARGE_SPEC.d} at k={LARGE_K}, m={LARGE_M}",
+                    f"{LARGE_SPEC.n}x{LARGE_SPEC.d} at k={LARGE_K}, m={LARGE_M}; step_kernel_"
+                    f"{PIPE_SPEC.n}x{PIPE_SPEC.d}, step_kernel_stack{STACK} and the 6-run "
+                    f"trains at k={PIPE_K}, m={PIPE_M}",
            "unit": "us per call: p25, median, p75 over round-robin repeats; scaled_us "
                    "at the speed where perfbench's reference kernel takes NOMINAL_S",
            "runs": {}}

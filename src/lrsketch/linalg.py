@@ -176,8 +176,14 @@ def svd_stack(a: np.ndarray) -> SvdFactors | None:
     count, rows, cols = u.shape  # the sign rule runs on all slices' columns side by side
     flip = _signs(u.transpose(1, 0, 2).reshape(rows, count * cols)).reshape(count, 1, cols)
     # Fortran-ordered slices, as svd returns u and v, so `@` runs each slice as the 2-D one
-    return SvdFactors(u=np.multiply(u, flip, out=np.empty_like(u.mT, order="C").mT),
-                      sigma=sigma, v=np.multiply(vt.mT, flip, out=np.empty_like(vt).mT))
+    v = vt.swapaxes(1, 2)
+    return SvdFactors(u=np.multiply(u, flip, out=_fortran_slices(u)), sigma=sigma,
+                      v=np.multiply(v, flip, out=_fortran_slices(v)))
+
+
+def _fortran_slices(x: np.ndarray) -> np.ndarray:
+    """An empty stack shaped like x with each slice in Fortran order."""
+    return np.empty_like(x.swapaxes(1, 2), order="C").swapaxes(1, 2)
 
 
 def singular_values(a) -> np.ndarray:

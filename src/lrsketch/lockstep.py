@@ -5,10 +5,12 @@ arithmetic. So `trainer.train_many` steps a group of runs that share the
 train set's shape, the trained rows, k, batch size and iteration count
 together: one np.bincount takes every run's SA, one
 `scw.sa_loss_and_grad_stack` their losses and gradients, and one
-`scw_loss_stack` over runs x matrices their initial and final losses.
+`scw_loss_stack` per train matrix their initial and final losses.
 Each run keeps its batch stream, mask, lr, history and keep-start rule,
-and gets the bytes `trainer.train` gives it alone. `train_many` loads
-this module on first use, so start-up does not compile it.
+and gets the bytes `trainer.train` gives it alone. A group holds one
+copy of the train set, and a step batch x runs copies of its matrices.
+`train_many` loads this module on first use, so start-up does not
+compile it.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ from .scw import sa_loss_and_grad_stack, scw_loss_stack
 from .seeding import rng_from
 from .sketch import concat_sketches, grad_index, scatter_index
 from .trainer import _SEED_BATCH, _attempt, _mean_loss, _result, _Run
-
-# matrix entries in one stacked scoring call (runs x matrices x n x d): scoring
-# holds a few arrays that size, so memory stays bounded at large shapes
-SCORE_ENTRIES = 1 << 20
 
 
 class Stack:
@@ -60,22 +58,21 @@ class Stack:
 
 def mean_losses(mats: np.ndarray, sketches, k: int) -> list:
     """trainer._mean_loss of each sketch over the (T, n, d) train stack, bit-equal,
-    from `scw_loss_stack` over sketches x matrices, or where that fails from
-    _mean_loss itself; a sketch's error stands in its place. Each stacked
-    call takes as many matrices as keep its stack within SCORE_ENTRIES."""
+    from one `scw_loss_stack` over the sketches per train matrix, or where that
+    fails from _mean_loss itself; a sketch's error stands in its place. A call
+    per matrix holds a few (runs, n, d) arrays, no more than a step holds."""
     count, runs = len(mats), len(sketches)
+    stack = Stack(sketches, mats.shape[2], 1)
     vals = np.concatenate([s.value_of for s in sketches])
-    per = max(1, SCORE_ENTRIES // (runs * mats[0].size))
     losses = []
-    for lo in range(0, count, per):
-        which = np.repeat(np.arange(lo, min(lo + per, count))[:, None], runs, axis=1)
-        stack = Stack(sketches, mats.shape[2], len(which))
+    for t in range(count):
+        which = np.full((1, runs), t)
         got = _attempt(lambda: scw_loss_stack(mats[which.ravel()],
                                               stack.sa(vals, mats, which), k))
         if not isinstance(got, np.ndarray):
             return [_attempt(_mean_loss, mats, s, k) for s in sketches]
-        losses.append(got.reshape(len(which), runs))
-    losses = np.concatenate(losses)
+        losses.append(got)
+    losses = np.array(losses)
     return [sum(float(x) ** 2 for x in losses[:, r]) / count for r in range(runs)]
 
 

@@ -45,16 +45,21 @@ def _solve_stack(a: np.ndarray, sa: np.ndarray, k: int):
     return None if fb is None else (f, b, fb, min(k, fb.sigma.shape[1]))
 
 
+def _t(x: np.ndarray) -> np.ndarray:
+    """x.T for a matrix, each slice's .T for a stack: a view, as x.T is."""
+    return x.swapaxes(-1, -2)
+
+
 def _approx(f, fb, r: int) -> np.ndarray:
     """[AV]_r V^T from the factors of SA and of B = AV; 2-D or stacked."""
-    return ((fb.u[..., :r] * fb.sigma[..., None, :r]) @ fb.v[..., :r].mT) @ f.v.mT
+    return ((fb.u[..., :r] * fb.sigma[..., None, :r]) @ _t(fb.v[..., :r])) @ _t(f.v)
 
 
 def _grad_s(a: np.ndarray, f, b: np.ndarray, uk: np.ndarray) -> np.ndarray:
     """The dense dL/dS (m x n) from A, SA's factors, B and U_k; 2-D or stacked."""
-    ua = uk.mT @ a
-    g_sa = (f.u / f.sigma[..., None, :]) @ (b.mT @ uk) @ (ua - (ua @ f.v) @ f.v.mT)
-    return -2.0 * (g_sa @ a.mT)
+    ua = _t(uk) @ a
+    g_sa = (f.u / f.sigma[..., None, :]) @ (_t(b) @ uk) @ (ua - (ua @ f.v) @ _t(f.v))
+    return -2.0 * (g_sa @ _t(a))
 
 
 def scw_approximate(a, s: SparseSketch | DenseSketch, k: int) -> ScwOutput:
@@ -95,7 +100,7 @@ def sa_loss_and_grad_stack(a: np.ndarray, sa: np.ndarray, k: int, sq_norms: np.n
         return None
     f, b, fb, r = solved
     sk = fb.sigma[:, None, :r]
-    return np.maximum(sq_norms - (sk @ sk.mT).ravel(), 0.0), _grad_s(a, f, b, fb.u[..., :r])
+    return np.maximum(sq_norms - (sk @ _t(sk)).ravel(), 0.0), _grad_s(a, f, b, fb.u[..., :r])
 
 
 def scw_loss_stack(a: np.ndarray, sa: np.ndarray, k: int) -> np.ndarray | None:

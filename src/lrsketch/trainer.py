@@ -200,7 +200,10 @@ def train_many(train_set, m: int, cfgs) -> Iterator[tuple[SparseSketch, TrainRep
     any run steps. A group trains when the iterator reaches its first run,
     and at a run that failed the iterator raises that run's own error.
     """
-    n, cfgs = _check_train_set(train_set), list(cfgs)
+    cfgs = list(cfgs)
+    if not cfgs:  # train is never called, so nothing is checked
+        return iter(())
+    n = _check_train_set(train_set)
     starts = [_start(n, m, cfg) for cfg in cfgs]
     one_shape = len({a.shape for a in train_set}) == 1
     groups = {}

@@ -466,13 +466,16 @@ class TestTrainMany:
         for result, cfg in zip(got, cfgs):
             assert_same_run(result, train(train_set, m, cfg))
 
-    def test_scored_in_chunks(self, small_train_set, monkeypatch):
-        # 12 slices per stacked scoring call: the group of 4 runs scores its
-        # 6 matrices 3 at a time, the group of 2 all at once
-        monkeypatch.setattr(lockstep, "SCORE_ENTRIES", 6 * 2 * small_train_set[0].size)
-        cfgs = three_modes()
+    def test_scored_per_matrix(self, small_train_set, monkeypatch):
+        # each scoring call stacks the runs over one train matrix
+        calls = []
+        score = lockstep.scw_loss_stack
+        monkeypatch.setattr(lockstep, "scw_loss_stack", lambda a, *rest: (
+            calls.append(a.shape[0]) or score(a, *rest)))
+        cfgs = three_modes()[:4]
         for result, cfg in zip(trainer.train_many(small_train_set, 4, cfgs), cfgs):
             assert_same_run(result, train(small_train_set, 4, cfg))
+        assert calls == [4] * (2 * len(small_train_set))
 
     def test_empty_row_is_there(self, small_train_set):
         init, _ = train(small_train_set, 8, quick_cfg(learned_rows=4, seed=3, iterations=0))
@@ -533,3 +536,10 @@ class TestTrainMany:
         cfgs = [quick_cfg(), quick_cfg(mode="mixed_separate", learned_rows=0)]
         with pytest.raises(ValueError, match="learned_rows=0"):
             trainer.train_many(small_train_set, 4, cfgs)
+
+    def test_no_cfgs_checks_nothing(self, small_train_set):
+        # a loop of no train calls checks no train set, so this one passes
+        rows = [small_train_set[0], np.zeros((small_train_set[0].shape[0] + 1, 9))]
+        assert list(trainer.train_many(rows, 4, [])) == []
+        with pytest.raises(ValueError, match="rows"):
+            trainer.train_many(rows, 4, [quick_cfg()])
