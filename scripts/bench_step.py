@@ -24,9 +24,13 @@ and sa_loss_and_grad_stack over 4 runs (the learned and mixed_joint
 runs below), its time divided by 4; train_loop_6 and
 train_many_6 are the 6 runs `lrsketch train` trains there (learned,
 mixed_joint and mixed_separate, two trials each, 10 iterations), as a
-loop of train calls and as one train_many. An lrsketch without
-train_many (an older checkout, timed for comparison) skips
-step_kernel_stack4 and train_many_6.
+loop of train calls and as one train_many. eval_score_loop_30 and
+eval_score_30 are what `lrsketch eval` scores there: those 6 trained
+sketches plus 2 sparse and 2 dense random ones, each on 3 test
+matrices, as a loop of 30 scw_loss calls and as one scw_losses (one
+stacked pass per test matrix). An lrsketch without train_many or
+scw_losses (an older checkout, timed for comparison) skips
+step_kernel_stack4 and train_many_6, or eval_score_30.
 import_cli is start-up: a fresh interpreter imports
 numpy untimed, then times `import lrsketch, lrsketch.cli`, by perfbench's
 own recipe (perfbench/run.py import_lrsketch), once per round. Without
@@ -83,7 +87,7 @@ SWEEP_CELLS = [(k, m, st) for k, m in ((4, 8), (2, 6))
                for st in ("sparse_random", "dense_random")]
 LARGE_SPEC = replace(SPEC, name="large", n=1024, d=768, count_train=1, spikes=10)
 LARGE_K, LARGE_M = 10, 20
-PIPE_SPEC = replace(SPEC, name="pipe", n=32, d=24, spikes=3)
+PIPE_SPEC = replace(SPEC, name="pipe", n=32, d=24, count_test=3, spikes=3)
 PIPE_K, PIPE_M = 3, 6
 PIPE_RUNS = [trainer.TrainConfig(k=PIPE_K, lr=1.0, iterations=10, seed=20261018 + 10 * i + t,
                                  mode=mode, learned_rows=PIPE_M // 2)
@@ -151,9 +155,16 @@ def timings(repeats: int) -> tuple[dict, dict]:
         "train_0": lambda: trainer.train(train_set, M, idle),
         f"train_{ITERATIONS}": lambda: trainer.train(train_set, M, TRAIN),
     }
-    pipe_set, _ = evalbench.generate_dataset(PIPE_SPEC)
+    pipe_set, pipe_test = evalbench.generate_dataset(PIPE_SPEC)
     ops["step_kernel_32x24"] = step_kernel(pipe_set[0], PIPE_K, PIPE_M)
     ops["train_loop_6"] = lambda: [trainer.train(pipe_set, PIPE_M, c) for c in PIPE_RUNS]
+    scored = [trainer.train(pipe_set, PIPE_M, c)[0] for c in PIPE_RUNS] + [
+        evalbench.random_sketch(st, PIPE_M, PIPE_SPEC.n, seed)
+        for st in ("sparse_random", "dense_random") for seed in (1, 2)]
+    ops["eval_score_loop_30"] = lambda: [scw.scw_loss(a, s, PIPE_K)
+                                         for s in scored for a in pipe_test]
+    if hasattr(scw, "scw_losses"):
+        ops["eval_score_30"] = lambda: scw.scw_losses(pipe_test, scored, PIPE_K)
     if hasattr(trainer, "train_many"):
         ops["step_kernel_stack4"] = step_kernel_stack(pipe_set)
         ops["train_many_6"] = lambda: list(trainer.train_many(pipe_set, PIPE_M, PIPE_RUNS))
@@ -194,8 +205,8 @@ def main() -> None:
     doc = {"shape": f"{SPEC.n}x{SPEC.d} spiked, k={K}, m={M}, "
                     f"{SPEC.count_train} train matrices, learned mode; step_kernel_"
                     f"{LARGE_SPEC.n}x{LARGE_SPEC.d} at k={LARGE_K}, m={LARGE_M}; step_kernel_"
-                    f"{PIPE_SPEC.n}x{PIPE_SPEC.d}, step_kernel_stack{STACK} and the 6-run "
-                    f"trains at k={PIPE_K}, m={PIPE_M}",
+                    f"{PIPE_SPEC.n}x{PIPE_SPEC.d}, step_kernel_stack{STACK}, the 6-run "
+                    f"trains and the 10-sketch eval scoring at k={PIPE_K}, m={PIPE_M}",
            "unit": "us per call: p25, median, p75 over round-robin repeats; scaled_us "
                    "at the speed where perfbench's reference kernel takes NOMINAL_S",
            "runs": {}}

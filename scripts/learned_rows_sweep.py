@@ -11,8 +11,10 @@ Writes a (series, x, y) plot-data CSV with x = trainable rows.
 import sys
 from dataclasses import replace
 
-from lrsketch.evalbench import (DatasetSpec, generate_dataset, mean_scw_loss, optimal_loss,
-                                write_xy_csv)
+import numpy as np
+
+from lrsketch.evalbench import DatasetSpec, generate_dataset, optimal_loss, write_xy_csv
+from lrsketch.scw import scw_losses
 from lrsketch.seeding import derived_seed
 from lrsketch.trainer import TrainConfig, train_many
 
@@ -30,8 +32,10 @@ def run(out_csv: str) -> None:
     cfgs = [replace(TRAIN, learned_rows=learned_rows, seed=derived_seed(TRAIN.seed, learned_rows))
             for learned_rows in range(M + 1)]
     # the M + 1 runs share every shape, so they step in lockstep
-    for learned_rows, (sketch, rep) in enumerate(train_many(train_set, M, cfgs)):
-        err = mean_scw_loss(test_set, sketch, K) - app  # err_metric, optimum computed once
+    trained = list(train_many(train_set, M, cfgs))
+    losses = scw_losses(test_set, [sketch for sketch, _ in trained], K)  # one pass per matrix
+    for learned_rows, ((_, rep), row) in enumerate(zip(trained, losses)):
+        err = float(np.mean(row)) - app  # err_metric, optimum computed once
         rows.append(("mixed_j", learned_rows, err))
         print(f"learned_rows={learned_rows}: train loss "
               f"{rep.initial_loss:.4f} -> {rep.final_loss:.4f}, excess error {err:.4f}")

@@ -22,6 +22,7 @@ from .evalbench import (SKETCH_TYPES, TRAIN_MODES, DatasetSpec, evaluate_cell,
                         generate_dataset, random_sketch, results_to_csv, write_xy_csv)
 from .formats import atomic_open, load_sketch, save_dmat, save_sketch
 from .linalg import PowerSvdConfig, singular_values
+from .scw import scw_losses
 from .seeding import derived_seed
 from .trainer import (TrainConfig, TrainingDivergedError, learned_rows, report_to_csv,
                       train_many)
@@ -268,10 +269,14 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
         n = test_set[0].shape[0]
         sigmas = [singular_values(a) for a in test_set]
         for k, m in cfg.pairs:
-            for st in cfg.sketch_types:
-                sketches = [_eval_sketch(cfg, di, spec, n, k, m, st, t)
-                            for t in range(cfg.trials)]
-                records.append(evaluate_cell(spec.name, k, m, st, test_set, sigmas, sketches))
+            # every type and trial of the cell is loaded or built first, then all
+            # are scored together: one stacked pass per test matrix
+            sketches = [_eval_sketch(cfg, di, spec, n, k, m, st, t)
+                        for st in cfg.sketch_types for t in range(cfg.trials)]
+            losses = scw_losses(test_set, sketches, k)
+            for i, st in enumerate(cfg.sketch_types):
+                records.append(evaluate_cell(spec.name, k, m, st, sigmas,
+                                             losses[i * cfg.trials:(i + 1) * cfg.trials]))
     results_to_csv(records, os.path.join(cfg.out_dir, "results.csv"))
     _write_plot_data(cfg, records)
     print(f"eval: wrote {len(records)} rows -> {os.path.join(cfg.out_dir, 'results.csv')}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import as_matrix, orthonormal_basis, singular_values
 from .formats import atomic_open, load_matrix
-from .scw import scw_loss
+from .scw import scw_loss, scw_losses
 from .seeding import derived_seed, rng_from
 from .sketch import dense_random_sketch, sparse_random_sketch
 from .trainer import TrainConfig, train_many
@@ -206,14 +206,15 @@ def random_sketch(sketch_type: str, m: int, n: int, seed: int):
     raise ValueError(f"unknown sketch type {sketch_type!r}")
 
 
-def evaluate_cell(dataset: str, k: int, m: int, sketch_type: str, test, sigmas,
-                  sketches) -> ResultRecord:
-    """Mean and std-err of each sketch's excess error on a test set, the
-    optimum taken from `sigmas`, the test matrices' singular values."""
-    if not sketches:
+def evaluate_cell(dataset: str, k: int, m: int, sketch_type: str, sigmas,
+                  losses) -> ResultRecord:
+    """Mean and std-err of each trial's excess error on a test set, from
+    `losses`, a trial per row of `scw.scw_losses` over the test matrices, and
+    the optimum taken from `sigmas`, their singular values."""
+    if not len(losses):
         raise ValueError("trials must be >= 1")
     app = _tail_mean(sigmas, k)
-    errs = [mean_scw_loss(test, s, k) - app for s in sketches]
+    errs = [float(np.mean(row)) - app for row in losses]  # mean_scw_loss of each trial
     std_err = 0.0
     if len(errs) > 1:
         std_err = float(np.std(np.asarray(errs), ddof=1) / np.sqrt(len(errs)))
@@ -230,7 +231,7 @@ def _run_trials(name: str, train_set, test, sigmas, k: int, m: int,
     else:
         n = test[0].shape[0]
         sketches = [random_sketch(sketch_type, m, n, seed) for seed in seeds]
-    return evaluate_cell(name, k, m, sketch_type, test, sigmas, sketches)
+    return evaluate_cell(name, k, m, sketch_type, sigmas, scw_losses(test, sketches, k))
 
 
 @functools.lru_cache(maxsize=1)

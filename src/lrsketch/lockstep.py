@@ -3,14 +3,13 @@
 At the sizes here an SGD step costs numpy's per-call overhead, not
 arithmetic. So `trainer.train_many` steps a group of runs that share the
 train set's shape, the trained rows, k, batch size and iteration count
-together: one np.bincount takes every run's SA, one
-`scw.sa_loss_and_grad_stack` their losses and gradients, and one
-`scw_loss_stack` per train matrix their initial and final losses.
-Each run keeps its batch stream, mask, lr, history and keep-start rule,
-and gets the bytes `trainer.train` gives it alone. A group holds one
-copy of the train set, and a step batch x runs copies of its matrices.
-`train_many` loads this module on first use, so start-up does not
-compile it.
+together: one np.bincount takes every run's SA and one
+`scw.sa_loss_and_grad_stack` their losses and gradients. Each run keeps
+its batch stream, mask, lr and history, and gets the values and history
+`trainer._sgd` gives it alone; `train_many` scores the runs itself. A
+group holds one copy of the train set, and a step batch x runs copies
+of its matrices. `train_many` loads this module on first use, so
+start-up does not compile it.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ import math
 import numpy as np
 
 from .linalg import as_matrix, frobenius_norm
-from .scw import sa_loss_and_grad_stack, scw_loss_stack
+from .scw import sa_loss_and_grad_stack
 from .seeding import rng_from
-from .sketch import concat_sketches, grad_index, scatter_index
-from .trainer import _SEED_BATCH, _attempt, _mean_loss, _result, _Run
+from .sketch import grad_index, scatter_index
+from .trainer import _SEED_BATCH, _attempt, _Run
 
 
 class Stack:
@@ -51,29 +50,10 @@ class Stack:
         self.shape = (groups * count, m, d)
 
     def sa(self, vals: np.ndarray, mats: np.ndarray, which: np.ndarray) -> np.ndarray:
-        weights = vals[:, None] * mats[which[:, self.owner], self.col]
+        weights = mats[which[:, self.owner], self.col]  # a gathered copy, scaled in place
+        np.multiply(vals[:, None], weights, out=weights)
         out = np.bincount(self.flat, weights.ravel(), minlength=math.prod(self.shape))
         return out.reshape(self.shape).astype(np.float64, copy=False)  # int64 with no values
-
-
-def mean_losses(mats: np.ndarray, sketches, k: int) -> list:
-    """trainer._mean_loss of each sketch over the (T, n, d) train stack, bit-equal,
-    from one `scw_loss_stack` over the sketches per train matrix, or where that
-    fails from _mean_loss itself; a sketch's error stands in its place. A call
-    per matrix holds a few (runs, n, d) arrays, no more than a step holds."""
-    count, runs = len(mats), len(sketches)
-    stack = Stack(sketches, mats.shape[2], 1)
-    vals = np.concatenate([s.value_of for s in sketches])
-    losses = []
-    for t in range(count):
-        which = np.full((1, runs), t)
-        got = _attempt(lambda: scw_loss_stack(mats[which.ravel()],
-                                              stack.sa(vals, mats, which), k))
-        if not isinstance(got, np.ndarray):
-            return [_attempt(_mean_loss, mats, s, k) for s in sketches]
-        losses.append(got)
-    losses = np.array(losses)
-    return [sum(float(x) ** 2 for x in losses[:, r]) / count for r in range(runs)]
 
 
 def _step(stack: Stack, mats, sq_norms, vals, mask, lr, which, k: int):
@@ -95,24 +75,21 @@ def _step(stack: Stack, mats, sq_norms, vals, mask, lr, which, k: int):
     return vals, np.ascontiguousarray(got[0].reshape(batch, -1).T).sum(axis=1) / batch
 
 
-def run_lockstep(train_set, starts, cfgs) -> list:
-    """trainer._run_sgd for each (sketch, tail) of starts with its cfg, stepped
-    at once over a train set of one shape: each run's result or error, bit-equal.
+def run_lockstep(train_set, sketches, cfgs) -> list:
+    """trainer._sgd for each sketch with its cfg, stepped at once over a train
+    set of one shape: each run's (values, history) or error, bit-equal.
 
     The runs share the trained rows, k, batch size and iteration count;
     each keeps its batch stream, mask, lr and history. A step is one
     `_step`; where that returns None or raises, each run takes its
-    own `_Run.step` on its batch, and a run that fails drops out. The
-    initial and final losses come from `mean_losses`.
+    own `_Run.step` on its batch, and a run that fails drops out.
     """
     k, batch = cfgs[0].k, cfgs[0].batch_size
     mats = np.stack([as_matrix(a) for a in train_set])
-    initial = mean_losses(mats, [concat_sketches(*start) for start in starts], k)
-    out = list(initial)
     sq_norms = np.array([frobenius_norm(a) ** 2 for a in mats])
-    parts = {r: starts[r][0].value_of for r, x in enumerate(out)  # each live run's values
-             if not isinstance(x, Exception)}
-    runs = {r: _Run(starts[r][0], cfgs[r], (mats.shape[2],)) for r in parts}
+    out = [None] * len(sketches)
+    parts = {r: s.value_of for r, s in enumerate(sketches)}  # each live run's values
+    runs = {r: _Run(sketches[r], cfgs[r], (mats.shape[2],)) for r in parts}
     rngs = {r: rng_from(cfgs[r].seed, _SEED_BATCH) for r in parts}
     history = {r: [] for r in parts}
     stack = None
@@ -120,8 +97,8 @@ def run_lockstep(train_set, starts, cfgs) -> list:
         if not parts:
             break
         if stack is None:  # laid out again when a run drops out
-            stack = Stack([starts[r][0] for r in parts], mats.shape[2], batch)
-            mask = np.concatenate([starts[r][0].trainable_mask for r in parts])
+            stack = Stack([sketches[r] for r in parts], mats.shape[2], batch)
+            mask = np.concatenate([sketches[r].trainable_mask for r in parts])
             lr = np.array([cfgs[r].lr for r in parts], dtype=np.float64)[stack.owner]
         which = np.array([np.sort(rngs[r].integers(0, len(mats), size=batch))
                           for r in parts]).T  # (batch, runs): each slice's matrix
@@ -139,10 +116,6 @@ def run_lockstep(train_set, starts, cfgs) -> list:
             else:
                 parts[r], loss = done
                 history[r].append((step, loss))
-    trained = {r: starts[r][0].with_values(v) for r, v in parts.items()}
-    finals = mean_losses(mats, [concat_sketches(t, starts[r][1]) for r, t in trained.items()],
-                         k) if trained else []
-    for (r, t), final in zip(trained.items(), finals):
-        out[r] = final if isinstance(final, Exception) else _result(
-            *starts[r], t, initial[r], final, history[r])
+    for r, vals in parts.items():
+        out[r] = vals, history[r]
     return out

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, frobenius_norm, svd, svd_stack
-from .sketch import DenseSketch, SparseSketch, apply_sketch, concat_sketches, grad_index
+from .sketch import (DenseSketch, SparseSketch, apply_sketch, apply_sketches, concat_sketches,
+                     grad_index)
 
 
 @dataclass(frozen=True)
@@ -104,13 +105,39 @@ def sa_loss_and_grad_stack(a: np.ndarray, sa: np.ndarray, k: int, sq_norms: np.n
 
 
 def scw_loss_stack(a: np.ndarray, sa: np.ndarray, k: int) -> np.ndarray | None:
-    """scw_loss of each slice of stacks of A and SA, bit-equal; None as above."""
+    """scw_loss of each slice of stacks of A and SA, bit-equal; None as above.
+    The residual is built and squared in place: one (R, n, d) array."""
     solved = _solve_stack(a, sa, k)
     if solved is None:
         return None
     f, _, fb, r = solved
-    res = a - _approx(f, fb, r)
-    return np.sqrt(np.sum(res * res, axis=(1, 2)))
+    res = _approx(f, fb, r)
+    np.subtract(a, res, out=res)
+    return np.sqrt(np.sum(np.multiply(res, res, out=res), axis=(1, 2)))
+
+
+def scw_losses(mats, sketches, k: int) -> np.ndarray:
+    """(sketches, matrices) array of scw_loss(a, s, k), bit-equal, for sketches
+    of one row count. Each matrix takes one scw_loss_stack over every sketch's
+    SA and a broadcast view of itself; where that is None, or a sketch's n or k
+    would make scw_loss raise, the matrix is scored sketch by sketch. The error
+    raised is the one a loop over sketches, then matrices, raises first."""
+    out = np.empty((len(sketches), len(mats)))
+    alone = []
+    for t, a in enumerate(mats):
+        a = as_matrix(a)
+        got = None
+        if sketches and k >= 1 and all(s.n == a.shape[0] for s in sketches):
+            sa = apply_sketches(sketches, a)
+            got = scw_loss_stack(np.broadcast_to(a, sa.shape[:1] + a.shape), sa, k)
+        if got is None:
+            alone.append(t)
+        else:
+            out[:, t] = got
+    for i, s in enumerate(sketches):  # matrices that succeed stacked raise for no sketch
+        for t in alone:
+            out[i, t] = scw_loss(mats[t], s, k)
+    return out
 
 
 def scw_loss_and_grad(a, s: SparseSketch, k: int) -> tuple[float, np.ndarray]:

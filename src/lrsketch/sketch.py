@@ -180,6 +180,28 @@ def apply_sketch(s: SparseSketch | DenseSketch, a) -> np.ndarray:
     return scatter_rows(s.value_of, s.row_of, s.m, a)
 
 
+def apply_sketches(sketches, a) -> np.ndarray:
+    """apply_sketch(s, a) of each of one or more sketches of one row count m, as
+    an (R, m, d) stack, bit-equal. The sparse ones take one scatter with sketch
+    j's rows offset by j * m, so each bin gets its own sketch's additions in order."""
+    a = as_matrix(a)
+    m = sketches[0].m
+    out = np.empty((len(sketches), m, a.shape[1]))
+    sparse = []
+    for i, s in enumerate(sketches):
+        if s.m != m:
+            raise ValueError(f"sketch {i} has {s.m} rows, expected {m}")
+        if isinstance(s, SparseSketch) and s.n == a.shape[0]:
+            sparse.append(i)
+        else:  # dense, or a column count apply_sketch rejects
+            out[i] = apply_sketch(s, a)
+    if sparse:
+        rows = np.concatenate([sketches[i].row_of + j * m for j, i in enumerate(sparse)])
+        vals = np.concatenate([sketches[i].value_of for i in sparse])
+        out[sparse] = scatter_rows(vals, rows, len(sparse) * m, a).reshape(len(sparse), m, -1)
+    return out
+
+
 def densify(s: SparseSketch) -> np.ndarray:
     out = np.zeros((s.m, s.n))
     off = 0

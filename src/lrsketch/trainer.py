@@ -14,8 +14,9 @@ the loss history: each step's batch loss comes residual-free from the
 step kernel and matches that to about eps * ||A||^2. A run whose final
 loss is above its initial one returns its start.
 
-`train_many` gives each of many runs the bytes `train` gives it alone;
-runs that share every shape step together (`lockstep`).
+`train_many` gives each of many runs the bytes `train` gives it alone:
+it scores the runs that share k together (`scw.scw_losses`), and runs
+that share every shape step together (`lockstep`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .formats import atomic_open
 from .linalg import PowerSvdConfig, as_matrix, frobenius_norm
-from .scw import sa_loss_and_grad, scw_loss
+from .scw import sa_loss_and_grad, scw_loss, scw_losses
 from .seeding import derived_seed, rng_from
 from .sketch import (SparseSketch, concat_sketches, empty_sketch, grad_index, scatter_flat,
                      scatter_index, sparse_random_sketch)
@@ -93,6 +94,23 @@ def _mean_loss(train_set, sketch, k: int) -> float:
     return sum(scw_loss(a, sketch, k) ** 2 for a in train_set) / len(train_set)
 
 
+def _mean_losses(train_set, sketches: dict, cfgs) -> dict:
+    """_mean_loss of each sketch, keyed as `sketches` is, with cfgs[key].k, bit-equal:
+    one `scw_losses` over the sketches that share k, or where that raises,
+    _mean_loss per sketch; a sketch's error stands in its place."""
+    by_k, out = {}, {}
+    for i in sketches:
+        by_k.setdefault(cfgs[i].k, []).append(i)
+    for k, keys in by_k.items():
+        table = _attempt(scw_losses, train_set, [sketches[i] for i in keys], k)
+        for j, i in enumerate(keys):
+            if isinstance(table, Exception):  # each sketch's own error, or its loss
+                out[i] = _attempt(_mean_loss, train_set, sketches[i], k)
+            else:
+                out[i] = sum(float(x) ** 2 for x in table[j]) / len(train_set)
+    return out
+
+
 class _Run:
     """One run's step: its sketch's pattern, index arrays and cfg, built once."""
 
@@ -130,14 +148,12 @@ def _result(sketch, tail, trained, initial: float, final: float, history):
     return concat_sketches(trained, tail), TrainReport(tuple(history), initial, final)
 
 
-def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
-             cfg: TrainConfig) -> tuple[SparseSketch, TrainReport]:
-    """SGD over sketch's values; returns concat_sketches(trained, tail) and its losses.
+def _sgd(train_set, sketch: SparseSketch, cfg: TrainConfig):
+    """SGD over sketch's values: the trained values and the loss history.
 
     The matrices, their squared norms, the scatter index of each column
     count in the train set and the gradient index are built once per run.
     """
-    initial = _mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
     mats = [as_matrix(a) for a in train_set]
     sq_norms = [frobenius_norm(a) ** 2 for a in mats]
     run = _Run(sketch, cfg, {a.shape[1] for a in mats})
@@ -147,6 +163,14 @@ def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
         idx = np.sort(batch_rng.integers(0, len(mats), size=cfg.batch_size))
         vals, loss = run.step(mats, sq_norms, vals, idx, step)
         history.append((step, loss))
+    return vals, history
+
+
+def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
+             cfg: TrainConfig) -> tuple[SparseSketch, TrainReport]:
+    """Score, SGD over sketch's values, score: concat_sketches(trained, tail) and its losses."""
+    initial = _mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
+    vals, history = _sgd(train_set, sketch, cfg)
     trained = sketch.with_values(vals)
     final = _mean_loss(train_set, concat_sketches(trained, tail), cfg.k)
     return _result(sketch, tail, trained, initial, final, history)
@@ -194,41 +218,61 @@ def train(train_set, m: int, cfg: TrainConfig) -> tuple[SparseSketch, TrainRepor
 def train_many(train_set, m: int, cfgs) -> Iterator[tuple[SparseSketch, TrainReport]]:
     """train(train_set, m, cfg) for each cfg, in order, byte for byte.
 
-    Over a train set of one shape, runs that share the trained rows, k,
-    batch size and iteration count step in lockstep (`lockstep`); a
-    run alone in its group takes `_run_sgd`. Every cfg is checked before
-    any run steps. A group trains when the iterator reaches its first run,
-    and at a run that failed the iterator raises that run's own error.
+    The initial losses of every run that shares k are scored in one
+    pass (`scw.scw_losses`) before any run steps, and the final losses
+    in one pass after the last. Over a train set of one shape, runs that
+    share the trained rows, k, batch size and iteration count step in
+    lockstep (`lockstep`); a run alone in its group steps by itself.
+    Every cfg is checked before any run steps. Every run trains when the
+    iterator is first advanced, before it yields; results come in cfg
+    order, and at a run that failed the iterator raises that run's own
+    error.
     """
     cfgs = list(cfgs)
     if not cfgs:  # train is never called, so nothing is checked
         return iter(())
     n = _check_train_set(train_set)
     starts = [_start(n, m, cfg) for cfg in cfgs]
-    one_shape = len({a.shape for a in train_set}) == 1
-    groups = {}
-    for i, ((sketch, _), cfg) in enumerate(zip(starts, cfgs)):
-        key = (sketch.m, cfg.k, cfg.batch_size, cfg.iterations) if one_shape else i
-        groups.setdefault(key, []).append(i)
-    return _in_order(train_set, starts, cfgs, list(groups.values()))
+    return _in_order(train_set, starts, cfgs)
 
 
-def _in_order(train_set, starts, cfgs, groups):
-    done = {}
-    for i in range(len(cfgs)):
-        if i not in done:
-            group = next(g for g in groups if g[0] == i)
-            if len(group) == 1:
-                results = [_attempt(_run_sgd, train_set, *starts[i], cfgs[i])]
-            else:  # loaded here, so start-up does not compile it
-                from .lockstep import run_lockstep
-                results = run_lockstep(train_set, [starts[j] for j in group],
-                                       [cfgs[j] for j in group])
-            done.update(zip(group, results))
-        result = done.pop(i)
+def _in_order(train_set, starts, cfgs):
+    for result in _train_all(train_set, starts, cfgs):
         if isinstance(result, Exception):
             raise result
         yield result
+
+
+def _train_all(train_set, starts, cfgs) -> list:
+    """Each run's (sketch, report) or error: score all, step each group, score all."""
+    out = _mean_losses(train_set, {i: concat_sketches(*start)
+                                   for i, start in enumerate(starts)}, cfgs)
+    initial = {i: x for i, x in out.items() if not isinstance(x, Exception)}
+    one_shape = len({a.shape for a in train_set}) == 1
+    groups = {}
+    for i in initial:
+        key = (starts[i][0].m, cfgs[i].k, cfgs[i].batch_size, cfgs[i].iterations)
+        groups.setdefault(key if one_shape else i, []).append(i)
+    stepped = {}
+    for group in groups.values():
+        if len(group) == 1:
+            stepped[group[0]] = _attempt(_sgd, train_set, starts[group[0]][0], cfgs[group[0]])
+        else:  # loaded here, so start-up does not compile it
+            from .lockstep import run_lockstep
+            stepped.update(zip(group, run_lockstep(
+                train_set, [starts[i][0] for i in group], [cfgs[i] for i in group])))
+    trained = {}
+    for i, got in stepped.items():
+        if isinstance(got, Exception):
+            out[i] = got
+        else:
+            trained[i] = starts[i][0].with_values(got[0])
+    finals = _mean_losses(train_set, {i: concat_sketches(t, starts[i][1])
+                                      for i, t in trained.items()}, cfgs)
+    for i, final in finals.items():
+        out[i] = final if isinstance(final, Exception) else _result(
+            *starts[i], trained[i], initial[i], final, stepped[i][1])
+    return [out[i] for i in range(len(cfgs))]
 
 
 def _attempt(fn, *args):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -6,8 +7,10 @@ import pytest
 
 from lrsketch import cli, scw, trainer, verify
 from lrsketch.cli import main
-from lrsketch.evalbench import generate_dataset
+from lrsketch.evalbench import (SKETCH_TYPES, ResultRecord, generate_dataset, optimal_loss,
+                                results_to_csv)
 from lrsketch.formats import load_sketch, save_dmat
+from lrsketch.scw import scw_loss
 from lrsketch.seeding import derived_seed
 from lrsketch.sketch import sketches_equal, sparse_random_sketch
 
@@ -220,6 +223,29 @@ class TestEvalCommand:
             sketches.append([open(os.path.join(cfg["out_dir"], "sketches", p), "rb").read()
                              for p in paths])
         assert sketches[0] == sketches[1]
+
+    def test_results_equal_a_per_cell_scw_loss_oracle(self, tmp_path):
+        # every type and trial of a cell is scored in one pass per test matrix;
+        # results.csv keeps the bytes of a loop of scw_loss per cell
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path, sketch_types=list(SKETCH_TYPES), trials=2,
+                           pairs=[[2, 4], [3, 6]],
+                           train={"lr": 0.5, "iterations": 15, "power_iters": 15})
+        for cmd in ("gen-data", "train", "eval"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0
+        exp = cli.load_config(str(cfg_path))
+        spec = exp.datasets[0]
+        _, test = generate_dataset(spec)
+        records = []
+        for (k, m), st in itertools.product(exp.pairs, SKETCH_TYPES):
+            errs = [float(np.mean([scw_loss(a, cli._eval_sketch(exp, 0, spec, 16, k, m, st, t), k)
+                                   for a in test])) - optimal_loss(test, k)
+                    for t in range(2)]
+            records.append(ResultRecord("demo", k, m, st, float(np.mean(errs)),
+                                        float(np.std(errs, ddof=1) / np.sqrt(2)), 2))
+        results_to_csv(records, tmp_path / "oracle.csv")
+        assert (tmp_path / "oracle.csv").read_bytes() == \
+            open(os.path.join(cfg["out_dir"], "results.csv"), "rb").read()
 
     def test_test_spectra_once_per_matrix(self, tmp_path, monkeypatch):
         """One SVD per test matrix scores every k: two distinct k, 2 test matrices."""

@@ -12,7 +12,7 @@ from lrsketch.evalbench import (SKETCH_TYPES, DatasetSpec, ResultRecord, _sweep_
 from lrsketch import evalbench, linalg, trainer
 from lrsketch.formats import save_dmat, save_matrix_csv
 from lrsketch.linalg import best_rank_k, frobenius_norm, reference_svd, singular_values
-from lrsketch.scw import scw_loss
+from lrsketch.scw import scw_loss, scw_losses
 from lrsketch.seeding import rng_from
 from lrsketch.sketch import (concat_sketches, dense_random_sketch,
                              identity_pattern_sketch, sparse_random_sketch)
@@ -222,7 +222,8 @@ class TestEvaluateCell:
         rng = rng_from(34)
         test = [rng.standard_normal((8, 6)) for _ in range(3)]
         sigmas = [singular_values(a) for a in test]
-        return test, evaluate_cell("demo", 2, 3, "sparse_random", test, sigmas, sketches)
+        return test, evaluate_cell("demo", 2, 3, "sparse_random", sigmas,
+                                   scw_losses(test, sketches, 2))
 
     def test_one_sketch_is_its_err_metric(self):
         s = sparse_random_sketch(3, 8, 35)

@@ -5,12 +5,14 @@ from lrsketch.diffsvd import PowerSvdConfig, backward, scw_forward_with_tape
 from lrsketch.evalbench import DatasetSpec, generate_dataset
 from lrsketch.linalg import (as_matrix, best_rank_k, frobenius_norm, matmul,
                              reference_svd, svd, svd_stack)
+from lrsketch import scw
 from lrsketch.scw import (check_concat_dominance, sa_loss_and_grad, sa_loss_and_grad_stack,
-                          scw_approximate, scw_loss, scw_loss_and_grad, scw_loss_stack)
+                          scw_approximate, scw_loss, scw_loss_and_grad, scw_loss_stack,
+                          scw_losses)
 from lrsketch.seeding import rng_from
 from lrsketch.sketch import (SparseSketch, SketchBlock, apply_sketch, concat_sketches,
-                             densify, empty_sketch, grad_index, identity_pattern_sketch,
-                             sparse_random_sketch)
+                             dense_random_sketch, densify, empty_sketch, grad_index,
+                             identity_pattern_sketch, sparse_random_sketch)
 
 
 def lapack_scw_loss(a, s, k):
@@ -366,6 +368,71 @@ class TestStackedKernels:
         a[1] = 0.0  # SA is kept, so its slices stay full rank; B = AV is zero there
         assert sa_loss_and_grad_stack(a, sa, 2, np.ones(3)) is None
         assert scw_loss_stack(a, sa, 2) is None
+
+
+class TestScwLosses:
+    """scw_losses(mats, sketches, k)[i, t] is scw_loss(mats[t], sketches[i], k), byte
+    for byte, and it raises what that loop, sketch by sketch, raises first."""
+
+    N, D, M = 12, 9, 4
+
+    @classmethod
+    def sketches(cls, empty_row: bool):
+        n, m = cls.N, cls.M
+        out = [jittered(sparse_random_sketch(m, n, seed), seed) for seed in (80, 81)]
+        out += [dense_random_sketch(m, n, seed) for seed in (82, 83)]
+        out.append(concat_sketches(sparse_random_sketch(2, n, 84), sparse_random_sketch(2, n, 85)))
+        if empty_row:  # no column hits row 3, so SA is rank-deficient on every matrix
+            rows = np.arange(n) % (m - 1)
+            out.insert(2, SparseSketch(n, (SketchBlock(m, rows, np.ones(n), np.ones(n, bool)),)))
+        return out
+
+    @classmethod
+    def mats(cls, count=3):
+        rng = rng_from(86)
+        return [rng.standard_normal((cls.N, cls.D)) for _ in range(count)]
+
+    @staticmethod
+    def first_error(mats, sketches, k):
+        try:
+            for s in sketches:
+                for a in mats:
+                    scw_loss(a, s, k)
+        except ValueError as exc:
+            return exc
+        raise AssertionError("the loop raised nothing")
+
+    @pytest.mark.parametrize("empty_row", [False, True])
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_equals_loop(self, empty_row, k, monkeypatch):
+        mats, sketches = self.mats(), self.sketches(empty_row)
+        want = np.array([[scw_loss(a, s, k) for a in mats] for s in sketches])
+        alone = []
+        monkeypatch.setattr(scw, "scw_loss", lambda *args: alone.append(1) or scw_loss(*args))
+        got = scw_losses(mats, sketches, k)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # a rank-deficient slice sends its matrix sketch by sketch; else none goes
+        assert len(alone) == (len(mats) * len(sketches) if empty_row else 0)
+
+    def test_no_sketches_or_matrices(self):
+        assert scw_losses(self.mats(), [], 2).shape == (0, 3)
+        assert scw_losses([], self.sketches(False), 2).shape == (5, 0)
+
+    @pytest.mark.parametrize("case", ["non_finite_then_n", "n_first", "mixed_rows"])
+    def test_raises_the_loops_first_error(self, case):
+        mats, sketches = self.mats(), self.sketches(False)
+        if case == "non_finite_then_n":  # sketch-major: (0, 1) non-finite before (4, 0) n
+            mats[1][2, 3] = np.inf
+            sketches[4] = sparse_random_sketch(self.M, self.N + 1, 87)
+        elif case == "n_first":
+            mats[2][0, 0] = np.nan
+            sketches[0] = sparse_random_sketch(self.M, self.N - 1, 87)
+        else:  # matrix 1 has other rows than every sketch
+            mats[1] = np.ones((self.N + 2, self.D))
+        want = self.first_error(mats, sketches, 2)
+        with pytest.raises(ValueError) as got:
+            scw_losses(mats, sketches, 2)
+        assert str(got.value) == str(want)
 
 
 class TestConcatDominance:

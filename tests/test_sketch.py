@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrsketch.linalg import matmul
-from lrsketch.sketch import (SketchBlock, SparseSketch, apply_sketch,
+from lrsketch.seeding import rng_from
+from lrsketch.sketch import (SketchBlock, SparseSketch, apply_sketch, apply_sketches,
                              concat_sketches, dense_random_sketch, densify,
                              empty_sketch, identity_pattern_sketch, scatter_rows,
                              sketches_equal, sparse_random_sketch)
@@ -98,6 +99,27 @@ class TestApplySketch:
         lhs = apply_sketch(s, a + b)
         rhs = apply_sketch(s, a) + apply_sketch(s, b)
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+class TestApplySketches:
+    """apply_sketches(sketches, a)[i] is apply_sketch(sketches[i], a), byte for byte."""
+
+    def test_matches_each_apply_bitwise(self):
+        rng = rng_from(90)
+        a = rng.standard_normal((10, 7))
+        sketches = [sparse_random_sketch(4, 10, 91), dense_random_sketch(4, 10, 92),
+                    concat_sketches(sparse_random_sketch(1, 10, 93), sparse_random_sketch(3, 10, 94)),
+                    sparse_random_sketch(4, 10, 95).with_values(rng.standard_normal(10)),
+                    dense_random_sketch(4, 10, 96)]
+        want = np.stack([apply_sketch(s, a) for s in sketches])
+        assert apply_sketches(sketches, a).tobytes() == want.tobytes()
+
+    def test_checks_rows_and_columns(self):
+        a = np.ones((10, 7))
+        with pytest.raises(ValueError, match="rows, expected 4"):
+            apply_sketches([sparse_random_sketch(4, 10, 1), sparse_random_sketch(5, 10, 2)], a)
+        with pytest.raises(ValueError, match="sketch has n=9"):
+            apply_sketches([sparse_random_sketch(4, 10, 1), sparse_random_sketch(4, 9, 2)], a)
 
 
 class TestScatterRows:

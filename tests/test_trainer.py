@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lrsketch import autodiff, lockstep, trainer
+from lrsketch import autodiff, lockstep, scw, trainer
 from lrsketch.diffsvd import PowerSvdConfig
 from lrsketch.evalbench import DatasetSpec, generate_dataset
 from lrsketch.linalg import frobenius_norm
@@ -434,6 +434,8 @@ class TestTrainMany:
             quick_cfg(mode="mixed_joint", learned_rows=0, seed=s) for s in (6, 7)]),
         "lr_0": (None, 4, three_modes(lr=0.0)),
         "one_run": (None, 4, [quick_cfg(batch_size=3)]),
+        # two k values in one call: each k is scored in its own pass and steps in its own group
+        "two_k": (None, 4, three_modes() + three_modes(k=3)),
         # at seed 3 the trained block has a row no column hits, so its SA is rank-deficient
         "empty_row": (None, 8, [quick_cfg(mode=mode, learned_rows=4, batch_size=2, seed=seed)
                                 for mode in ("learned", "mixed_joint") for seed in (3, 5)]),
@@ -467,15 +469,39 @@ class TestTrainMany:
             assert_same_run(result, train(train_set, m, cfg))
 
     def test_scored_per_matrix(self, small_train_set, monkeypatch):
-        # each scoring call stacks the runs over one train matrix
+        # each scoring pass stacks every run that shares k over one train matrix,
+        # across lockstep groups: the 6 runs here step in two groups
         calls = []
-        score = lockstep.scw_loss_stack
-        monkeypatch.setattr(lockstep, "scw_loss_stack", lambda a, *rest: (
+        score = scw.scw_loss_stack
+        monkeypatch.setattr(scw, "scw_loss_stack", lambda a, *rest: (
             calls.append(a.shape[0]) or score(a, *rest)))
-        cfgs = three_modes()[:4]
+        cfgs = three_modes()
         for result, cfg in zip(trainer.train_many(small_train_set, 4, cfgs), cfgs):
             assert_same_run(result, train(small_train_set, 4, cfg))
-        assert calls == [4] * (2 * len(small_train_set))
+        assert calls == [6] * (2 * len(small_train_set))
+
+    def test_failed_initial_scoring_stands_for_its_run(self, small_train_set, monkeypatch):
+        # run 1's start cannot be scored; train alone raises the same error,
+        # and the others, of both k values, still equal train alone
+        cfgs = three_modes() + [replace(c, k=3, seed=c.seed + 2) for c in three_modes()]
+        bad = concat_sketches(*trainer._start(12, 4, cfgs[1])).value_of
+        apply, apply_all = scw.apply_sketch, scw.apply_sketches
+
+        def refuse(s, a):
+            if np.array_equal(s.value_of, bad):
+                raise ValueError("unscorable start")
+            return apply(s, a)
+
+        monkeypatch.setattr(scw, "apply_sketch", refuse)
+        monkeypatch.setattr(scw, "apply_sketches", lambda sketches, a: (
+            [refuse(s, a) for s in sketches] and apply_all(sketches, a)))
+        it = trainer.train_many(small_train_set, 4, cfgs)
+        assert_same_run(next(it), train(small_train_set, 4, cfgs[0]))
+        with pytest.raises(ValueError, match="unscorable start"):
+            next(it)
+        assert str(train_alone(small_train_set, 4, cfgs[1])) == "unscorable start"
+        for cfg, result in zip(cfgs[2:], trainer.train_many(small_train_set, 4, cfgs[2:])):
+            assert_same_run(result, train(small_train_set, 4, cfg))
 
     def test_empty_row_is_there(self, small_train_set):
         init, _ = train(small_train_set, 8, quick_cfg(learned_rows=4, seed=3, iterations=0))
@@ -509,13 +535,16 @@ class TestTrainMany:
         assert next(it, None) is None
 
     def test_group_steps_on_past_a_failed_run(self, small_train_set, monkeypatch):
-        # run 1 fails; runs 0 and 2 still equal train alone, taken one at a time
+        # run 1 fails; runs 0 and 2 still step as they do alone, taken one at a time
         cfgs = [quick_cfg(lr=lr, seed=seed) for lr, seed in ((1.0, 5), (math.inf, 6), (1.0, 7))]
-        out = lockstep.run_lockstep(small_train_set, [trainer._start(12, 4, c) for c in cfgs],
-                                    cfgs)
+        sketches = [trainer._start(12, 4, c)[0] for c in cfgs]
+        out = lockstep.run_lockstep(small_train_set, sketches, cfgs)
         assert str(out[1]) == str(train_alone(small_train_set, 4, cfgs[1]))
         for i in (0, 2):
-            assert_same_run(out[i], train(small_train_set, 4, cfgs[i]))
+            vals, history = trainer._sgd(small_train_set, sketches[i], cfgs[i])
+            assert out[i][0].tobytes() == vals.tobytes()
+            assert out[i][1] == history
+            assert np.array(out[i][1]).tobytes() == np.array(history).tobytes()
 
     def test_non_finite_sa_raises_value_error(self, small_train_set):
         bad = small_train_set[0].copy()
@@ -531,7 +560,7 @@ class TestTrainMany:
     def test_learned_rows_checked_before_any_step(self, small_train_set, monkeypatch):
         def stepped(*args):
             raise AssertionError("a run stepped")
-        monkeypatch.setattr(trainer, "_run_sgd", stepped)
+        monkeypatch.setattr(trainer, "_sgd", stepped)
         monkeypatch.setattr(lockstep, "run_lockstep", stepped)
         cfgs = [quick_cfg(), quick_cfg(mode="mixed_separate", learned_rows=0)]
         with pytest.raises(ValueError, match="learned_rows=0"):
