@@ -5,8 +5,9 @@ Usage:
     PYTHONPATH=src python3 scripts/bench_step.py [--repeats N] [--label NAME] [--out PATH]
 
 At 64x48, k=4, m=8 (the spiked_bundle shape, 4 train matrices) it times
-apply_sketch, svd of SA (and np.linalg.svd alone on the same SA),
-scw_loss, scw_loss_and_grad, step_kernel (what an SGD step runs per
+apply_sketch, svd of SA (and np.linalg.svd alone on the same SA), svd_b
+(the SVD of B = AV as the step takes it: unsigned_svd, or svd in an
+lrsketch without it), scw_loss, scw_loss_and_grad, step_kernel (what an SGD step runs per
 sampled matrix in its place: scatter_flat and sa_loss_and_grad on index
 arrays and ||A||_F^2 taken beforehand), optimal_loss of the 4 train matrices,
 normalize_top_singular of one matrix scaled by 2, generate_dataset of
@@ -137,6 +138,8 @@ def timings(repeats: int) -> tuple[dict, dict]:
     a = train_set[0]
     s = sketch.sparse_random_sketch(M, SPEC.n, 7)
     sa = sketch.apply_sketch(s, a)
+    b = a @ linalg.svd(sa).v
+    svd_b = getattr(linalg, "unsigned_svd", linalg.svd)
     large = evalbench.generate_dataset(LARGE_SPEC)[0][0]
     raw = 2.0 * a
     idle = replace(TRAIN, iterations=0)
@@ -144,6 +147,7 @@ def timings(repeats: int) -> tuple[dict, dict]:
         "apply_sketch": lambda: sketch.apply_sketch(s, a),
         "np_linalg_svd_sa": lambda: np.linalg.svd(sa, full_matrices=False),
         "svd_sa": lambda: linalg.svd(sa),
+        "svd_b": lambda: svd_b(b),
         "scw_loss": lambda: scw.scw_loss(a, s, K),
         "scw_loss_and_grad": lambda: scw.scw_loss_and_grad(a, s, K),
         "step_kernel": step_kernel(a, K, M),

@@ -140,10 +140,24 @@ def _canonical(u, sigma, v) -> SvdFactors:
     RANK_TOL * sigma[0]. Column signs are fixed so the largest-magnitude
     entry of each u column is positive; u and v come out Fortran-ordered.
     """
+    return _signed(*_ranked(u, sigma, v))
+
+
+def _ranked(u, sigma, v):
+    """The rank rule: (u, sigma, v) cut to the singular values above
+    RANK_TOL * sigma[0]. At full rank, the common case, one comparison
+    decides it and the factors come back uncut."""
+    if sigma.size and sigma[-1] > RANK_TOL * sigma[0]:  # sigma is non-increasing
+        return u, sigma, v
     smax = sigma[0] if sigma.size else 0.0
     rank = int(np.count_nonzero(sigma > RANK_TOL * smax)) if smax > 0.0 else 0
-    u, sigma, v = u[:, :rank], sigma[:rank], v[:, :rank]
-    if rank:
+    return u[:, :rank], sigma[:rank], v[:, :rank]
+
+
+def _signed(u, sigma, v) -> SvdFactors:
+    """The sign rule on ranked factors: Fortran-ordered u and v, each column
+    pair flipped so the largest-magnitude entry of the u column is positive."""
+    if sigma.size:
         flip = _signs(u)
         u, v = np.multiply(u, flip, order="F"), np.multiply(v, flip, order="F")
     return SvdFactors(u=u, sigma=sigma, v=v)
@@ -163,22 +177,52 @@ def svd(a) -> SvdFactors:
     return _canonical(u, sigma, vt.T)
 
 
-def svd_stack(a: np.ndarray) -> SvdFactors | None:
-    """`svd` of each slice of an (R, rows, cols) float64 stack, bit-equal, as
-    one SvdFactors of u (R, rows, r), sigma (R, r) and v (R, cols, r); None
-    when a slice is non-finite or below full rank, where `svd` would raise
-    or truncate."""
+def unsigned_svd(a: np.ndarray) -> SvdFactors:
+    """`svd` of a 2-D float64 array without the sign rule, in the layout `svd`
+    gives (which BLAS products depend on); the columns' signs are LAPACK's.
+    For factors that only meet in products where a column's sign cancels
+    exactly, as in u_i sigma_i v_i^T."""
+    u, sigma, vt = np.linalg.svd(require_finite(a, "SVD input"), full_matrices=False)
+    u, sigma, v = _ranked(u, sigma, vt.T)
+    return SvdFactors(u=np.array(u, order="F"), sigma=sigma, v=np.array(v, order="F"))
+
+
+def _full_rank_stack(a: np.ndarray):
+    """np.linalg.svd of each slice of an (R, rows, cols) stack as (u, sigma, v);
+    None when a slice is non-finite or below full rank."""
     if not (a.size and np.isfinite(a).all()):
         return None
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     if not (sigma[:, -1] > RANK_TOL * sigma[:, 0]).all():  # sigma is non-increasing
         return None
+    return u, sigma, vt.swapaxes(1, 2)
+
+
+def svd_stack(a: np.ndarray) -> SvdFactors | None:
+    """`svd` of each slice of an (R, rows, cols) float64 stack, bit-equal, as
+    one SvdFactors of u (R, rows, r), sigma (R, r) and v (R, cols, r); None
+    when a slice is non-finite or below full rank, where `svd` would raise
+    or truncate."""
+    got = _full_rank_stack(a)
+    if got is None:
+        return None
+    u, sigma, v = got
     count, rows, cols = u.shape  # the sign rule runs on all slices' columns side by side
     flip = _signs(u.transpose(1, 0, 2).reshape(rows, count * cols)).reshape(count, 1, cols)
     # Fortran-ordered slices, as svd returns u and v, so `@` runs each slice as the 2-D one
-    v = vt.swapaxes(1, 2)
     return SvdFactors(u=np.multiply(u, flip, out=_fortran_slices(u)), sigma=sigma,
                       v=np.multiply(v, flip, out=_fortran_slices(v)))
+
+
+def unsigned_svd_stack(a: np.ndarray) -> SvdFactors | None:
+    """`unsigned_svd` of each slice, bit-equal, as `svd_stack` is to `svd`."""
+    got = _full_rank_stack(a)
+    if got is None:
+        return None
+    u, sigma, v = got  # v's slices are vt's transposed: Fortran-ordered already
+    out = _fortran_slices(u)
+    out[...] = u
+    return SvdFactors(u=out, sigma=sigma, v=v)
 
 
 def _fortran_slices(x: np.ndarray) -> np.ndarray:

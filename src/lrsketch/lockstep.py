@@ -20,9 +20,8 @@ import numpy as np
 
 from .linalg import as_matrix, frobenius_norm
 from .scw import sa_loss_and_grad_stack
-from .seeding import rng_from
 from .sketch import grad_index, scatter_index
-from .trainer import _SEED_BATCH, _attempt, _Run
+from .trainer import _attempt, _batches, _Run
 
 
 class Stack:
@@ -80,17 +79,18 @@ def run_lockstep(train_set, sketches, cfgs) -> list:
     set of one shape: each run's (values, history) or error, bit-equal.
 
     The runs share the trained rows, k, batch size and iteration count;
-    each keeps its batch stream, mask, lr and history. A step is one
-    `_step`; where that returns None or raises, each run takes its
-    own `_Run.step` on its batch, and a run that fails drops out.
+    each keeps its batch stream, drawn once (`trainer._batches`), mask, lr
+    and history. A step is one `_step`; where that returns None or raises,
+    each run takes its own `_Run.step` on its batch, its `_Run` built the
+    first time, and a run that fails drops out.
     """
     k, batch = cfgs[0].k, cfgs[0].batch_size
     mats = np.stack([as_matrix(a) for a in train_set])
     sq_norms = np.array([frobenius_norm(a) ** 2 for a in mats])
     out = [None] * len(sketches)
     parts = {r: s.value_of for r, s in enumerate(sketches)}  # each live run's values
-    runs = {r: _Run(sketches[r], cfgs[r], (mats.shape[2],)) for r in parts}
-    rngs = {r: rng_from(cfgs[r].seed, _SEED_BATCH) for r in parts}
+    draws = {r: _batches(cfgs[r], len(mats)) for r in parts}
+    runs = {}  # each run's _Run, built when it first steps alone
     history = {r: [] for r in parts}
     stack = None
     for step in range(1, cfgs[0].iterations + 1):
@@ -100,15 +100,18 @@ def run_lockstep(train_set, sketches, cfgs) -> list:
             stack = Stack([sketches[r] for r in parts], mats.shape[2], batch)
             mask = np.concatenate([sketches[r].trainable_mask for r in parts])
             lr = np.array([cfgs[r].lr for r in parts], dtype=np.float64)[stack.owner]
-        which = np.array([np.sort(rngs[r].integers(0, len(mats), size=batch))
-                          for r in parts]).T  # (batch, runs): each slice's matrix
+            batches = np.stack([draws[r] for r in parts], axis=2)  # (step, batch, run)
+        which = batches[step - 1]  # (batch, runs): each slice's matrix
         got = _attempt(_step, stack, mats, sq_norms,
                        np.concatenate(list(parts.values())), mask, lr, which, k)
         if isinstance(got, tuple):
             steps = zip(np.split(got[0], stack.bounds), map(float, got[1]))
         else:
-            steps = [_attempt(runs[r].step, mats, sq_norms, v, which[:, p], step)
-                     for p, (r, v) in enumerate(parts.items())]
+            steps = []
+            for p, (r, v) in enumerate(parts.items()):
+                if r not in runs:  # a healthy group builds no _Run
+                    runs[r] = _Run(sketches[r], cfgs[r], (mats.shape[2],))
+                steps.append(_attempt(runs[r].step, mats, sq_norms, v, which[:, p], step))
         for r, done in zip(list(parts), steps):
             if isinstance(done, Exception):
                 out[r], stack = done, None

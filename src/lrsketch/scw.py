@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, svd, svd_stack
+from .linalg import (as_matrix, frobenius_norm, svd, svd_stack, unsigned_svd,
+                     unsigned_svd_stack)
 from .sketch import (DenseSketch, SparseSketch, apply_sketch, apply_sketches, concat_sketches,
                      grad_index)
 
@@ -27,14 +28,16 @@ class ScwOutput:
 def _solve(a: np.ndarray, sa: np.ndarray, k: int):
     """The two SVDs of the pipeline, given A and SA: (SA's factors, B = AV,
     B's factors, r = min(k, rank B)), with None for the last three when SA
-    has rank 0."""
+    has rank 0. SA's SVD takes `svd`'s sign rule, as its V is returned and
+    fixes B; B's takes none (`unsigned_svd`): its factors only meet in
+    products where a column's sign cancels exactly."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     f = svd(sa)
     if f.rank == 0:
         return f, None, None, None
     b = a @ f.v  # n x r
-    fb = svd(b)
+    fb = unsigned_svd(b)
     return f, b, fb, min(k, fb.rank)
 
 
@@ -42,7 +45,7 @@ def _solve_stack(a: np.ndarray, sa: np.ndarray, k: int):
     """_solve over stacks of A and SA; None unless each SA and B is finite and full-rank."""
     f = svd_stack(sa)
     b = None if f is None else a @ f.v
-    fb = None if b is None else svd_stack(b)
+    fb = None if b is None else unsigned_svd_stack(b)
     return None if fb is None else (f, b, fb, min(k, fb.sigma.shape[1]))
 
 

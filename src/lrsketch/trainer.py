@@ -152,18 +152,25 @@ def _sgd(train_set, sketch: SparseSketch, cfg: TrainConfig):
     """SGD over sketch's values: the trained values and the loss history.
 
     The matrices, their squared norms, the scatter index of each column
-    count in the train set and the gradient index are built once per run.
+    count in the train set, the gradient index and the batches are built
+    once per run.
     """
     mats = [as_matrix(a) for a in train_set]
     sq_norms = [frobenius_norm(a) ** 2 for a in mats]
     run = _Run(sketch, cfg, {a.shape[1] for a in mats})
-    batch_rng = rng_from(cfg.seed, _SEED_BATCH)
     vals, history = sketch.value_of, []
-    for step in range(1, cfg.iterations + 1):
-        idx = np.sort(batch_rng.integers(0, len(mats), size=cfg.batch_size))
+    for step, idx in enumerate(_batches(cfg, len(mats)), 1):
         vals, loss = run.step(mats, sq_norms, vals, idx, step)
         history.append((step, loss))
     return vals, history
+
+
+def _batches(cfg: TrainConfig, count: int) -> np.ndarray:
+    """Each step's sorted batch of matrix indices in [0, count), row by row: one
+    draw from the run's batch stream, the numbers a draw per step gives."""
+    draws = rng_from(cfg.seed, _SEED_BATCH).integers(0, count,
+                                                     size=(cfg.iterations, cfg.batch_size))
+    return np.sort(draws, axis=1)
 
 
 def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
@@ -222,7 +229,8 @@ def train_many(train_set, m: int, cfgs) -> Iterator[tuple[SparseSketch, TrainRep
     pass (`scw.scw_losses`) before any run steps, and the final losses
     in one pass after the last. Over a train set of one shape, runs that
     share the trained rows, k, batch size and iteration count step in
-    lockstep (`lockstep`); a run alone in its group steps by itself.
+    lockstep (`lockstep`); a run alone in its group, or whose trained
+    sketch has a row no column hits, steps by itself.
     Every cfg is checked before any run steps. Every run trains when the
     iterator is first advanced, before it yields; results come in cfg
     order, and at a run that failed the iterator raises that run's own
@@ -251,8 +259,12 @@ def _train_all(train_set, starts, cfgs) -> list:
     one_shape = len({a.shape for a in train_set}) == 1
     groups = {}
     for i in initial:
-        key = (starts[i][0].m, cfgs[i].k, cfgs[i].batch_size, cfgs[i].iterations)
-        groups.setdefault(key if one_shape else i, []).append(i)
+        s = starts[i][0]
+        key = (s.m, cfgs[i].k, cfgs[i].batch_size, cfgs[i].iterations)
+        # a row no column hits leaves SA rank-deficient at every step, where
+        # a lockstep group falls back to per-run steps: such a run steps alone
+        lockable = one_shape and np.bincount(s.row_of, minlength=s.m).min() > 0
+        groups.setdefault(key if lockable else i, []).append(i)
     stepped = {}
     for group in groups.values():
         if len(group) == 1:

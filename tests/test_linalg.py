@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lrsketch.linalg import (RANK_TOL, SvdFactors, _jacobi_tall, best_rank_k,
                              frobenius_norm, matmul, reference_svd, singular_values, svd,
-                             svd_stack)
+                             svd_stack, unsigned_svd, unsigned_svd_stack)
 from lrsketch.seeding import rng_from
 
 
@@ -272,6 +272,59 @@ class TestCanonicalAgainstSorting:
         f = fn(np.zeros(shape))
         assert f.rank == 0 and f.sigma.shape == (0,)
         assert f.u.shape == (shape[0], 0) and f.v.shape == (shape[1], 0)
+
+
+class TestRankRule:
+    """At full rank one comparison decides; at the threshold the count does."""
+
+    @pytest.mark.parametrize("small,rank", [(RANK_TOL, 1), (RANK_TOL * (1 + 1e-15), 2),
+                                            (0.0, 1), (1.0, 2)])
+    @pytest.mark.parametrize("fn", [svd, unsigned_svd])
+    def test_threshold(self, fn, small, rank):
+        f = fn(np.diag([1.0, small]))
+        assert f.rank == rank and f.u.shape == (2, rank) and f.v.shape == (2, rank)
+
+
+class TestUnsignedSvd:
+    """svd without the sign rule: the same sigma, columns equal up to a sign
+    shared by u and v, and the same layout."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_svd_up_to_column_signs(self, seed):
+        a = _sorting_case(seed)
+        f, g = unsigned_svd(a), svd(a)
+        assert f.rank == g.rank and f.sigma.tobytes() == g.sigma.tobytes()
+        flip = np.where(np.abs(f.u).max(axis=0) == f.u.max(axis=0, initial=-np.inf), 1.0, -1.0)
+        for x, y in ((f.u, g.u), (f.v, g.v)):
+            assert x.shape == y.shape and (x * flip).tobytes() == y.tobytes()
+            assert x.flags.f_contiguous == y.flags.f_contiguous
+        assert f.u.flags.f_contiguous and f.v.flags.f_contiguous
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="SVD input"):
+            unsigned_svd(np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("shape", [(4, 6, 24), (3, 8, 48), (5, 32, 6), (3, 256, 8),
+                                       (1, 5, 5), (2, 7, 1)])
+    def test_stack_slices_equal_own_calls(self, shape):
+        a = rng_from(73, *shape).standard_normal(shape)
+        f = unsigned_svd_stack(a)
+        for i in range(shape[0]):
+            g = unsigned_svd(a[i])
+            for x, y in ((f.u[i], g.u), (f.sigma[i], g.sigma), (f.v[i], g.v)):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+                assert x.flags.f_contiguous == y.flags.f_contiguous
+
+    @pytest.mark.parametrize("kind", ["zero_row", "non_finite", "empty"])
+    def test_stack_none_where_svd_stack_is(self, kind):
+        a = rng_from(74).standard_normal((3, 4, 9))
+        if kind == "zero_row":
+            a[1, 2] = 0.0
+        if kind == "non_finite":
+            a[0, 0, 0] = np.inf
+        if kind == "empty":
+            a = np.zeros((3, 0, 9))
+        assert unsigned_svd_stack(a) is None and svd_stack(a) is None
 
 
 class TestSingularValues:

@@ -10,9 +10,9 @@ from lrsketch.scw import (check_concat_dominance, sa_loss_and_grad, sa_loss_and_
                           scw_approximate, scw_loss, scw_loss_and_grad, scw_loss_stack,
                           scw_losses)
 from lrsketch.seeding import rng_from
-from lrsketch.sketch import (SparseSketch, SketchBlock, apply_sketch, concat_sketches,
-                             dense_random_sketch, densify, empty_sketch, grad_index,
-                             identity_pattern_sketch, sparse_random_sketch)
+from lrsketch.sketch import (DenseSketch, SparseSketch, SketchBlock, apply_sketch,
+                             concat_sketches, dense_random_sketch, densify, empty_sketch,
+                             grad_index, identity_pattern_sketch, sparse_random_sketch)
 
 
 def lapack_scw_loss(a, s, k):
@@ -368,6 +368,117 @@ class TestStackedKernels:
         a[1] = 0.0  # SA is kept, so its slices stay full rank; B = AV is zero there
         assert sa_loss_and_grad_stack(a, sa, 2, np.ones(3)) is None
         assert scw_loss_stack(a, sa, 2) is None
+
+
+def b_sign_case(seed):
+    """(A, SA, k) for the kernels, which take any SA: random shapes, with
+    rank-deficient SA, rank-deficient B = AV under a full-rank SA, and k
+    often above the rank."""
+    rng = rng_from(seed, 93)
+    m, d = (int(x) for x in rng.integers(1, 9, 2))
+    n = int(rng.integers(1, 24))
+    a = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3)
+    sa = rng.standard_normal((m, d))
+    if seed % 4 == 1:  # rank(SA) <= 1
+        sa = rng.standard_normal((m, 1)) @ rng.standard_normal((1, d))
+    if seed % 4 == 2:  # rank(B) <= rank(A) = 1
+        a = rng.standard_normal((n, 1)) @ rng.standard_normal((1, d))
+    return a, sa, int(rng.integers(1, min(m, d) + 3))
+
+
+def deficient_b_sketch():
+    """(A, dense S): SA is of rank 2 and well conditioned; B = AV has singular
+    values 1e12 apart, so B keeps rank 1."""
+    a1, a2 = np.eye(5)[0] * 3.0, np.eye(5)[1] * 1e-12
+    a = np.vstack([a2, np.outer([1.0, -2.0, 0.5], a1)])
+    s = np.zeros((2, 4))
+    s[0, 0], s[1, 1] = 1e12, 1.0
+    return a, DenseSketch(s)
+
+
+class TestBNeedsNoSignRule:
+    """B = AV takes its SVD without the sign rule: its factors only meet in
+    products where a column's sign cancels exactly. Every kernel gives the
+    bytes it gives with the signed `svd` on B, the oracle."""
+
+    @staticmethod
+    def signed(monkeypatch, fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(scw, "unsigned_svd", svd)
+            patch.setattr(scw, "unsigned_svd_stack", svd_stack)
+            return fn(*args)
+
+    @staticmethod
+    def assert_same(got, want):
+        """Sequences of arrays or floats, or [None], agree byte for byte."""
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            if y is None:
+                assert x is None
+                continue
+            x, y = np.asarray(x), np.asarray(y)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    def test_kernel(self, monkeypatch):
+        ranks = set()
+        for seed in range(400):
+            a, sa, k = b_sign_case(seed)
+            index = np.arange(sa.shape[0] * a.shape[0])
+            args = (a, sa, k, index, frobenius_norm(a) ** 2)
+            self.assert_same(sa_loss_and_grad(*args),
+                             self.signed(monkeypatch, sa_loss_and_grad, *args))
+            f, _, fb, _ = scw._solve(a, sa, k)
+            if fb is not None:
+                ranks.add((f.rank, fb.rank, k > fb.rank))
+                assert fb.u.flags.f_contiguous and fb.v.flags.f_contiguous
+        # rank-deficient SA, B below SA's rank and k above B's rank all occur
+        assert any(r < 3 for r, _, _ in ranks) and any(rb < r for r, rb, _ in ranks)
+        assert any(above for _, _, above in ranks)
+
+    def test_scw_approximate(self, monkeypatch):
+        rng = rng_from(94)
+        cases = [deficient_b_sketch() + (2,)]
+        for t in range(200):
+            n, d, m = int(rng.integers(2, 30)), int(rng.integers(1, 20)), int(rng.integers(1, 9))
+            a = rng.standard_normal((n, d))
+            if t % 3 == 1:
+                a = rng.standard_normal((n, 1)) @ rng.standard_normal((1, d))
+            s = (jittered(sparse_random_sketch(m, n, seed=t), t) if t % 2
+                 else dense_random_sketch(m, n, t))
+            cases.append((a, s, int(rng.integers(1, m + 3))))
+        for a, s, k in cases:
+            got = scw_approximate(a, s, k)
+            want = self.signed(monkeypatch, scw_approximate, a, s, k)
+            self.assert_same((got.approx, got.v_basis, got.loss),
+                             (want.approx, want.v_basis, want.loss))
+        a, s = deficient_b_sketch()
+        f, _, fb, _ = scw._solve(a, apply_sketch(s, a), 2)
+        assert f.rank == 2 and fb.rank == 1
+
+    @pytest.mark.parametrize("n,d,m,k", [(32, 24, 6, 3), (64, 48, 8, 4), (12, 9, 4, 6),
+                                         (9, 3, 5, 2), (256, 192, 8, 4)])
+    def test_stacks(self, n, d, m, k, monkeypatch):
+        rng = rng_from(95, n, d)
+        for deficient in (None, "sa", "b"):
+            a = rng.standard_normal((3, n, d))
+            sa = rng.standard_normal((3, m, d))
+            if deficient == "sa":
+                sa[1, -1] = 0.0
+            if deficient == "b":
+                a[2] = 0.0
+            sq_norms = np.array([frobenius_norm(x) ** 2 for x in a])
+            for fn, args in ((sa_loss_and_grad_stack, (a, sa, k, sq_norms)),
+                             (scw_loss_stack, (a, sa, k))):
+                got, want = fn(*args), self.signed(monkeypatch, fn, *args)
+                self.assert_same(got if isinstance(got, tuple) else [got],
+                                 want if isinstance(want, tuple) else [want])
+            solved = scw._solve_stack(a, sa, k)
+            # a zero row leaves SA of full rank when it has more rows than columns
+            assert (solved is None) == (deficient == "b" or (deficient == "sa" and m <= d))
+            if solved is not None:
+                fb = solved[2]
+                assert all(fb.u[i].flags.f_contiguous and fb.v[i].flags.f_contiguous
+                           for i in range(3))
 
 
 class TestScwLosses:

@@ -424,6 +424,28 @@ def three_modes(**kw):
             for mode in MODES for seed in (5, 6)]
 
 
+class TestBatchStream:
+    """A run's batches come from one draw of its stream; the numbers are those
+    of one draw per step. If numpy changes Generator.integers so that they are
+    not, every trained sketch changes, and this fails first."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 30, 2**33])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 5])
+    def test_one_draw_equals_per_step_draws(self, bound, batch_size):
+        for seed in range(6):
+            cfg = quick_cfg(seed=seed, batch_size=batch_size, iterations=23)
+            stream = rng_from(seed, trainer._SEED_BATCH)
+            want = np.array([np.sort(stream.integers(0, bound, size=batch_size))
+                             for _ in range(cfg.iterations)])
+            got = trainer._batches(cfg, bound)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (
+                f"numpy changed the batch stream (seed {seed}, bound {bound})")
+
+    def test_no_iterations(self):
+        assert trainer._batches(quick_cfg(iterations=0, batch_size=3), 5).shape == (0, 3)
+
+
 class TestTrainMany:
     """train_many(train_set, m, cfgs)[i] is train(train_set, m, cfgs[i]), byte for byte."""
 
@@ -522,6 +544,53 @@ class TestTrainMany:
         monkeypatch.setattr(trainer._Run, "step", lambda *a: calls.append(1) or step(*a))
         list(trainer.train_many(self.train_set(kind, small_train_set), m, cfgs))
         assert calls
+
+    def test_healthy_group_builds_no_run(self, small_train_set, monkeypatch):
+        # a group's _Run objects, one scatter index each, are built only to step alone
+        def built(*args):
+            raise AssertionError("a _Run was built")
+        monkeypatch.setattr(lockstep, "_Run", built)
+        cfgs = three_modes()[:4]
+        for result, cfg in zip(trainer.train_many(small_train_set, 4, cfgs), cfgs):
+            assert_same_run(result, train(small_train_set, 4, cfg))
+
+    def test_fallback_builds_each_run_once(self, small_train_set, monkeypatch):
+        # every step of this group falls back, and each run builds its _Run once
+        built, make = [], lockstep._Run
+        monkeypatch.setattr(lockstep, "_Run", lambda s, cfg, widths: (
+            built.append((cfg.mode, cfg.seed)) or make(s, cfg, widths)))
+        train_set = self.train_set("zero", small_train_set)
+        cfgs = self.CASES["zero_matrix"][2][:4]
+        for result, cfg in zip(trainer.train_many(train_set, 4, cfgs), cfgs):
+            assert_same_run(result, train(train_set, 4, cfg))
+        assert built and sorted(built) == sorted(set(built))
+
+    @staticmethod
+    def empty_row_cfgs(m, count):
+        """count learned cfgs whose m-row start has a row no column hits, then
+        count whose start has none."""
+        def empty(seed):
+            return np.bincount(trainer._start(12, m, quick_cfg(seed=seed))[0].row_of,
+                               minlength=m).min() == 0
+        seeds = range(100)
+        return [quick_cfg(seed=seed) for want in (True, False)
+                for seed in [s for s in seeds if empty(s) == want][:count]]
+
+    def test_empty_row_steps_alone(self, small_train_set, monkeypatch):
+        # the two runs with an empty row step alone, so their group never falls back
+        cfgs = self.empty_row_cfgs(6, 2)
+        alone, sgd = [], trainer._sgd
+        monkeypatch.setattr(trainer, "_sgd", lambda train_set, s, cfg: (
+            alone.append(cfg.seed) or sgd(train_set, s, cfg)))
+
+        def built(*args):
+            raise AssertionError("a lockstep run stepped alone")
+        monkeypatch.setattr(lockstep, "_Run", built)
+        got = list(trainer.train_many(small_train_set, 6, cfgs))
+        assert alone == [cfg.seed for cfg in cfgs[:2]]
+        monkeypatch.undo()
+        for result, cfg in zip(got, cfgs):
+            assert_same_run(result, train(small_train_set, 6, cfg))
 
     def test_failure_raises_at_its_turn(self, small_train_set):
         cfgs = [quick_cfg(lr=lr, seed=seed) for lr, seed in ((1.0, 5), (math.inf, 6), (1.0, 7))]
