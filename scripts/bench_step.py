@@ -29,9 +29,12 @@ loop of train calls and as one train_many. eval_score_loop_30 and
 eval_score_30 are what `lrsketch eval` scores there: those 6 trained
 sketches plus 2 sparse and 2 dense random ones, each on 3 test
 matrices, as a loop of 30 scw_loss calls and as one scw_losses (one
-stacked pass per test matrix). An lrsketch without train_many or
-scw_losses (an older checkout, timed for comparison) skips
-step_kernel_stack4 and train_many_6, or eval_score_30.
+stacked pass per test matrix). score_train_4 is one of train's two
+scoring passes at 64x48 (the learned start's mean loss over the 4 train
+matrices), and score_many_6 one of train_many's at 32x24 (the starts of
+the 6 runs over the 4 train matrices). An lrsketch without train_many
+or scw_losses (an older checkout, timed for comparison) skips
+step_kernel_stack4, train_many_6 and score_many_6, or eval_score_30.
 import_cli is start-up: a fresh interpreter imports
 numpy untimed, then times `import lrsketch, lrsketch.cli`, by perfbench's
 own recipe (perfbench/run.py import_lrsketch), once per round. Without
@@ -169,9 +172,14 @@ def timings(repeats: int) -> tuple[dict, dict]:
                                          for s in scored for a in pipe_test]
     if hasattr(scw, "scw_losses"):
         ops["eval_score_30"] = lambda: scw.scw_losses(pipe_test, scored, PIPE_K)
+    start = sketch.concat_sketches(*trainer._start(SPEC.n, M, TRAIN))
+    ops["score_train_4"] = lambda: trainer._mean_loss(train_set, start, K)
     if hasattr(trainer, "train_many"):
         ops["step_kernel_stack4"] = step_kernel_stack(pipe_set)
         ops["train_many_6"] = lambda: list(trainer.train_many(pipe_set, PIPE_M, PIPE_RUNS))
+        starts = {i: sketch.concat_sketches(*trainer._start(PIPE_SPEC.n, PIPE_M, cfg))
+                  for i, cfg in enumerate(PIPE_RUNS)}
+        ops["score_many_6"] = lambda: trainer._mean_losses(pipe_set, starts, PIPE_RUNS)
     timers = {name: timeit.Timer(fn) for name, fn in ops.items()}
     numbers = {name: timer.autorange()[0] for name, timer in timers.items()}
     samples = {name: [] for name in [*ops, "import_cli"]}
@@ -210,7 +218,8 @@ def main() -> None:
                     f"{SPEC.count_train} train matrices, learned mode; step_kernel_"
                     f"{LARGE_SPEC.n}x{LARGE_SPEC.d} at k={LARGE_K}, m={LARGE_M}; step_kernel_"
                     f"{PIPE_SPEC.n}x{PIPE_SPEC.d}, step_kernel_stack{STACK}, the 6-run "
-                    f"trains and the 10-sketch eval scoring at k={PIPE_K}, m={PIPE_M}",
+                    f"trains, their scoring and the 10-sketch eval scoring at k={PIPE_K}, "
+                    f"m={PIPE_M}",
            "unit": "us per call: p25, median, p75 over round-robin repeats; scaled_us "
                    "at the speed where perfbench's reference kernel takes NOMINAL_S",
            "runs": {}}

@@ -32,6 +32,11 @@ def as_matrix(a) -> np.ndarray:
 
 
 def require_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """a, or ValueError if it holds a NaN or an infinity. Every LAPACK call here
+    checks its input first, even where the caller has checked what it came from:
+    LAPACK may not return at all on a non-finite matrix (numpy 2.4.6's
+    np.linalg.svd of an 8x48 matrix holding one inf ran for over 120 s), so the
+    check keeps a diverging run loud instead of hung."""
     if not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")
     return a
@@ -143,15 +148,26 @@ def _canonical(u, sigma, v) -> SvdFactors:
     return _signed(*_ranked(u, sigma, v))
 
 
-def _ranked(u, sigma, v):
-    """The rank rule: (u, sigma, v) cut to the singular values above
-    RANK_TOL * sigma[0]. At full rank, the common case, one comparison
-    decides it and the factors come back uncut."""
-    if sigma.size and sigma[-1] > RANK_TOL * sigma[0]:  # sigma is non-increasing
-        return u, sigma, v
+def rank(sigma: np.ndarray) -> int:
+    """The rank rule: the count of the non-increasing singular values sigma
+    above RANK_TOL * sigma[0]. At full rank, the common case, one comparison
+    decides it."""
+    if sigma.size and sigma[-1] > RANK_TOL * sigma[0]:
+        return sigma.size
     smax = sigma[0] if sigma.size else 0.0
-    rank = int(np.count_nonzero(sigma > RANK_TOL * smax)) if smax > 0.0 else 0
-    return u[:, :rank], sigma[:rank], v[:, :rank]
+    return int(np.count_nonzero(sigma > RANK_TOL * smax)) if smax > 0.0 else 0
+
+
+def full_rank(sigma: np.ndarray) -> np.ndarray:
+    """The rank rule's full-rank test on each row of an (R, r) stack of
+    non-increasing singular values: the last above RANK_TOL * the first."""
+    return sigma[:, -1] > RANK_TOL * sigma[:, 0]
+
+
+def _ranked(u, sigma, v):
+    """(u, sigma, v) cut to rank(sigma); at full rank they come back uncut."""
+    r = rank(sigma)
+    return (u, sigma, v) if r == sigma.size else (u[:, :r], sigma[:r], v[:, :r])
 
 
 def _signed(u, sigma, v) -> SvdFactors:
@@ -181,21 +197,27 @@ def unsigned_svd(a: np.ndarray) -> SvdFactors:
     """`svd` of a 2-D float64 array without the sign rule, in the layout `svd`
     gives (which BLAS products depend on); the columns' signs are LAPACK's.
     For factors that only meet in products where a column's sign cancels
-    exactly, as in u_i sigma_i v_i^T."""
+    exactly, as in u_i sigma_i v_i^T, or whose signs reach no result, as
+    in training. It keeps `svd`'s finiteness check (`require_finite`)."""
     u, sigma, vt = np.linalg.svd(require_finite(a, "SVD input"), full_matrices=False)
     u, sigma, v = _ranked(u, sigma, vt.T)
-    return SvdFactors(u=np.array(u, order="F"), sigma=sigma, v=np.array(v, order="F"))
+    return SvdFactors(u=np.asfortranarray(u), sigma=sigma, v=np.asfortranarray(v))  # v: no copy
 
 
-def _full_rank_stack(a: np.ndarray):
-    """np.linalg.svd of each slice of an (R, rows, cols) stack as (u, sigma, v);
-    None when a slice is non-finite or below full rank."""
+def _svd_slices(a: np.ndarray):
+    """np.linalg.svd of each slice of an (R, rows, cols) stack as (u, sigma, v)
+    and the (R,) mask of the slices at full rank; None when a slice is
+    non-finite (where LAPACK may hang) or the stack is empty."""
     if not (a.size and np.isfinite(a).all()):
         return None
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    if not (sigma[:, -1] > RANK_TOL * sigma[:, 0]).all():  # sigma is non-increasing
-        return None
-    return u, sigma, vt.swapaxes(1, 2)
+    return u, sigma, vt.swapaxes(1, 2), full_rank(sigma)
+
+
+def _full_rank_stack(a: np.ndarray):
+    """_svd_slices's factors; None also when a slice is below full rank."""
+    got = _svd_slices(a)
+    return got[:3] if got is not None and got[3].all() else None
 
 
 def svd_stack(a: np.ndarray) -> SvdFactors | None:
@@ -217,12 +239,23 @@ def svd_stack(a: np.ndarray) -> SvdFactors | None:
 def unsigned_svd_stack(a: np.ndarray) -> SvdFactors | None:
     """`unsigned_svd` of each slice, bit-equal, as `svd_stack` is to `svd`."""
     got = _full_rank_stack(a)
-    if got is None:
-        return None
-    u, sigma, v = got  # v's slices are vt's transposed: Fortran-ordered already
+    return None if got is None else _unsigned(*got)
+
+
+def unsigned_svd_slices(a: np.ndarray) -> tuple[SvdFactors, np.ndarray] | None:
+    """unsigned_svd_stack of a stack that may hold slices below full rank:
+    every slice's factors, uncut, and the (R,) mask of the full-rank slices,
+    whose factors are bit-equal to their unsigned_svd; None when a slice is
+    non-finite or the stack is empty."""
+    got = _svd_slices(a)
+    return None if got is None else (_unsigned(*got[:3]), got[3])
+
+
+def _unsigned(u, sigma, v) -> SvdFactors:
+    """Stacked factors in unsigned_svd's layout: each slice Fortran-ordered."""
     out = _fortran_slices(u)
     out[...] = u
-    return SvdFactors(u=out, sigma=sigma, v=v)
+    return SvdFactors(u=out, sigma=sigma, v=v)  # v's slices are vt's transposed: Fortran already
 
 
 def _fortran_slices(x: np.ndarray) -> np.ndarray:

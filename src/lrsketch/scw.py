@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (as_matrix, frobenius_norm, svd, svd_stack, unsigned_svd,
-                     unsigned_svd_stack)
+from .linalg import (as_matrix, frobenius_norm, full_rank, rank, singular_values, svd,
+                     svd_stack, unsigned_svd, unsigned_svd_slices, unsigned_svd_stack)
 from .sketch import (DenseSketch, SparseSketch, apply_sketch, apply_sketches, concat_sketches,
                      grad_index)
 
@@ -25,15 +25,18 @@ class ScwOutput:
     loss: float  # Frobenius distance to the input
 
 
-def _solve(a: np.ndarray, sa: np.ndarray, k: int):
+def _solve(a: np.ndarray, sa: np.ndarray, k: int, sa_svd=svd):
     """The two SVDs of the pipeline, given A and SA: (SA's factors, B = AV,
     B's factors, r = min(k, rank B)), with None for the last three when SA
-    has rank 0. SA's SVD takes `svd`'s sign rule, as its V is returned and
-    fixes B; B's takes none (`unsigned_svd`): its factors only meet in
-    products where a column's sign cancels exactly."""
+    has rank 0. SA's SVD is sa_svd: `svd`, whose sign rule fixes the V that
+    scw_approximate returns, or `unsigned_svd` in training, which returns
+    no factor. B's takes no sign rule (`unsigned_svd`). Each factor of
+    either SVD only meets its partner in products where a column's sign
+    cancels exactly: flipping (u_i, v_i) of SA negates column i of B, whose
+    SVD then flips only B's right factor, so no loss or gradient moves."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    f = svd(sa)
+    f = sa_svd(sa)
     if f.rank == 0:
         return f, None, None, None
     b = a @ f.v  # n x r
@@ -41,9 +44,10 @@ def _solve(a: np.ndarray, sa: np.ndarray, k: int):
     return f, b, fb, min(k, fb.rank)
 
 
-def _solve_stack(a: np.ndarray, sa: np.ndarray, k: int):
-    """_solve over stacks of A and SA; None unless each SA and B is finite and full-rank."""
-    f = svd_stack(sa)
+def _solve_stack(a: np.ndarray, sa: np.ndarray, k: int, sa_svd=svd_stack):
+    """_solve over stacks of A and SA, with sa_svd `svd_stack` or
+    `unsigned_svd_stack`; None unless each SA and B is finite and full-rank."""
+    f = sa_svd(sa)
     b = None if f is None else a @ f.v
     fb = None if b is None else unsigned_svd_stack(b)
     return None if fb is None else (f, b, fb, min(k, fb.sigma.shape[1]))
@@ -87,7 +91,7 @@ def sa_loss_and_grad(a: np.ndarray, sa: np.ndarray, k: int, index: np.ndarray,
     and ||A||_F^2, which a run builds once; one SGD step runs it per
     sampled matrix. It builds no approximation and no residual.
     """
-    f, b, fb, r = _solve(a, sa, k)
+    f, b, fb, r = _solve(a, sa, k, unsigned_svd)
     if fb is None:
         return sq_norm, np.zeros(index.shape[0])
     sk = fb.sigma[:r]
@@ -99,7 +103,7 @@ def sa_loss_and_grad_stack(a: np.ndarray, sa: np.ndarray, k: int, sq_norms: np.n
     (R,) ||A||_F^2: (R,) losses and (R, m, n) dense gradients, each slice
     bit-equal to its own call; None unless every SA and B is finite and
     full-rank, where each slice must take sa_loss_and_grad's own path."""
-    solved = _solve_stack(a, sa, k)
+    solved = _solve_stack(a, sa, k, unsigned_svd_stack)
     if solved is None:
         return None
     f, b, fb, r = solved
@@ -141,6 +145,69 @@ def scw_losses(mats, sketches, k: int) -> np.ndarray:
         for t in alone:
             out[i, t] = scw_loss(mats[t], s, k)
     return out
+
+
+def sa_sq_loss(a: np.ndarray, sa: np.ndarray, k: int, sq_norm: float) -> float:
+    """The squared loss of sa_loss_and_grad from B = AV's singular values alone:
+    max(||A||_F^2 - sum_{i <= min(k, rank B)} sigma_i(B)^2, 0), or ||A||_F^2
+    when SA has rank 0, given a 2-D float64 A, SA and ||A||_F^2. SA's SVD takes
+    no sign rule and B's no vectors; sq_losses's path for one slice."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    f = unsigned_svd(sa)
+    if f.rank == 0:
+        return sq_norm
+    sigma = singular_values(a @ f.v)
+    sk = sigma[:min(k, rank(sigma))]
+    return max(sq_norm - float(sk @ sk), 0.0)
+
+
+def sq_losses(mats, sketches, k: int) -> np.ndarray:
+    """(sketches, matrices) array of sa_sq_loss(a, apply_sketch(s, a), k,
+    ||A||_F^2), bit-equal, for sketches of one row count: scw_loss(a, s, k) ** 2
+    to about eps * ||A||_F^2, with no approximation or residual built. The
+    matrices of one shape take one pass: every sketch's SA of each
+    (apply_sketches) in one unsigned_svd_slices, B = AV built per matrix, and
+    one sigma-only SVD of every B. A slice non-finite or below full rank, in SA
+    or in B, takes sa_sq_loss alone, as does every slice of a matrix whose
+    rows some sketch's n does not fit, or of any matrix when k < 1; they run
+    sketch by sketch, so the error raised is the one that loop raises first."""
+    mats = [as_matrix(a) for a in mats]
+    sq_norms = [frobenius_norm(a) ** 2 for a in mats]
+    out = np.empty((len(sketches), len(mats)))
+    alone = np.ones(out.shape, dtype=bool)
+    shapes = {}
+    for t, a in enumerate(mats):
+        if sketches and k >= 1 and all(s.n == a.shape[0] for s in sketches):
+            shapes.setdefault(a.shape, []).append(t)
+    for ts in shapes.values():
+        got = _sq_loss_pass([mats[t] for t in ts], sketches, k, [sq_norms[t] for t in ts])
+        if got is not None:
+            out[:, ts], alone[:, ts] = got
+    for i, t in zip(*np.nonzero(alone)):  # sketch-major
+        out[i, t] = sa_sq_loss(mats[t], apply_sketch(sketches[i], mats[t]), k, sq_norms[t])
+    return out
+
+
+def _sq_loss_pass(mats, sketches, k: int, sq_norms):
+    """sq_losses over matrices of one shape that every sketch fits: (losses,
+    alone), each (sketches, matrices), alone marking the slices to take again
+    by sa_sq_loss; None when a slice of SA or B is non-finite. Slice
+    t * R + i of each stack is sketch i on matrix t."""
+    count = len(sketches)
+    got = unsigned_svd_slices(np.concatenate([apply_sketches(sketches, a) for a in mats]))
+    if got is None:
+        return None
+    f, full = got
+    v = f.v.reshape(len(mats), count, *f.v.shape[1:])
+    b = np.concatenate([a @ v_t for a, v_t in zip(mats, v)])  # reads each A in place
+    if not (b.size and np.isfinite(b).all()):  # LAPACK may hang on a non-finite B
+        return None
+    sigma = np.linalg.svd(b, compute_uv=False)
+    sk = sigma[:, None, :min(k, sigma.shape[1])]
+    losses = np.maximum(np.repeat(sq_norms, count) - (sk @ _t(sk)).ravel(), 0.0)
+    kept = full & full_rank(sigma)  # where r is min(k, cols), as sa_sq_loss takes it
+    return losses.reshape(-1, count).T, ~kept.reshape(-1, count).T
 
 
 def scw_loss_and_grad(a, s: SparseSketch, k: int) -> tuple[float, np.ndarray]:

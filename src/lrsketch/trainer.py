@@ -8,15 +8,19 @@ run builds the index arrays the pattern fixes once, steps on the value
 vector alone, and builds the trained sketch after its last step. Every
 mode trains a block stacked on a frozen random block (`train`).
 
-Losses are the mean squared sketch-and-solve loss (`scw_loss`, the loss
-`eval` measures) over the train set, of the m-row sketch returned, except
-the loss history: each step's batch loss comes residual-free from the
-step kernel and matches that to about eps * ||A||^2. A run whose final
-loss is above its initial one returns its start.
+Every loss is the squared sketch-and-solve loss taken residual-free,
+||A||^2 - sum_{i <= r} sigma_i(AV)^2, which matches scw_loss ** 2 (the
+loss `eval` measures) to about eps * ||A||^2. The loss history holds each
+step's batch mean from the step kernel; the initial and final losses are
+means over the train set, of the m-row sketch returned, from one scoring
+pass each (`scw.sq_losses`), with no approximation or residual built. A
+run whose final loss is above its initial one returns its start.
+Training returns no factor of any SVD, so it takes SA's without the sign
+rule.
 
 `train_many` gives each of many runs the bytes `train` gives it alone:
-it scores the runs that share k together (`scw.scw_losses`), and runs
-that share every shape step together (`lockstep`).
+it scores the runs that share k in one pass, and runs that share every
+shape step together (`lockstep`).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .formats import atomic_open
 from .linalg import PowerSvdConfig, as_matrix, frobenius_norm
-from .scw import sa_loss_and_grad, scw_loss, scw_losses
+from .scw import sa_loss_and_grad, sq_losses
 from .seeding import derived_seed, rng_from
 from .sketch import (SparseSketch, concat_sketches, empty_sketch, grad_index, scatter_flat,
                      scatter_index, sparse_random_sketch)
@@ -76,7 +80,8 @@ class TrainReport:
     # (iteration, mean residual-free loss over the batch, within about
     # eps * ||A||^2 of scw_loss**2) of what SGD moves; for mixed_separate, the block
     loss_history: tuple[tuple[int, float], ...]
-    initial_loss: float  # mean scw_loss**2 of the m-row sketch over the train set, before SGD
+    # mean residual-free loss of the m-row sketch over the train set, before SGD
+    initial_loss: float
     final_loss: float  # same, for the returned sketch; never above initial_loss
 
 
@@ -91,23 +96,28 @@ def _check_train_set(train_set) -> int:
 
 
 def _mean_loss(train_set, sketch, k: int) -> float:
-    return sum(scw_loss(a, sketch, k) ** 2 for a in train_set) / len(train_set)
+    """The mean squared loss of sketch over the train set: one `scw.sq_losses` pass."""
+    return _mean(sq_losses(train_set, [sketch], k)[0])
+
+
+def _mean(losses: np.ndarray) -> float:
+    return sum(losses.tolist()) / len(losses)  # left to right, in train-set order
 
 
 def _mean_losses(train_set, sketches: dict, cfgs) -> dict:
     """_mean_loss of each sketch, keyed as `sketches` is, with cfgs[key].k, bit-equal:
-    one `scw_losses` over the sketches that share k, or where that raises,
-    _mean_loss per sketch; a sketch's error stands in its place."""
+    one `scw.sq_losses` pass over the sketches that share k, or where that
+    raises, _mean_loss per sketch; a sketch's error stands in its place."""
     by_k, out = {}, {}
     for i in sketches:
         by_k.setdefault(cfgs[i].k, []).append(i)
     for k, keys in by_k.items():
-        table = _attempt(scw_losses, train_set, [sketches[i] for i in keys], k)
+        table = _attempt(sq_losses, train_set, [sketches[i] for i in keys], k)
         for j, i in enumerate(keys):
             if isinstance(table, Exception):  # each sketch's own error, or its loss
                 out[i] = _attempt(_mean_loss, train_set, sketches[i], k)
             else:
-                out[i] = sum(float(x) ** 2 for x in table[j]) / len(train_set)
+                out[i] = _mean(table[j])
     return out
 
 
@@ -226,7 +236,7 @@ def train_many(train_set, m: int, cfgs) -> Iterator[tuple[SparseSketch, TrainRep
     """train(train_set, m, cfg) for each cfg, in order, byte for byte.
 
     The initial losses of every run that shares k are scored in one
-    pass (`scw.scw_losses`) before any run steps, and the final losses
+    pass (`scw.sq_losses`) before any run steps, and the final losses
     in one pass after the last. Over a train set of one shape, runs that
     share the trained rows, k, batch size and iteration count step in
     lockstep (`lockstep`); a run alone in its group, or whose trained

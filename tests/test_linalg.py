@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lrsketch.linalg import (RANK_TOL, SvdFactors, _jacobi_tall, best_rank_k,
                              frobenius_norm, matmul, reference_svd, singular_values, svd,
-                             svd_stack, unsigned_svd, unsigned_svd_stack)
+                             svd_stack, unsigned_svd, unsigned_svd_slices, unsigned_svd_stack)
 from lrsketch.seeding import rng_from
 
 
@@ -325,6 +325,29 @@ class TestUnsignedSvd:
         if kind == "empty":
             a = np.zeros((3, 0, 9))
         assert unsigned_svd_stack(a) is None and svd_stack(a) is None
+
+    @pytest.mark.parametrize("shape", [(4, 6, 24), (3, 8, 48), (5, 32, 6), (2, 7, 1)])
+    def test_slices_mark_and_keep_full_rank_slices(self, shape):
+        a = rng_from(75, *shape).standard_normal(shape)
+        a[1, -1] = 0.0  # below full rank where a slice has no more rows than columns
+        a[-1] = 0.0  # rank 0
+        f, full = unsigned_svd_slices(a)
+        assert full.tolist() == [unsigned_svd(x).rank == min(shape[1:]) for x in a]
+        assert f.u.shape == shape[:2] + (min(shape[1:]),)
+        for i in np.flatnonzero(full):
+            g = unsigned_svd(a[i])
+            for x, y in ((f.u[i], g.u), (f.sigma[i], g.sigma), (f.v[i], g.v)):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+                assert x.flags.f_contiguous == y.flags.f_contiguous
+
+    @pytest.mark.parametrize("kind", ["non_finite", "empty"])
+    def test_slices_none_where_lapack_is_not_called(self, kind):
+        a = rng_from(76).standard_normal((3, 4, 9))
+        if kind == "non_finite":
+            a[2, 3, 8] = np.nan
+        else:
+            a = np.zeros((0, 4, 9))
+        assert unsigned_svd_slices(a) is None
 
 
 class TestSingularValues:

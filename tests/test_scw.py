@@ -3,12 +3,12 @@ import pytest
 
 from lrsketch.diffsvd import PowerSvdConfig, backward, scw_forward_with_tape
 from lrsketch.evalbench import DatasetSpec, generate_dataset
-from lrsketch.linalg import (as_matrix, best_rank_k, frobenius_norm, matmul,
-                             reference_svd, svd, svd_stack)
-from lrsketch import scw
+from lrsketch.linalg import (SvdFactors, as_matrix, best_rank_k, frobenius_norm, matmul,
+                             reference_svd, svd, svd_stack, unsigned_svd_slices)
+from lrsketch import linalg, scw
 from lrsketch.scw import (check_concat_dominance, sa_loss_and_grad, sa_loss_and_grad_stack,
-                          scw_approximate, scw_loss, scw_loss_and_grad, scw_loss_stack,
-                          scw_losses)
+                          sa_sq_loss, scw_approximate, scw_loss, scw_loss_and_grad,
+                          scw_loss_stack, scw_losses, sq_losses)
 from lrsketch.seeding import rng_from
 from lrsketch.sketch import (DenseSketch, SparseSketch, SketchBlock, apply_sketch,
                              concat_sketches, dense_random_sketch, densify, empty_sketch,
@@ -369,6 +369,39 @@ class TestStackedKernels:
         assert sa_loss_and_grad_stack(a, sa, 2, np.ones(3)) is None
         assert scw_loss_stack(a, sa, 2) is None
 
+    @pytest.mark.parametrize("n,d,m,k", [(32, 24, 6, 3), (64, 48, 8, 4), (12, 9, 4, 6),
+                                         (9, 3, 5, 2), (256, 192, 8, 4)])
+    @pytest.mark.parametrize("case", ["full", "empty_row", "zero_matrix", "two_widths"])
+    def test_scorer_slices_equal_own_calls(self, n, d, m, k, case, monkeypatch):
+        a, sketches, _ = self.stack(n, d, m, 3, 63)
+        mats = list(a)
+        sketches.append(concat_sketches(sparse_random_sketch(m - 1, n, 64),
+                                        sparse_random_sketch(1, n, 65)))
+        if case == "empty_row":  # no column hits row m - 1: SA is below full rank
+            block = SketchBlock(m, np.arange(n) % (m - 1), np.ones(n), np.ones(n, bool))
+            sketches.insert(1, SparseSketch(n, (block,)))
+        if case == "zero_matrix":  # B = AV is zero
+            mats[1] = np.zeros((n, d))
+        if case == "two_widths":  # two passes, one per shape
+            mats.insert(1, rng_from(66).standard_normal((n, d + 2)))
+        alone = []
+        monkeypatch.setattr(scw, "sa_sq_loss", lambda *args: alone.append(1) or sa_sq_loss(*args))
+        got = sq_losses(mats, sketches, k)
+        monkeypatch.undo()
+        assert got.shape == (len(sketches), len(mats))
+        deficient = 0
+        for i, s in enumerate(sketches):
+            for t, x in enumerate(mats):
+                sa = apply_sketch(s, x)
+                want = sa_sq_loss(x, sa, k, frobenius_norm(x) ** 2)
+                assert np.float64(want).tobytes() == got[i, t].tobytes()
+                f = svd(sa)
+                deficient += f.rank < min(sa.shape) or svd(x @ f.v).rank < min(n, f.rank)
+        # a slice below full rank, in SA or in B, alone takes the 2-D path
+        assert len(alone) == deficient
+        assert deficient >= {"full": 0, "two_widths": 0, "zero_matrix": len(sketches),
+                             "empty_row": len(mats) if m <= d else 0}[case]
+
 
 def b_sign_case(seed):
     """(A, SA, k) for the kernels, which take any SA: random shapes, with
@@ -481,6 +514,96 @@ class TestBNeedsNoSignRule:
                            for i in range(3))
 
 
+def signed_slices(a):
+    """unsigned_svd_slices with svd_stack's sign rule on every slice."""
+    got = unsigned_svd_slices(a)
+    if got is None:
+        return None
+    f, full = got
+    flip = np.stack([linalg._signs(u) for u in f.u])[:, None, :]
+    return SvdFactors(u=np.multiply(f.u, flip, out=linalg._fortran_slices(f.u)),
+                      sigma=f.sigma,
+                      v=np.multiply(f.v, flip, out=linalg._fortran_slices(f.v))), full
+
+
+def sa_sign_sketches(n, m, seed):
+    """m-row sketches over n columns: jittered sparse, one with an empty row
+    (no column hits row m - 1), two blocks, and dense."""
+    block = SketchBlock(m, np.arange(n) % (m - 1), np.ones(n), np.ones(n, bool))
+    return [jittered(sparse_random_sketch(m, n, seed), seed),
+            jittered(SparseSketch(n, (block,)), seed + 1),
+            concat_sketches(sparse_random_sketch(m - 2, n, seed + 2),
+                            jittered(sparse_random_sketch(2, n, seed + 3), seed + 3)),
+            dense_random_sketch(m, n, seed + 4)]
+
+
+class TestSaNeedsNoSignRuleInTraining:
+    """Training takes SA's SVD without the sign rule: it returns no factor of
+    it, and each meets its partner in products where a column's sign cancels
+    exactly. The step kernels and the train-loss scorer give the bytes they
+    give with SA's SVD patched back to the signed svd/svd_stack, the oracle."""
+
+    @staticmethod
+    def signed_sa(monkeypatch, fn, *args):
+        solve, solve_stack = scw._solve, scw._solve_stack
+        with monkeypatch.context() as patch:
+            if fn in (sa_sq_loss, sq_losses):  # SA's SVD alone goes through these
+                patch.setattr(scw, "unsigned_svd", svd)
+                patch.setattr(scw, "unsigned_svd_slices", signed_slices)
+            else:
+                patch.setattr(scw, "_solve", lambda a, sa, k, sa_svd: solve(a, sa, k, svd))
+                patch.setattr(scw, "_solve_stack", lambda a, sa, k, sa_svd: solve_stack(
+                    a, sa, k, svd_stack))
+            return fn(*args)
+
+    def test_kernels(self, monkeypatch):
+        flipped = 0
+        for seed in range(400):
+            a, sa, k = b_sign_case(seed)
+            sq_norm = frobenius_norm(a) ** 2
+            args = (a, sa, k, np.arange(sa.shape[0] * a.shape[0]), sq_norm)
+            TestBNeedsNoSignRule.assert_same(
+                sa_loss_and_grad(*args), self.signed_sa(monkeypatch, sa_loss_and_grad, *args))
+            got = sa_sq_loss(a, sa, k, sq_norm)
+            want = self.signed_sa(monkeypatch, sa_sq_loss, a, sa, k, sq_norm)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            f = scw.unsigned_svd(sa)
+            flipped += f.rank > 0 and not np.array_equal(f.u, svd(sa).u)
+        assert flipped >= 100  # LAPACK's signs break the rule often: the check has teeth
+
+    @pytest.mark.parametrize("n,d,m,k", [(32, 24, 6, 3), (64, 48, 8, 4), (12, 9, 4, 6),
+                                         (9, 3, 5, 2), (256, 192, 8, 4)])
+    def test_stacks(self, n, d, m, k, monkeypatch):
+        rng = rng_from(96, n, d)
+        mats = [rng.standard_normal((n, d)) for _ in range(3)] + [np.zeros((n, d))]
+        sketches = sa_sign_sketches(n, m, 97)
+        got = sq_losses(mats, sketches, k)
+        want = self.signed_sa(monkeypatch, sq_losses, mats, sketches, k)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        a = np.stack(mats[:3])
+        sq_norms = np.array([frobenius_norm(x) ** 2 for x in a])
+        for chosen in ((0, 2, 3), (3, 1, 0)):  # sketch 1 has an empty row
+            sa = np.stack([apply_sketch(sketches[i], x) for i, x in zip(chosen, a)])
+            args = (a, sa, k, sq_norms)
+            got, want = (sa_loss_and_grad_stack(*args),
+                         self.signed_sa(monkeypatch, sa_loss_and_grad_stack, *args))
+            assert (got is None) == (want is None) == (1 in chosen and m <= d)
+            if got is not None:
+                TestBNeedsNoSignRule.assert_same(got, want)
+
+    def test_v_basis_keeps_the_sign_rule(self):
+        for seed in range(60):
+            a, sa, k = b_sign_case(seed)
+            s = DenseSketch(np.linalg.lstsq(a.T, sa.T, rcond=None)[0].T) if seed % 2 else \
+                jittered(sparse_random_sketch(sa.shape[0], a.shape[0], seed), seed)
+            f = svd(apply_sketch(s, a))
+            v_basis = scw_approximate(a, s, k).v_basis
+            assert v_basis.tobytes() == f.v.tobytes()
+            if f.rank:
+                peak = f.u[np.abs(f.u).argmax(axis=0), np.arange(f.rank)]
+                assert (peak > 0).all()
+
+
 class TestScwLosses:
     """scw_losses(mats, sketches, k)[i, t] is scw_loss(mats[t], sketches[i], k), byte
     for byte, and it raises what that loop, sketch by sketch, raises first."""
@@ -544,6 +667,48 @@ class TestScwLosses:
         with pytest.raises(ValueError) as got:
             scw_losses(mats, sketches, 2)
         assert str(got.value) == str(want)
+
+
+class TestSqLosses:
+    """sq_losses(mats, sketches, k)[i, t] is sa_sq_loss on sketch i's SA of
+    matrix t, and it raises what that loop, sketch by sketch, raises first."""
+
+    @staticmethod
+    def loop(mats, sketches, k):
+        return np.array([[sa_sq_loss(as_matrix(a), apply_sketch(s, a), k, frobenius_norm(a) ** 2)
+                          for a in mats] for s in sketches]).reshape(len(sketches), len(mats))
+
+    @pytest.mark.parametrize("empty_row", [False, True])
+    def test_equals_loop(self, empty_row):
+        mats, sketches = TestScwLosses.mats(), TestScwLosses.sketches(empty_row)
+        for k in (2, 6):
+            got, want = sq_losses(mats, sketches, k), self.loop(mats, sketches, k)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert np.allclose(got, scw_losses(mats, sketches, k) ** 2, rtol=1e-12)
+
+    def test_no_sketches_or_matrices(self):
+        assert sq_losses(TestScwLosses.mats(), [], 2).shape == (0, 3)
+        assert sq_losses([], TestScwLosses.sketches(False), 2).shape == (5, 0)
+
+    @pytest.mark.parametrize("case", ["non_finite_then_n", "n_first", "mixed_rows", "k_zero"])
+    def test_raises_the_loops_first_error(self, case):
+        n, m, k = TestScwLosses.N, TestScwLosses.M, 2
+        mats, sketches = TestScwLosses.mats(), TestScwLosses.sketches(False)
+        if case == "non_finite_then_n":  # sketch-major: (0, 1) non-finite before (4, 0) n
+            mats[1][2, 3] = np.inf
+            sketches[4] = sparse_random_sketch(m, n + 1, 87)
+        elif case == "n_first":
+            mats[2][0, 0] = np.nan
+            sketches[0] = sparse_random_sketch(m, n - 1, 87)
+        elif case == "mixed_rows":  # matrix 1 has other rows than every sketch
+            mats[1] = np.ones((n + 2, TestScwLosses.D))
+        else:
+            k = 0
+        with pytest.raises(ValueError) as want:
+            self.loop(mats, sketches, k)
+        with pytest.raises(ValueError) as got:
+            sq_losses(mats, sketches, k)
+        assert str(got.value) == str(want.value)
 
 
 class TestConcatDominance:

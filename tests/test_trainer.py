@@ -214,6 +214,31 @@ class TestReportedLoss:
         assert rep.initial_loss == pytest.approx(mean_sq(init), rel=1e-12)
         assert rep.final_loss == pytest.approx(mean_sq(sk), rel=1e-12)
 
+    CASES = {
+        "plain": (None, 4, dict(learned_rows=2)),
+        # at seed 3 the trained block has a row no column hits, so SA is rank-deficient
+        "empty_row": (None, 8, dict(learned_rows=4, batch_size=2, seed=3)),
+        "two_column_counts": ("widths", 6, dict(k=3, lr=1.0, learned_rows=3, iterations=20)),
+        "zero_matrix": ("zero", 4, dict(learned_rows=2, batch_size=2)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_losses_within_eps_of_scw_loss(self, small_train_set, case, mode):
+        # the losses come from singular values alone; the residual's agree to
+        # within rounding, 1e-13 of the mean ||A||_F^2
+        kind, m, kw = self.CASES[case]
+        train_set = TestTrainMany.train_set(kind, small_train_set)
+        cfg = quick_cfg(mode=mode, **kw)
+        sk, rep = train(train_set, m, cfg)
+        init, _ = train(train_set, m, replace(cfg, iterations=0))
+        if case == "empty_row":
+            assert np.bincount(init.blocks[0].row_of, minlength=init.blocks[0].m).min() == 0
+        scale = 1e-13 * float(np.mean([frobenius_norm(a) ** 2 for a in train_set]))
+        for loss, s in ((rep.initial_loss, init), (rep.final_loss, sk)):
+            want = float(np.mean([scw_loss(a, s, cfg.k) ** 2 for a in train_set]))
+            assert abs(loss - want) <= scale
+
 
 class TestKeepStart:
     # the inputs of the perfbench cli_pipeline run at seed 104, mixed_s
@@ -490,17 +515,32 @@ class TestTrainMany:
         for result, cfg in zip(got, cfgs):
             assert_same_run(result, train(train_set, m, cfg))
 
-    def test_scored_per_matrix(self, small_train_set, monkeypatch):
-        # each scoring pass stacks every run that shares k over one train matrix,
-        # across lockstep groups: the 6 runs here step in two groups
-        calls = []
-        score = scw.scw_loss_stack
-        monkeypatch.setattr(scw, "scw_loss_stack", lambda a, *rest: (
-            calls.append(a.shape[0]) or score(a, *rest)))
-        cfgs = three_modes()
-        for result, cfg in zip(trainer.train_many(small_train_set, 4, cfgs), cfgs):
-            assert_same_run(result, train(small_train_set, 4, cfg))
-        assert calls == [6] * (2 * len(small_train_set))
+    def test_scored_in_one_pass(self, small_train_set, monkeypatch):
+        # each scoring pass takes one sigma-only SVD over every run x train matrix
+        # of a k, across lockstep groups (the 6 runs of a k here step in two), and
+        # builds no approximation; train takes one over its train matrices per pass
+        calls, svd = [], np.linalg.svd
+
+        def spy(a, full_matrices=True, compute_uv=True, hermitian=False):
+            if not compute_uv:
+                calls.append(a.shape[:-2])
+            return svd(a, full_matrices, compute_uv, hermitian)
+
+        def residual(*args):
+            raise AssertionError("a residual was built")
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        monkeypatch.setattr(scw, "scw_approximate", residual)
+        cfgs = three_modes() + three_modes(k=3)
+        got = list(trainer.train_many(small_train_set, 4, cfgs))
+        runs = len(cfgs) // 2 * len(small_train_set)
+        assert calls == [(runs,)] * 4  # initial k=2, k=3, then final k=2, k=3
+        del calls[:]
+        alone = [train(small_train_set, 4, cfg) for cfg in cfgs]
+        assert calls == [(len(small_train_set),)] * (2 * len(cfgs))
+        monkeypatch.undo()
+        for result, want in zip(got, alone):
+            assert_same_run(result, want)
 
     def test_failed_initial_scoring_stands_for_its_run(self, small_train_set, monkeypatch):
         # run 1's start cannot be scored; train alone raises the same error,
