@@ -29,10 +29,16 @@ loop of train calls and as one train_many. eval_score_loop_30 and
 eval_score_30 are what `lrsketch eval` scores there: those 6 trained
 sketches plus 2 sparse and 2 dense random ones, each on 3 test
 matrices, as a loop of 30 scw_loss calls and as one scw_losses (one
-stacked pass per test matrix). score_train_4 is one of train's two
+pass over the test matrices). score_train_4 is one of train's two
 scoring passes at 64x48 (the learned start's mean loss over the 4 train
 matrices), and score_many_6 one of train_many's at 32x24 (the starts of
-the 6 runs over the 4 train matrices). An lrsketch without train_many
+the 6 runs over the 4 train matrices). score_cell_6 is one scw_losses call
+of one sweep_4_cells cell: 3 sparse random sketches at m=8 on its 2 test
+matrices at k=4. score_paper_4 is scw_losses at IVY19's shape: 10 sketches
+(6 sparse ones with normal values standing in for trained ones, 4 dense)
+at m=20 on 4 spiked 1024x768 test matrices at k=10, made before any timing
+starts; its tracemalloc peak, taken once in a call of its own outside the
+timings, is stored as "tracemalloc_peak_mib". An lrsketch without train_many
 or scw_losses (an older checkout, timed for comparison) skips
 step_kernel_stack4, train_many_6 and score_many_6, or eval_score_30.
 import_cli is start-up: a fresh interpreter imports
@@ -70,6 +76,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
 import timeit  # noqa: E402
+import tracemalloc  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -91,6 +98,7 @@ SWEEP_CELLS = [(k, m, st) for k, m in ((4, 8), (2, 6))
                for st in ("sparse_random", "dense_random")]
 LARGE_SPEC = replace(SPEC, name="large", n=1024, d=768, count_train=1, spikes=10)
 LARGE_K, LARGE_M = 10, 20
+PAPER_SPEC = replace(LARGE_SPEC, name="paper", count_test=4)
 PIPE_SPEC = replace(SPEC, name="pipe", n=32, d=24, count_test=3, spikes=3)
 PIPE_K, PIPE_M = 3, 6
 PIPE_RUNS = [trainer.TrainConfig(k=PIPE_K, lr=1.0, iterations=10, seed=20261018 + 10 * i + t,
@@ -104,6 +112,28 @@ def sweep_4_cells() -> None:
     evalbench._sweep_inputs.cache_clear()
     for k, m, st in SWEEP_CELLS:
         evalbench.run_experiment(SWEEP_SPEC, k, m, st, 3, TRAIN)
+
+
+def score_paper():
+    """scw_losses of PAPER_SPEC's test matrices under 6 sparse sketches with
+    normal values and 4 dense ones, all of LARGE_M rows."""
+    _, test = evalbench.generate_dataset(PAPER_SPEC)
+    rng = np.random.default_rng(20261020)
+    n = PAPER_SPEC.n
+    sketches = [sketch.sparse_random_sketch(LARGE_M, n, seed).with_values(rng.standard_normal(n))
+                for seed in range(6)]
+    sketches += [sketch.dense_random_sketch(LARGE_M, n, seed) for seed in range(6, 10)]
+    return lambda: scw.scw_losses(test, sketches, LARGE_K)
+
+
+def traced_peak_mib(fn) -> float:
+    """The tracemalloc peak of one call of fn, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def quartiles(samples) -> dict:
@@ -134,9 +164,10 @@ def step_kernel_stack(train_set):
         mats[which.ravel()], stack.sa(vals, mats, which), PIPE_K, sq_norms)[1].take(stack.index)
 
 
-def timings(repeats: int) -> tuple[dict, dict]:
+def timings(repeats: int) -> tuple[dict, dict, dict]:
     """p25, median and p75 microseconds per call of each timed operation,
-    raw and scaled by NOMINAL_S over each round's reference time."""
+    raw and scaled by NOMINAL_S over each round's reference time, and the
+    tracemalloc peaks."""
     train_set, _ = evalbench.generate_dataset(SPEC)
     a = train_set[0]
     s = sketch.sparse_random_sketch(M, SPEC.n, 7)
@@ -172,6 +203,11 @@ def timings(repeats: int) -> tuple[dict, dict]:
                                          for s in scored for a in pipe_test]
     if hasattr(scw, "scw_losses"):
         ops["eval_score_30"] = lambda: scw.scw_losses(pipe_test, scored, PIPE_K)
+    sweep_test = evalbench.generate_dataset(SWEEP_SPEC)[1]
+    cell = [sketch.sparse_random_sketch(M, SPEC.n, seed) for seed in range(3)]
+    ops["score_cell_6"] = lambda: scw.scw_losses(sweep_test, cell, K)
+    ops["score_paper_4"] = score_paper()
+    peaks = {"score_paper_4": round(traced_peak_mib(ops["score_paper_4"]), 1)}
     start = sketch.concat_sketches(*trainer._start(SPEC.n, M, TRAIN))
     ops["score_train_4"] = lambda: trainer._mean_loss(train_set, start, K)
     if hasattr(trainer, "train_many"):
@@ -196,7 +232,7 @@ def timings(repeats: int) -> tuple[dict, dict]:
                            for full, zero in zip(samples[f"train_{ITERATIONS}"], train_0)]
     return ({name: quartiles(us) for name, us in samples.items()},
             {name: quartiles([x * f for x, f in zip(us, speed)])
-             for name, us in samples.items()})
+             for name, us in samples.items()}, peaks)
 
 
 def machine() -> dict:
@@ -219,15 +255,17 @@ def main() -> None:
                     f"{LARGE_SPEC.n}x{LARGE_SPEC.d} at k={LARGE_K}, m={LARGE_M}; step_kernel_"
                     f"{PIPE_SPEC.n}x{PIPE_SPEC.d}, step_kernel_stack{STACK}, the 6-run "
                     f"trains, their scoring and the 10-sketch eval scoring at k={PIPE_K}, "
-                    f"m={PIPE_M}",
+                    f"m={PIPE_M}; score_cell_6 at {SWEEP_SPEC.n}x{SWEEP_SPEC.d}, k={K}, m={M}; "
+                    f"score_paper_4 at {PAPER_SPEC.n}x{PAPER_SPEC.d}, k={LARGE_K}, m={LARGE_M}",
            "unit": "us per call: p25, median, p75 over round-robin repeats; scaled_us "
                    "at the speed where perfbench's reference kernel takes NOMINAL_S",
            "runs": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc["runs"] = json.load(fh).get("runs", {})
-    us, scaled_us = timings(args.repeats)
-    run = {"machine": machine(), "repeats": args.repeats, "us": us, "scaled_us": scaled_us}
+    us, scaled_us, peaks = timings(args.repeats)
+    run = {"machine": machine(), "repeats": args.repeats, "us": us, "scaled_us": scaled_us,
+           "tracemalloc_peak_mib": peaks}
     doc["runs"][args.label] = run
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -236,6 +274,8 @@ def main() -> None:
         sq = scaled_us[name]
         print(f"{name:24s} {q['p25']:10.1f} {q['median']:10.1f} {q['p75']:10.1f} us"
               f"  scaled {sq['p25']:10.1f} {sq['median']:10.1f} {sq['p75']:10.1f}")
+    for name, mib in peaks.items():
+        print(f"{name:24s} tracemalloc peak {mib:.1f} MiB")
     print(f"wrote {args.out} [{args.label}]")
 
 

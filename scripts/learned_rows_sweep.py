@@ -33,7 +33,7 @@ def run(out_csv: str) -> None:
             for learned_rows in range(M + 1)]
     # the M + 1 runs share every shape, so they step in lockstep
     trained = list(train_many(train_set, M, cfgs))
-    losses = scw_losses(test_set, [sketch for sketch, _ in trained], K)  # one pass per matrix
+    losses = scw_losses(test_set, [sketch for sketch, _ in trained], K)  # one pass per shape
     for learned_rows, ((_, rep), row) in enumerate(zip(trained, losses)):
         err = float(np.mean(row)) - app  # err_metric, optimum computed once
         rows.append(("mixed_j", learned_rows, err))

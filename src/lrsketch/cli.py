@@ -19,8 +19,10 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from .evalbench import (SKETCH_TYPES, TRAIN_MODES, DatasetSpec, evaluate_cell,
-                        generate_dataset, random_sketch, results_to_csv, write_xy_csv)
-from .formats import atomic_open, load_sketch, save_dmat, save_sketch
+                        generate_dataset, manifest_files, normalize_top_singular,
+                        random_sketch, results_to_csv, write_xy_csv)
+from .formats import (atomic_open, load_matrix, load_sketch, matrix_shape, save_dmat,
+                      save_sketch)
 from .linalg import PowerSvdConfig, singular_values
 from .scw import scw_losses
 from .seeding import derived_seed
@@ -204,16 +206,25 @@ def _dataset(spec: DatasetSpec):
         raise _file_error(spec.path, exc) from exc
 
 
-def _load_dataset_files(cfg: ExperimentConfig, spec: DatasetSpec):
+def _load_dataset_files(cfg: ExperimentConfig, spec: DatasetSpec, role: str):
+    """The normalized matrices of one role ("train" or "test") of a dataset gen-data
+    wrote. Of the other role's files only the shapes are read (a DMAT1 file's
+    header), for the check that every matrix of the dataset has one shape."""
     manifest = os.path.join(_data_dir(cfg, spec.name), "manifest.json")
     if not os.path.exists(manifest):
         raise UsageError(f"missing data for {spec.name!r}: run gen-data first "
                          f"(expected {manifest})")
-    train_set, test_set = _dataset(DatasetSpec(name=spec.name, kind="files", path=manifest))
-    shapes = sorted({a.shape for a in train_set + test_set})
+    try:
+        files = manifest_files(manifest)
+        mats = [normalize_top_singular(load_matrix(path)) for path in files[role]]
+        shapes = sorted({a.shape for a in mats}.union(
+            matrix_shape(path) for other, paths in files.items() if other != role
+            for path in paths))
+    except (OSError, ValueError) as exc:
+        raise _file_error(manifest, exc) from exc
     if len(shapes) > 1:
         raise UsageError(f"{manifest}: matrices differ in shape: {shapes}")
-    return train_set, test_set
+    return mats
 
 
 def _train_cfg(tp: TrainParams, k: int, m: int, mode: str, seed: int) -> TrainConfig:
@@ -230,7 +241,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     os.makedirs(os.path.join(cfg.out_dir, "reports"), exist_ok=True)
     runs = [(st, t) for st in cfg.sketch_types if st in TRAIN_MODES for t in range(cfg.trials)]
     for di, spec in enumerate(cfg.datasets):
-        train_set, _ = _load_dataset_files(cfg, spec)
+        train_set = _load_dataset_files(cfg, spec, "train")
         for k, m in cfg.pairs:
             cfgs = [_train_cfg(cfg.train, k, m, TRAIN_MODES[st], derived_seed(
                 cfg.seed, _SEED_TRAIN, di, k, m, SKETCH_TYPES.index(st), t)) for st, t in runs]
@@ -265,12 +276,12 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     records = []
     for di, spec in enumerate(cfg.datasets):
-        _, test_set = _load_dataset_files(cfg, spec)
+        test_set = _load_dataset_files(cfg, spec, "test")
         n = test_set[0].shape[0]
         sigmas = [singular_values(a) for a in test_set]
         for k, m in cfg.pairs:
             # every type and trial of the cell is loaded or built first, then all
-            # are scored together: one stacked pass per test matrix
+            # are scored together: one pass over the test matrices
             sketches = [_eval_sketch(cfg, di, spec, n, k, m, st, t)
                         for st in cfg.sketch_types for t in range(cfg.trials)]
             losses = scw_losses(test_set, sketches, k)

@@ -138,26 +138,28 @@ def _generate_synthetic(spec: DatasetSpec):
     return train, test
 
 
-def _load_files(spec: DatasetSpec):
-    if spec.path is None:
-        raise ValueError("files dataset needs a manifest path")
-    with open(spec.path, "r", encoding="ascii") as fh:
+def manifest_files(path) -> dict:
+    """{"train": [...], "test": [...]}: the file paths a dataset manifest lists,
+    each joined to the manifest's directory."""
+    with open(path, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
     if not (isinstance(manifest, dict)
             and all(isinstance(manifest.get(role), list) and manifest[role]
                     and all(isinstance(rel, str) for rel in manifest[role])
                     for role in ("train", "test"))):
-        raise ValueError(f"{spec.path}: manifest needs non-empty 'train' and 'test' "
+        raise ValueError(f"{path}: manifest needs non-empty 'train' and 'test' "
                          f"lists of file names")
-    base = os.path.dirname(os.path.abspath(spec.path))
+    base = os.path.dirname(os.path.abspath(path))
+    return {role: [os.path.join(base, rel) for rel in manifest[role]]
+            for role in ("train", "test")}
 
-    def load_all(paths):
-        out = []
-        for rel in paths:
-            out.append(normalize_top_singular(load_matrix(os.path.join(base, rel))))
-        return out
 
-    return load_all(manifest["train"]), load_all(manifest["test"])
+def _load_files(spec: DatasetSpec):
+    if spec.path is None:
+        raise ValueError("files dataset needs a manifest path")
+    files = manifest_files(spec.path)
+    return tuple([normalize_top_singular(load_matrix(p)) for p in files[role]]
+                 for role in ("train", "test"))
 
 
 def generate_dataset(spec: DatasetSpec):
@@ -213,11 +215,10 @@ def evaluate_cell(dataset: str, k: int, m: int, sketch_type: str, sigmas,
     the optimum taken from `sigmas`, their singular values."""
     if not len(losses):
         raise ValueError("trials must be >= 1")
-    app = _tail_mean(sigmas, k)
-    errs = [float(np.mean(row)) - app for row in losses]  # mean_scw_loss of each trial
+    errs = np.asarray(losses).mean(axis=1) - _tail_mean(sigmas, k)  # each trial's excess error
     std_err = 0.0
     if len(errs) > 1:
-        std_err = float(np.std(np.asarray(errs), ddof=1) / np.sqrt(len(errs)))
+        std_err = float(np.std(errs, ddof=1) / np.sqrt(len(errs)))
     return ResultRecord(dataset, k, m, sketch_type, float(np.mean(errs)), std_err, len(errs))
 
 

@@ -55,12 +55,17 @@ def _read(fh, count: int, dtype: str, path, what: str) -> np.ndarray:
     return np.frombuffer(fh.read(size), dtype=dtype)
 
 
+def _dmat_header(fh, path) -> tuple[int, int]:
+    """(rows, cols) from the head of an open DMAT1 file."""
+    if fh.read(len(DMAT_MAGIC)) != DMAT_MAGIC:
+        raise ValueError(f"{path}: not a DMAT1 file")
+    rows, cols = (int(x) for x in _read(fh, 2, "<u8", path, "DMAT1 header"))
+    return rows, cols
+
+
 def load_dmat(path: str | os.PathLike) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(len(DMAT_MAGIC))
-        if magic != DMAT_MAGIC:
-            raise ValueError(f"{path}: not a DMAT1 file")
-        rows, cols = (int(x) for x in _read(fh, 2, "<u8", path, "DMAT1 header"))
+        rows, cols = _dmat_header(fh, path)
         data = _read(fh, rows * cols, "<f8", path, "DMAT1 payload")
     a = data.reshape(rows, cols).astype(np.float64)
     return require_finite(a, f"{path}")
@@ -95,6 +100,15 @@ def load_matrix(path: str | os.PathLike) -> np.ndarray:
     if str(path).endswith(".csv"):
         return load_matrix_csv(path)
     return load_dmat(path)
+
+
+def matrix_shape(path: str | os.PathLike) -> tuple[int, int]:
+    """The shape of the matrix in a file, as load_matrix would read it: from a
+    DMAT1 file's header alone, from a CSV file by loading it."""
+    if str(path).endswith(".csv"):
+        return load_matrix_csv(path).shape
+    with open(path, "rb") as fh:
+        return _dmat_header(fh, path)
 
 
 def save_sketch(path: str | os.PathLike, s: SparseSketch) -> None:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (as_matrix, frobenius_norm, full_rank, rank, singular_values, svd,
-                     svd_stack, unsigned_svd, unsigned_svd_slices, unsigned_svd_stack)
+from .linalg import (SvdFactors, as_matrix, frobenius_norm, full_rank, rank, singular_values,
+                     svd, svd_stack, unsigned_svd, unsigned_svd_slices, unsigned_svd_stack)
 from .sketch import (DenseSketch, SparseSketch, apply_sketch, apply_sketches, concat_sketches,
                      grad_index)
 
@@ -58,9 +58,9 @@ def _t(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
-def _approx(f, fb, r: int) -> np.ndarray:
-    """[AV]_r V^T from the factors of SA and of B = AV; 2-D or stacked."""
-    return ((fb.u[..., :r] * fb.sigma[..., None, :r]) @ _t(fb.v[..., :r])) @ _t(f.v)
+def _approx(v: np.ndarray, fb, r: int) -> np.ndarray:
+    """[AV]_r V^T from SA's right factor V and the factors of B = AV; 2-D or stacked."""
+    return ((fb.u[..., :r] * fb.sigma[..., None, :r]) @ _t(fb.v[..., :r])) @ _t(v)
 
 
 def _grad_s(a: np.ndarray, f, b: np.ndarray, uk: np.ndarray) -> np.ndarray:
@@ -77,7 +77,7 @@ def scw_approximate(a, s: SparseSketch | DenseSketch, k: int) -> ScwOutput:
     if fb is None:
         zero = np.zeros_like(a)
         return ScwOutput(zero, np.zeros((a.shape[1], 0)), frobenius_norm(a))
-    approx = _approx(f, fb, r)
+    approx = _approx(f.v, fb, r)
     return ScwOutput(approx, f.v, frobenius_norm(a - approx))
 
 
@@ -111,40 +111,106 @@ def sa_loss_and_grad_stack(a: np.ndarray, sa: np.ndarray, k: int, sq_norms: np.n
     return np.maximum(sq_norms - (sk @ _t(sk)).ravel(), 0.0), _grad_s(a, f, b, fb.u[..., :r])
 
 
-def scw_loss_stack(a: np.ndarray, sa: np.ndarray, k: int) -> np.ndarray | None:
-    """scw_loss of each slice of stacks of A and SA, bit-equal; None as above.
-    The residual is built and squared in place: one (R, n, d) array."""
-    solved = _solve_stack(a, sa, k)
-    if solved is None:
-        return None
-    f, _, fb, r = solved
-    res = _approx(f, fb, r)
+def _residual_norms(a: np.ndarray, v: np.ndarray, fb, r: int) -> np.ndarray:
+    """||A - [AV]_r V^T||_F of each slice, from stacked V and B's factors: A - the
+    approximation built and squared in place, one (R, n, d) array, freed on return."""
+    res = _approx(v, fb, r)
     np.subtract(a, res, out=res)
     return np.sqrt(np.sum(np.multiply(res, res, out=res), axis=(1, 2)))
 
 
+def scw_loss_stack(a: np.ndarray, sa: np.ndarray, k: int) -> np.ndarray | None:
+    """scw_loss of each slice of stacks of A and SA, bit-equal; None as
+    sa_loss_and_grad_stack returns it."""
+    solved = _solve_stack(a, sa, k)
+    if solved is None:
+        return None
+    f, _, fb, r = solved
+    return _residual_norms(a, f.v, fb, r)
+
+
+def _groups(mats, sketches, k: int):
+    """The indices of the finite matrices of each shape whose rows every sketch
+    fits, one pass each; none when k < 1. Every other slice is scored alone."""
+    groups = {}
+    if sketches and k >= 1:
+        for t, a in enumerate(mats):
+            if all(s.n == a.shape[0] for s in sketches) and np.isfinite(a).all():
+                groups.setdefault(a.shape, []).append(t)
+    return groups.values()
+
+
+def _finite_slices(x: np.ndarray) -> np.ndarray:
+    """x with each slice that holds a NaN or an infinity set to zero: LAPACK may
+    hang on such a slice, and as zero it is below full rank, so it is scored alone."""
+    finite = np.isfinite(x).all(axis=(1, 2))
+    return x if finite.all() else np.where(finite[:, None, None], x, 0.0)
+
+
+def _unsigned_slices(x: np.ndarray):
+    """unsigned_svd_slices of _finite_slices(x), which checks x for a
+    non-finite slice only when unsigned_svd_slices has found one."""
+    got = unsigned_svd_slices(x)
+    return got if got is not None or x.size == 0 else unsigned_svd_slices(_finite_slices(x))
+
+
+def _sa_pass(mats, sketches):
+    """The part of a scoring pass over matrices of one shape that both scorers
+    share: SA's unsigned factors of every slice t * R + i (sketch i on matrix
+    t) from one apply_sketches and one unsigned_svd_slices, B = AV of each
+    slice built per matrix (each A read in place) and the (T * R,) mask of the
+    slices finite and of full rank in SA; None when SA or B is empty. SA's SVD
+    takes no sign rule: each of its factors meets its partner only in products
+    where a column's sign cancels exactly, [AV]_k V^T among them."""
+    got = _unsigned_slices(apply_sketches(sketches, mats))
+    if got is None:
+        return None
+    f, full = got
+    v = f.v.reshape(len(mats), len(sketches), *f.v.shape[1:])
+    b = np.concatenate([a @ v_t for a, v_t in zip(mats, v)])
+    return None if b.size == 0 else (f, b, full)
+
+
+def _by_sketch(x: np.ndarray, count: int) -> np.ndarray:
+    """A (T * R,) array over slices t * R + i as (sketches, matrices)."""
+    return x.reshape(-1, count).T
+
+
 def scw_losses(mats, sketches, k: int) -> np.ndarray:
     """(sketches, matrices) array of scw_loss(a, s, k), bit-equal, for sketches
-    of one row count. Each matrix takes one scw_loss_stack over every sketch's
-    SA and a broadcast view of itself; where that is None, or a sketch's n or k
-    would make scw_loss raise, the matrix is scored sketch by sketch. The error
-    raised is the one a loop over sketches, then matrices, raises first."""
+    of one row count. The finite matrices of one shape that every sketch fits
+    take one pass (_sa_pass, then one unsigned_svd_slices of every B and each
+    matrix's residuals, freed before the next matrix's are built). A slice
+    non-finite or below full rank, in SA or in B, takes scw_loss alone, as does
+    every slice of any other matrix, or of any matrix when k < 1; they run
+    sketch by sketch, so the error raised is the one that loop raises first."""
+    mats = [as_matrix(a) for a in mats]
     out = np.empty((len(sketches), len(mats)))
-    alone = []
-    for t, a in enumerate(mats):
-        a = as_matrix(a)
-        got = None
-        if sketches and k >= 1 and all(s.n == a.shape[0] for s in sketches):
-            sa = apply_sketches(sketches, a)
-            got = scw_loss_stack(np.broadcast_to(a, sa.shape[:1] + a.shape), sa, k)
-        if got is None:
-            alone.append(t)
-        else:
-            out[:, t] = got
-    for i, s in enumerate(sketches):  # matrices that succeed stacked raise for no sketch
-        for t in alone:
-            out[i, t] = scw_loss(mats[t], s, k)
+    alone = np.ones(out.shape, dtype=bool)
+    for ts in _groups(mats, sketches, k):
+        got = _scw_loss_pass([mats[t] for t in ts], sketches, k)
+        if got is not None:
+            out[:, ts], alone[:, ts] = got
+    for i, t in zip(*np.nonzero(alone)):  # sketch-major
+        out[i, t] = scw_loss(mats[t], sketches[i], k)
     return out
+
+
+def _scw_loss_pass(mats, sketches, k: int):
+    """scw_losses over matrices of one shape that every sketch fits: (losses,
+    alone), each (sketches, matrices), alone marking the slices to take again
+    by scw_loss; None when SA or B is empty."""
+    got = _sa_pass(mats, sketches)
+    if got is None:
+        return None
+    f, b, full = got
+    fb, full_b = _unsigned_slices(b)
+    r, count = min(k, fb.sigma.shape[1]), len(sketches)
+    losses = np.empty((len(mats), count))
+    for t, a in enumerate(mats):
+        at = slice(t * count, (t + 1) * count)
+        losses[t] = _residual_norms(a, f.v[at], SvdFactors(fb.u[at], fb.sigma[at], fb.v[at]), r)
+    return losses.T, _by_sketch(~(full & full_b), count)
 
 
 def sa_sq_loss(a: np.ndarray, sa: np.ndarray, k: int, sq_norm: float) -> float:
@@ -165,22 +231,14 @@ def sa_sq_loss(a: np.ndarray, sa: np.ndarray, k: int, sq_norm: float) -> float:
 def sq_losses(mats, sketches, k: int) -> np.ndarray:
     """(sketches, matrices) array of sa_sq_loss(a, apply_sketch(s, a), k,
     ||A||_F^2), bit-equal, for sketches of one row count: scw_loss(a, s, k) ** 2
-    to about eps * ||A||_F^2, with no approximation or residual built. The
-    matrices of one shape take one pass: every sketch's SA of each
-    (apply_sketches) in one unsigned_svd_slices, B = AV built per matrix, and
-    one sigma-only SVD of every B. A slice non-finite or below full rank, in SA
-    or in B, takes sa_sq_loss alone, as does every slice of a matrix whose
-    rows some sketch's n does not fit, or of any matrix when k < 1; they run
-    sketch by sketch, so the error raised is the one that loop raises first."""
+    to about eps * ||A||_F^2, with no approximation or residual built. Passes
+    and lone slices as in scw_losses, but each pass takes one sigma-only SVD
+    of every B, and a lone slice takes sa_sq_loss."""
     mats = [as_matrix(a) for a in mats]
     sq_norms = [frobenius_norm(a) ** 2 for a in mats]
     out = np.empty((len(sketches), len(mats)))
     alone = np.ones(out.shape, dtype=bool)
-    shapes = {}
-    for t, a in enumerate(mats):
-        if sketches and k >= 1 and all(s.n == a.shape[0] for s in sketches):
-            shapes.setdefault(a.shape, []).append(t)
-    for ts in shapes.values():
+    for ts in _groups(mats, sketches, k):
         got = _sq_loss_pass([mats[t] for t in ts], sketches, k, [sq_norms[t] for t in ts])
         if got is not None:
             out[:, ts], alone[:, ts] = got
@@ -190,24 +248,17 @@ def sq_losses(mats, sketches, k: int) -> np.ndarray:
 
 
 def _sq_loss_pass(mats, sketches, k: int, sq_norms):
-    """sq_losses over matrices of one shape that every sketch fits: (losses,
-    alone), each (sketches, matrices), alone marking the slices to take again
-    by sa_sq_loss; None when a slice of SA or B is non-finite. Slice
-    t * R + i of each stack is sketch i on matrix t."""
-    count = len(sketches)
-    got = unsigned_svd_slices(np.concatenate([apply_sketches(sketches, a) for a in mats]))
+    """sq_losses over matrices of one shape that every sketch fits, as
+    _scw_loss_pass is to scw_losses."""
+    got = _sa_pass(mats, sketches)
     if got is None:
         return None
-    f, full = got
-    v = f.v.reshape(len(mats), count, *f.v.shape[1:])
-    b = np.concatenate([a @ v_t for a, v_t in zip(mats, v)])  # reads each A in place
-    if not (b.size and np.isfinite(b).all()):  # LAPACK may hang on a non-finite B
-        return None
-    sigma = np.linalg.svd(b, compute_uv=False)
+    _, b, full = got
+    count = len(sketches)
+    sigma = np.linalg.svd(_finite_slices(b), compute_uv=False)
     sk = sigma[:, None, :min(k, sigma.shape[1])]
     losses = np.maximum(np.repeat(sq_norms, count) - (sk @ _t(sk)).ravel(), 0.0)
-    kept = full & full_rank(sigma)  # where r is min(k, cols), as sa_sq_loss takes it
-    return losses.reshape(-1, count).T, ~kept.reshape(-1, count).T
+    return _by_sketch(losses, count), _by_sketch(~(full & full_rank(sigma)), count)
 
 
 def scw_loss_and_grad(a, s: SparseSketch, k: int) -> tuple[float, np.ndarray]:

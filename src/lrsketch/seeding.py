@@ -8,6 +8,8 @@ results bit-for-bit and independent streams never collide.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -21,6 +23,12 @@ def rng_from(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed_sequence(seed, *path)))
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def derived_seed(seed: int, *path: int) -> int:
-    """Collapse a derivation path into a single reusable integer seed."""
+    """Collapse a derivation path into a single reusable integer seed.
+
+    Memoized: the result is a pure function of its arguments and an immutable
+    int, and the cells of a sweep derive the same trial seeds again. Generators
+    and SeedSequences are stateful, so rng_from and seed_sequence are not.
+    """
     return int(seed_sequence(seed, *path).generate_state(1, np.uint64)[0])

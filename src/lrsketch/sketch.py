@@ -180,25 +180,34 @@ def apply_sketch(s: SparseSketch | DenseSketch, a) -> np.ndarray:
     return scatter_rows(s.value_of, s.row_of, s.m, a)
 
 
-def apply_sketches(sketches, a) -> np.ndarray:
-    """apply_sketch(s, a) of each of one or more sketches of one row count m, as
-    an (R, m, d) stack, bit-equal. The sparse ones take one scatter with sketch
-    j's rows offset by j * m, so each bin gets its own sketch's additions in order."""
-    a = as_matrix(a)
-    m = sketches[0].m
-    out = np.empty((len(sketches), m, a.shape[1]))
+def apply_sketches(sketches, mats) -> np.ndarray:
+    """apply_sketch(sketches[i], mats[t]) of one or more sketches of one row
+    count m on one or more matrices of one shape, as a (T * R, m, d) stack
+    whose slice t * R + i is sketch i on matrix t, bit-equal. The sparse
+    sketches' values and the scatter index of their rows, sketch j's offset by
+    j * m, are built once; each matrix then takes one scatter, so each bin gets
+    its own sketch's additions in order, and only one matrix's weights are held."""
+    mats = [as_matrix(a) for a in mats]
+    (n, d), count, m = mats[0].shape, len(sketches), sketches[0].m
+    if any(a.shape != (n, d) for a in mats):
+        raise ValueError(f"matrices differ in shape: {sorted({a.shape for a in mats})}")
+    out = np.empty((len(mats) * count, m, d))
     sparse = []
     for i, s in enumerate(sketches):
         if s.m != m:
             raise ValueError(f"sketch {i} has {s.m} rows, expected {m}")
-        if isinstance(s, SparseSketch) and s.n == a.shape[0]:
+        if isinstance(s, SparseSketch) and s.n == n:
             sparse.append(i)
         else:  # dense, or a column count apply_sketch rejects
-            out[i] = apply_sketch(s, a)
+            for t, a in enumerate(mats):
+                out[t * count + i] = apply_sketch(s, a)
     if sparse:
-        rows = np.concatenate([sketches[i].row_of + j * m for j, i in enumerate(sparse)])
         vals = np.concatenate([sketches[i].value_of for i in sparse])
-        out[sparse] = scatter_rows(vals, rows, len(sparse) * m, a).reshape(len(sparse), m, -1)
+        flat = scatter_index(np.concatenate(
+            [sketches[i].row_of + j * m for j, i in enumerate(sparse)]), d)
+        for t, a in enumerate(mats):
+            sa = scatter_flat(vals, flat, len(sparse) * m, a)
+            out[[t * count + i for i in sparse]] = sa.reshape(len(sparse), m, d)
     return out
 
 

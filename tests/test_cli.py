@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from lrsketch import cli, scw, trainer, verify
+from lrsketch import cli, formats, scw, trainer, verify
 from lrsketch.cli import main
 from lrsketch.evalbench import (SKETCH_TYPES, ResultRecord, generate_dataset, optimal_loss,
                                 results_to_csv)
@@ -62,7 +62,7 @@ class TestGenData:
         write_config(cfg_path)
         main(["gen-data", "--config", str(cfg_path)])
         cfg = cli.load_config(str(cfg_path))
-        loaded = cli._load_dataset_files(cfg, cfg.datasets[0])
+        loaded = [cli._load_dataset_files(cfg, cfg.datasets[0], role) for role in ("train", "test")]
         generated = generate_dataset(cfg.datasets[0])
         for got, want in zip(loaded[0] + loaded[1], generated[0] + generated[1]):
             assert got.tobytes() == want.tobytes()
@@ -542,6 +542,43 @@ class TestUsageErrors:
         named = rel if rel.startswith("sketches") else "data/demo/manifest.json"
         assert capsys.readouterr().err.startswith(
             f"error: {os.path.join(cfg['out_dir'], named)}: ")
+
+
+class TestRoleOnlyLoading:
+    """train loads only the train matrices and eval only the test matrices; of
+    the other role's files each reads the DMAT1 header alone, for the shape check."""
+
+    @staticmethod
+    def generated(tmp_path, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        assert main(["gen-data", "--config", str(cfg_path)]) == 0
+        if command == "eval":
+            assert main(["train", "--config", str(cfg_path)]) == 0
+        return cfg_path, os.path.join(cfg["out_dir"], "data", "demo")
+
+    @pytest.mark.parametrize("command,role,other", [("train", "train", "test"),
+                                                    ("eval", "test", "train")])
+    def test_reads_no_payload_of_the_other_role(self, tmp_path, monkeypatch, command, role,
+                                                other):
+        cfg_path, ddir = self.generated(tmp_path, command)
+        for name in os.listdir(ddir):
+            if name.startswith(other):  # magic and header kept (22 bytes), payload halved
+                _cut(os.path.join(ddir, name), 22 + 8 * 16 * 12 // 2)
+        loaded, real = [], formats.load_dmat
+        monkeypatch.setattr(formats, "load_dmat",
+                            lambda path: loaded.append(os.path.basename(path)) or real(path))
+        assert main([command, "--config", str(cfg_path)]) == 0
+        assert sorted(loaded) == sorted(n for n in os.listdir(ddir) if n.startswith(role))
+
+    @pytest.mark.parametrize("command,other", [("train", "test"), ("eval", "train")])
+    def test_other_role_shape_still_checked(self, tmp_path, capsys, command, other):
+        cfg_path, ddir = self.generated(tmp_path, command)
+        save_dmat(os.path.join(ddir, f"{other}_001.dmat"), np.eye(16, 5))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (f"error: {os.path.join(ddir, 'manifest.json')}: "
+                                           f"matrices differ in shape: [(16, 5), (16, 12)]\n")
 
 
 class TestParserReuse:

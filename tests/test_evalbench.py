@@ -244,6 +244,17 @@ class TestEvaluateCell:
         with pytest.raises(ValueError, match="trials"):
             self.cell([])
 
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 2), (3, 7), (5, 9), (4, 33), (2, 130)])
+    def test_trial_means_equal_a_mean_per_row(self, shape):
+        losses = rng_from(38, *shape).uniform(0.5, 2.0, shape)
+        sigmas = [singular_values(rng_from(39, t).standard_normal((8, 6))) for t in range(3)]
+        rec = evaluate_cell("demo", 2, 3, "sparse_random", sigmas, losses)
+        app = evalbench._tail_mean(sigmas, 2)
+        errs = [float(np.mean(row)) - app for row in losses]  # one np.mean per trial
+        std_err = float(np.std(errs, ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0
+        assert (np.float64(rec.err).tobytes(), np.float64(rec.std_err).tobytes()) == \
+            (np.float64(np.mean(errs)).tobytes(), np.float64(std_err).tobytes())
+
 
 class TestRunExperiment:
     def test_single_trial_zero_std_err(self):

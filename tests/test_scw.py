@@ -642,11 +642,44 @@ class TestScwLosses:
         mats, sketches = self.mats(), self.sketches(empty_row)
         want = np.array([[scw_loss(a, s, k) for a in mats] for s in sketches])
         alone = []
-        monkeypatch.setattr(scw, "scw_loss", lambda *args: alone.append(1) or scw_loss(*args))
+        monkeypatch.setattr(scw, "scw_loss", lambda a, s, k: alone.append(s) or scw_loss(a, s, k))
         got = scw_losses(mats, sketches, k)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        # a rank-deficient slice sends its matrix sketch by sketch; else none goes
-        assert len(alone) == (len(mats) * len(sketches) if empty_row else 0)
+        # only a rank-deficient slice is scored alone: the empty-row sketch's, one per matrix
+        assert alone == ([sketches[2]] * len(mats) if empty_row else [])
+
+    def test_two_shapes_one_pass_each(self, monkeypatch):
+        mats, sketches = self.mats(4), self.sketches(False)
+        mats.insert(2, rng_from(87).standard_normal((self.N, self.D + 2)))
+        want = np.array([[scw_loss(a, s, 3) for a in mats] for s in sketches])
+        passes, alone, real = [], [], scw._scw_loss_pass
+        monkeypatch.setattr(scw, "_scw_loss_pass", lambda ms, *args: (
+            passes.append([a.shape for a in ms]) or real(ms, *args)))
+        monkeypatch.setattr(scw, "scw_loss", lambda a, s, k: alone.append(s) or scw_loss(a, s, k))
+        got = scw_losses(mats, sketches, 3)
+        assert got.tobytes() == want.tobytes()
+        assert passes == [[(self.N, self.D)] * 4, [(self.N, self.D + 2)]] and alone == []
+
+    @pytest.mark.parametrize("scorer", ["scw_losses", "sq_losses"])
+    def test_non_finite_b_slice(self, scorer, monkeypatch):
+        # SA of the tiny-valued sketch on the huge matrix is finite and of full
+        # rank, but B = AV overflows: that slice is scored alone, and raises there
+        mats = self.mats()
+        mats[1] = 1e308 * (1.0 + 0.5 * rng_from(88).uniform(size=(self.N, self.D)))
+        tiny = sparse_random_sketch(self.M, self.N, 80).with_values(np.full(self.N, 1e-10))
+        sketches = [tiny] + self.sketches(False)
+        sa = apply_sketch(tiny, mats[1])
+        assert np.isfinite(sa).all() and svd(sa).rank == self.M
+        alone, name = [], "scw_loss" if scorer == "scw_losses" else "sa_sq_loss"
+        real = getattr(scw, name)
+        monkeypatch.setattr(scw, name, lambda a, *args: alone.append(a) or real(a, *args))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(mats[1] @ svd(sa).v).all()
+            want = self.first_error(mats, sketches, 2)
+            with pytest.raises(ValueError) as got:
+                getattr(scw, scorer)(mats, sketches, 2)
+        assert str(got.value) == str(want)
+        assert len(alone) == 1 and alone[0] is mats[1]  # slice (0, 1): the loop's first error
 
     def test_no_sketches_or_matrices(self):
         assert scw_losses(self.mats(), [], 2).shape == (0, 3)

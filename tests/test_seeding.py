@@ -3,7 +3,10 @@ import sys
 
 import numpy as np
 
+from lrsketch import evalbench, seeding
+from lrsketch.evalbench import DatasetSpec, run_experiment
 from lrsketch.seeding import derived_seed, rng_from, seed_sequence
+from lrsketch.trainer import TrainConfig
 
 
 class TestDerivation:
@@ -22,6 +25,31 @@ class TestDerivation:
 
     def test_seed_sequence_path(self):
         assert seed_sequence(9, 4).spawn_key == (4,)
+
+    def test_memoized_derived_seed_is_the_seed_sequences(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            seed = int(rng.integers(0, 2**63))
+            path = tuple(int(x) for x in rng.integers(0, 2**32, int(rng.integers(0, 6))))
+            want = np.random.SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)[0]
+            for _ in range(2):  # computed, then from the memo
+                got = derived_seed(seed, *path)
+                assert type(got) is int and got == int(want)
+        assert derived_seed.cache_info().maxsize is not None
+
+    def test_sweep_builds_each_trial_seed_once(self, monkeypatch):
+        built, real = [], seeding.seed_sequence
+        monkeypatch.setattr(seeding, "seed_sequence",
+                            lambda seed, *path: built.append((seed, path)) or real(seed, *path))
+        derived_seed.cache_clear()
+        spec = DatasetSpec(name="memo", kind="spiked", n=12, d=9, count_train=1, count_test=2,
+                           spikes=2, seed=15)
+        cfg = TrainConfig(k=2, seed=16)
+        for k, m in ((2, 4), (1, 3)):  # 4 cells of 3 trials, all on cfg.seed
+            for st in ("sparse_random", "dense_random"):
+                run_experiment(spec, k, m, st, 3, cfg)
+        trial = [path for seed, path in built if seed == cfg.seed]
+        assert trial == [(evalbench._SEED_TRIAL, t) for t in range(3)]
 
 
 class TestCrossProcessDeterminism:

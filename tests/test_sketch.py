@@ -102,24 +102,35 @@ class TestApplySketch:
 
 
 class TestApplySketches:
-    """apply_sketches(sketches, a)[i] is apply_sketch(sketches[i], a), byte for byte."""
+    """Slice t * R + i of apply_sketches(sketches, mats) is apply_sketch(sketches[i],
+    mats[t]), byte for byte."""
 
     def test_matches_each_apply_bitwise(self):
         rng = rng_from(90)
-        a = rng.standard_normal((10, 7))
+        mats = [rng.standard_normal((10, 7)) for _ in range(3)]
+        mats[1][:, 2] = -0.0  # signed zeros, in a matrix and in trained values
+        mats[2][4] = -0.0
+        signed = rng.standard_normal(10)
+        signed[::3] = -0.0
         sketches = [sparse_random_sketch(4, 10, 91), dense_random_sketch(4, 10, 92),
                     concat_sketches(sparse_random_sketch(1, 10, 93), sparse_random_sketch(3, 10, 94)),
                     sparse_random_sketch(4, 10, 95).with_values(rng.standard_normal(10)),
-                    dense_random_sketch(4, 10, 96)]
-        want = np.stack([apply_sketch(s, a) for s in sketches])
-        assert apply_sketches(sketches, a).tobytes() == want.tobytes()
+                    dense_random_sketch(4, 10, 96),
+                    sparse_random_sketch(4, 10, 97).with_values(signed)]
+        for count in (1, 3):
+            want = np.stack([apply_sketch(s, a) for a in mats[:count] for s in sketches])
+            assert apply_sketches(sketches, mats[:count]).tobytes() == want.tobytes()
 
     def test_checks_rows_and_columns(self):
         a = np.ones((10, 7))
         with pytest.raises(ValueError, match="rows, expected 4"):
-            apply_sketches([sparse_random_sketch(4, 10, 1), sparse_random_sketch(5, 10, 2)], a)
+            apply_sketches([sparse_random_sketch(4, 10, 1), sparse_random_sketch(5, 10, 2)], [a])
         with pytest.raises(ValueError, match="sketch has n=9"):
-            apply_sketches([sparse_random_sketch(4, 10, 1), sparse_random_sketch(4, 9, 2)], a)
+            apply_sketches([sparse_random_sketch(4, 10, 1), sparse_random_sketch(4, 9, 2)], [a])
+
+    def test_checks_matrix_shapes(self):
+        with pytest.raises(ValueError, match="matrices differ in shape"):
+            apply_sketches([sparse_random_sketch(4, 10, 1)], [np.ones((10, 7)), np.ones((10, 6))])
 
 
 class TestScatterRows:

@@ -555,8 +555,8 @@ class TestTrainMany:
             return apply(s, a)
 
         monkeypatch.setattr(scw, "apply_sketch", refuse)
-        monkeypatch.setattr(scw, "apply_sketches", lambda sketches, a: (
-            [refuse(s, a) for s in sketches] and apply_all(sketches, a)))
+        monkeypatch.setattr(scw, "apply_sketches", lambda sketches, mats: (
+            [refuse(s, a) for s in sketches for a in mats] and apply_all(sketches, mats)))
         it = trainer.train_many(small_train_set, 4, cfgs)
         assert_same_run(next(it), train(small_train_set, 4, cfgs[0]))
         with pytest.raises(ValueError, match="unscorable start"):
