@@ -6,10 +6,11 @@ Usage:
 
 At 64x48, k=4, m=8 (the spiked_bundle shape, 4 train matrices) it times
 apply_sketch, svd of SA (and np.linalg.svd alone on the same SA), svd_b
-(the SVD of B = AV as the step takes it: unsigned_svd, or svd in an
-lrsketch without it), scw_loss, scw_loss_and_grad, step_kernel (what an SGD step runs per
-sampled matrix in its place: scatter_flat and sa_loss_and_grad on index
-arrays and ||A||_F^2 taken beforehand), optimal_loss of the 4 train matrices,
+(the SVD of B = AV as the step takes it: linalg.stack_svd of a stack of
+one), scw_loss, scw_loss_and_grad, step_kernel (what an SGD step of a
+lone run runs: lockstep's Stack.sa, sa_loss_and_grad_stack on a stack of
+one and the gradient's gather, with the index arrays and ||A||_F^2 taken
+beforehand), optimal_loss of the 4 train matrices,
 normalize_top_singular of one matrix scaled by 2, generate_dataset of
 that 5-matrix spec, one SGD step and a 40-iteration learned train, with
 BLAS pinned to one thread. sweep_4_cells is one sweep shaped like
@@ -20,9 +21,9 @@ step_kernel_1024x768 is step_kernel at IVY19's Hyper-like shape: one
 spiked 1024x768 matrix with 10 spikes, k=10, m=20, made before any
 timing starts. At the cli_pipeline shape (32x24 spiked, k=3, m=6, 4 train
 matrices), step_kernel_32x24 is step_kernel on the first train matrix,
-and step_kernel_stack4 is one lockstep step per run-step: one stacked SA
-and sa_loss_and_grad_stack over 4 runs (the learned and mixed_joint
-runs below), its time divided by 4; train_loop_6 and
+and step_kernel_stack4 is step_kernel over 4 runs (the learned and
+mixed_joint runs below), one slice each, its time divided by 4;
+train_loop_6 and
 train_many_6 are the 6 runs `lrsketch train` trains there (learned,
 mixed_joint and mixed_separate, two trials each, 10 iterations), as a
 loop of train calls and as one train_many. eval_score_loop_30 and
@@ -38,9 +39,9 @@ matrices at k=4. score_paper_4 is scw_losses at IVY19's shape: 10 sketches
 (6 sparse ones with normal values standing in for trained ones, 4 dense)
 at m=20 on 4 spiked 1024x768 test matrices at k=10, made before any timing
 starts; its tracemalloc peak, taken once in a call of its own outside the
-timings, is stored as "tracemalloc_peak_mib". An lrsketch without train_many
-or scw_losses (an older checkout, timed for comparison) skips
-step_kernel_stack4, train_many_6 and score_many_6, or eval_score_30.
+timings, is stored as "tracemalloc_peak_mib". It times the lrsketch it
+imports; an older checkout is timed by that checkout's own copy of this
+script, whose operations of the same names time what that code runs.
 import_cli is start-up: a fresh interpreter imports
 numpy untimed, then times `import lrsketch, lrsketch.cli`, by perfbench's
 own recipe (perfbench/run.py import_lrsketch), once per round. Without
@@ -81,7 +82,7 @@ from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from lrsketch import evalbench, linalg, scw, sketch, trainer  # noqa: E402
+from lrsketch import evalbench, linalg, lockstep, scw, sketch, trainer  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "perfbench"))
@@ -142,26 +143,28 @@ def quartiles(samples) -> dict:
             "p75": round(float(p75), 1)}
 
 
+def stacked_step(mats: np.ndarray, sketches, k: int):
+    """One lockstep step's SA and kernel for sketches, run r on matrix r: one
+    Stack.sa, one sa_loss_and_grad_stack and the gradient's gather."""
+    stack = lockstep.Stack(sketches, mats.shape[2], 1)
+    vals = np.concatenate([s.value_of for s in sketches])
+    which = np.arange(len(sketches))[None, :] % len(mats)
+    slices = which.ravel()
+    sq_norms = np.array([linalg.frobenius_norm(x) ** 2 for x in mats])
+    return lambda: scw.sa_loss_and_grad_stack(
+        mats.take(slices, axis=0), stack.sa(vals, mats, which[:, stack.blocks]), k,
+        sq_norms.take(slices))[1].take(stack.index)
+
+
 def step_kernel(a: np.ndarray, k: int, m: int):
-    """What one SGD step runs per sampled matrix, on a seed-7 m-row sketch of a."""
-    s = sketch.sparse_random_sketch(m, a.shape[0], 7)
-    flat, index = sketch.scatter_index(s.row_of, a.shape[1]), sketch.grad_index(s)
-    sq_norm = linalg.frobenius_norm(a) ** 2
-    return lambda: scw.sa_loss_and_grad(
-        a, sketch.scatter_flat(s.value_of, flat, m, a), k, index, sq_norm)
+    """What one SGD step of a lone run runs, on a seed-7 m-row sketch of a."""
+    return stacked_step(a[None], [sketch.sparse_random_sketch(m, a.shape[0], 7)], k)
 
 
 def step_kernel_stack(train_set):
     """One lockstep step of PIPE_RUNS[:STACK], run r on train matrix r."""
-    from lrsketch import lockstep
-    mats = np.stack(train_set)
     sketches = [trainer._start(PIPE_SPEC.n, PIPE_M, cfg)[0] for cfg in PIPE_RUNS[:STACK]]
-    stack = lockstep.Stack(sketches, PIPE_SPEC.d, 1)
-    vals = np.concatenate([s.value_of for s in sketches])
-    which = np.arange(STACK)[None, :] % len(mats)
-    sq_norms = np.array([linalg.frobenius_norm(x) ** 2 for x in mats])[which.ravel()]
-    return lambda: scw.sa_loss_and_grad_stack(
-        mats[which.ravel()], stack.sa(vals, mats, which), PIPE_K, sq_norms)[1].take(stack.index)
+    return stacked_step(np.stack(train_set), sketches, PIPE_K)
 
 
 def timings(repeats: int) -> tuple[dict, dict, dict]:
@@ -172,8 +175,7 @@ def timings(repeats: int) -> tuple[dict, dict, dict]:
     a = train_set[0]
     s = sketch.sparse_random_sketch(M, SPEC.n, 7)
     sa = sketch.apply_sketch(s, a)
-    b = a @ linalg.svd(sa).v
-    svd_b = getattr(linalg, "unsigned_svd", linalg.svd)
+    b = (a @ linalg.svd(sa).v)[None]
     large = evalbench.generate_dataset(LARGE_SPEC)[0][0]
     raw = 2.0 * a
     idle = replace(TRAIN, iterations=0)
@@ -181,7 +183,7 @@ def timings(repeats: int) -> tuple[dict, dict, dict]:
         "apply_sketch": lambda: sketch.apply_sketch(s, a),
         "np_linalg_svd_sa": lambda: np.linalg.svd(sa, full_matrices=False),
         "svd_sa": lambda: linalg.svd(sa),
-        "svd_b": lambda: svd_b(b),
+        "svd_b": lambda: linalg.stack_svd(b),
         "scw_loss": lambda: scw.scw_loss(a, s, K),
         "scw_loss_and_grad": lambda: scw.scw_loss_and_grad(a, s, K),
         "step_kernel": step_kernel(a, K, M),
@@ -201,21 +203,21 @@ def timings(repeats: int) -> tuple[dict, dict, dict]:
         for st in ("sparse_random", "dense_random") for seed in (1, 2)]
     ops["eval_score_loop_30"] = lambda: [scw.scw_loss(a, s, PIPE_K)
                                          for s in scored for a in pipe_test]
-    if hasattr(scw, "scw_losses"):
-        ops["eval_score_30"] = lambda: scw.scw_losses(pipe_test, scored, PIPE_K)
+    ops["eval_score_30"] = lambda: scw.scw_losses(pipe_test, scored, PIPE_K)
     sweep_test = evalbench.generate_dataset(SWEEP_SPEC)[1]
     cell = [sketch.sparse_random_sketch(M, SPEC.n, seed) for seed in range(3)]
     ops["score_cell_6"] = lambda: scw.scw_losses(sweep_test, cell, K)
     ops["score_paper_4"] = score_paper()
     peaks = {"score_paper_4": round(traced_peak_mib(ops["score_paper_4"]), 1)}
-    start = sketch.concat_sketches(*trainer._start(SPEC.n, M, TRAIN))
-    ops["score_train_4"] = lambda: trainer._mean_loss(train_set, start, K)
-    if hasattr(trainer, "train_many"):
-        ops["step_kernel_stack4"] = step_kernel_stack(pipe_set)
-        ops["train_many_6"] = lambda: list(trainer.train_many(pipe_set, PIPE_M, PIPE_RUNS))
-        starts = {i: sketch.concat_sketches(*trainer._start(PIPE_SPEC.n, PIPE_M, cfg))
-                  for i, cfg in enumerate(PIPE_RUNS)}
-        ops["score_many_6"] = lambda: trainer._mean_losses(pipe_set, starts, PIPE_RUNS)
+    start = {0: sketch.concat_sketches(*trainer._start(SPEC.n, M, TRAIN))}
+    sq_norms = [linalg.frobenius_norm(x) ** 2 for x in train_set]
+    ops["score_train_4"] = lambda: trainer._mean_losses(train_set, sq_norms, start, [TRAIN])
+    ops["step_kernel_stack4"] = step_kernel_stack(pipe_set)
+    ops["train_many_6"] = lambda: list(trainer.train_many(pipe_set, PIPE_M, PIPE_RUNS))
+    starts = {i: sketch.concat_sketches(*trainer._start(PIPE_SPEC.n, PIPE_M, cfg))
+              for i, cfg in enumerate(PIPE_RUNS)}
+    pipe_norms = [linalg.frobenius_norm(x) ** 2 for x in pipe_set]
+    ops["score_many_6"] = lambda: trainer._mean_losses(pipe_set, pipe_norms, starts, PIPE_RUNS)
     timers = {name: timeit.Timer(fn) for name, fn in ops.items()}
     numbers = {name: timer.autorange()[0] for name, timer in timers.items()}
     samples = {name: [] for name in [*ops, "import_cli"]}
@@ -225,8 +227,7 @@ def timings(repeats: int) -> tuple[dict, dict, dict]:
         for name, timer in timers.items():
             samples[name].append(timer.timeit(numbers[name]) / numbers[name] * 1e6)
         samples["import_cli"].append(import_lrsketch()["raw"] * 1e6)
-    if "step_kernel_stack4" in samples:  # per run-step
-        samples["step_kernel_stack4"] = [us / STACK for us in samples["step_kernel_stack4"]]
+    samples["step_kernel_stack4"] = [us / STACK for us in samples["step_kernel_stack4"]]  # per run-step
     train_0 = samples.pop("train_0")
     samples["sgd_step"] = [(full - zero) / ITERATIONS
                            for full, zero in zip(samples[f"train_{ITERATIONS}"], train_0)]

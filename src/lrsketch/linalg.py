@@ -1,8 +1,9 @@
 """Dense matrix arithmetic, the LAPACK `svd` and reference oracles.
 
 Matrices are plain 2-D float64 numpy arrays in row-major order. Hot
-paths use `svd`, `singular_values` (when no vectors are needed) and
-`@`. The reference SVD is a one-sided Jacobi iteration, independent of
+paths use `svd`, `singular_values` (when no vectors are needed),
+`stack_svd` (a stack of slices, each with its own rank) and `@`. The
+reference SVD is a one-sided Jacobi iteration, independent of
 LAPACK and of the power-method SVD, so they can cross-check each other.
 `matmul` accumulates over the inner index in ascending order, which
 makes it bit-reproducible against a naive triple loop. The power-method
@@ -38,8 +39,13 @@ def require_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     np.linalg.svd of an 8x48 matrix holding one inf ran for over 120 s), so the
     check keeps a diverging run loud instead of hung."""
     if not np.isfinite(a).all():
-        raise ValueError(f"{what} contains non-finite entries")
+        raise non_finite(what)
     return a
+
+
+def non_finite(what: str) -> ValueError:
+    """The error `require_finite` raises on what."""
+    return ValueError(f"{what} contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,7 @@ def _canonical(u, sigma, v) -> SvdFactors:
     RANK_TOL * sigma[0]. Column signs are fixed so the largest-magnitude
     entry of each u column is positive; u and v come out Fortran-ordered.
     """
-    return _signed(*_ranked(u, sigma, v))
+    return signed(*_ranked(u, sigma, v))
 
 
 def rank(sigma: np.ndarray) -> int:
@@ -158,31 +164,20 @@ def rank(sigma: np.ndarray) -> int:
     return int(np.count_nonzero(sigma > RANK_TOL * smax)) if smax > 0.0 else 0
 
 
-def full_rank(sigma: np.ndarray) -> np.ndarray:
-    """The rank rule's full-rank test on each row of an (R, r) stack of
-    non-increasing singular values: the last above RANK_TOL * the first."""
-    return sigma[:, -1] > RANK_TOL * sigma[:, 0]
-
-
 def _ranked(u, sigma, v):
     """(u, sigma, v) cut to rank(sigma); at full rank they come back uncut."""
     r = rank(sigma)
     return (u, sigma, v) if r == sigma.size else (u[:, :r], sigma[:r], v[:, :r])
 
 
-def _signed(u, sigma, v) -> SvdFactors:
-    """The sign rule on ranked factors: Fortran-ordered u and v, each column
-    pair flipped so the largest-magnitude entry of the u column is positive."""
+def signed(u, sigma, v) -> SvdFactors:
+    """The sign rule on ranked 2-D factors: Fortran-ordered u and v, each column
+    pair flipped so the largest-magnitude entry (the first of equal ones) of
+    the u column is positive."""
     if sigma.size:
-        flip = _signs(u)
+        flip = np.copysign(1.0, u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])])
         u, v = np.multiply(u, flip, order="F"), np.multiply(v, flip, order="F")
     return SvdFactors(u=u, sigma=sigma, v=v)
-
-
-def _signs(u: np.ndarray) -> np.ndarray:
-    """+-1 per column of the 2-D u: the sign of the column's largest-magnitude
-    entry (the first of equal ones)."""
-    return np.copysign(1.0, u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])])
 
 
 def svd(a) -> SvdFactors:
@@ -193,74 +188,25 @@ def svd(a) -> SvdFactors:
     return _canonical(u, sigma, vt.T)
 
 
-def unsigned_svd(a: np.ndarray) -> SvdFactors:
-    """`svd` of a 2-D float64 array without the sign rule, in the layout `svd`
-    gives (which BLAS products depend on); the columns' signs are LAPACK's.
-    For factors that only meet in products where a column's sign cancels
-    exactly, as in u_i sigma_i v_i^T, or whose signs reach no result, as
-    in training. It keeps `svd`'s finiteness check (`require_finite`)."""
-    u, sigma, vt = np.linalg.svd(require_finite(a, "SVD input"), full_matrices=False)
-    u, sigma, v = _ranked(u, sigma, vt.T)
-    return SvdFactors(u=np.asfortranarray(u), sigma=sigma, v=np.asfortranarray(v))  # v: no copy
-
-
-def _svd_slices(a: np.ndarray):
-    """np.linalg.svd of each slice of an (R, rows, cols) stack as (u, sigma, v)
-    and the (R,) mask of the slices at full rank; None when a slice is
-    non-finite (where LAPACK may hang) or the stack is empty."""
-    if not (a.size and np.isfinite(a).all()):
-        return None
-    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    return u, sigma, vt.swapaxes(1, 2), full_rank(sigma)
-
-
-def _full_rank_stack(a: np.ndarray):
-    """_svd_slices's factors; None also when a slice is below full rank."""
-    got = _svd_slices(a)
-    return got[:3] if got is not None and got[3].all() else None
-
-
-def svd_stack(a: np.ndarray) -> SvdFactors | None:
-    """`svd` of each slice of an (R, rows, cols) float64 stack, bit-equal, as
-    one SvdFactors of u (R, rows, r), sigma (R, r) and v (R, cols, r); None
-    when a slice is non-finite or below full rank, where `svd` would raise
-    or truncate."""
-    got = _full_rank_stack(a)
-    if got is None:
-        return None
-    u, sigma, v = got
-    count, rows, cols = u.shape  # the sign rule runs on all slices' columns side by side
-    flip = _signs(u.transpose(1, 0, 2).reshape(rows, count * cols)).reshape(count, 1, cols)
-    # Fortran-ordered slices, as svd returns u and v, so `@` runs each slice as the 2-D one
-    return SvdFactors(u=np.multiply(u, flip, out=_fortran_slices(u)), sigma=sigma,
-                      v=np.multiply(v, flip, out=_fortran_slices(v)))
-
-
-def unsigned_svd_stack(a: np.ndarray) -> SvdFactors | None:
-    """`unsigned_svd` of each slice, bit-equal, as `svd_stack` is to `svd`."""
-    got = _full_rank_stack(a)
-    return None if got is None else _unsigned(*got)
-
-
-def unsigned_svd_slices(a: np.ndarray) -> tuple[SvdFactors, np.ndarray] | None:
-    """unsigned_svd_stack of a stack that may hold slices below full rank:
-    every slice's factors, uncut, and the (R,) mask of the full-rank slices,
-    whose factors are bit-equal to their unsigned_svd; None when a slice is
-    non-finite or the stack is empty."""
-    got = _svd_slices(a)
-    return None if got is None else (_unsigned(*got[:3]), got[3])
-
-
-def _unsigned(u, sigma, v) -> SvdFactors:
-    """Stacked factors in unsigned_svd's layout: each slice Fortran-ordered."""
-    out = _fortran_slices(u)
-    out[...] = u
-    return SvdFactors(u=out, sigma=sigma, v=v)  # v's slices are vt's transposed: Fortran already
-
-
-def _fortran_slices(x: np.ndarray) -> np.ndarray:
-    """An empty stack shaped like x with each slice in Fortran order."""
-    return np.empty_like(x.swapaxes(1, 2), order="C").swapaxes(1, 2)
+def stack_svd(x: np.ndarray, compute_uv: bool = True):
+    """The SVD of each slice of an (R, rows, cols) float64 stack in one LAPACK
+    call, uncut and without the sign rule: ((u, sigma, v), keep, bad), u (R,
+    rows, r), sigma (R, r) and v (R, cols, r), r = min(rows, cols), each slice
+    of u and v Fortran-ordered as `svd` lays them out; without compute_uv,
+    (sigma, keep, bad). keep marks the singular values the rank rule keeps, a
+    prefix of each row. bad marks the slices holding a NaN or an infinity: they
+    are zeroed before LAPACK sees them (see `require_finite`), so come back of
+    rank 0, for the caller to raise `non_finite("SVD input")` on."""
+    finite, bad = np.isfinite(x), np.zeros(len(x), dtype=bool)
+    if np.count_nonzero(finite) < x.size:  # count_nonzero: the cheapest test at small sizes
+        bad = ~finite.all(axis=(1, 2))
+        x = np.where(bad[:, None, None], 0.0, x)
+    if not compute_uv:
+        sigma = np.linalg.svd(x, compute_uv=False)
+        return sigma, sigma > RANK_TOL * sigma[:, :1], bad
+    u, sigma, vt = np.linalg.svd(x, full_matrices=False)
+    u = u.swapaxes(1, 2).copy().swapaxes(1, 2)  # Fortran slices; vt's transpose is already
+    return (u, sigma, vt.swapaxes(1, 2)), sigma > RANK_TOL * sigma[:, :1], bad
 
 
 def singular_values(a) -> np.ndarray:

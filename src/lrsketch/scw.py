@@ -4,6 +4,15 @@ Given a sketch S and input A: take the right singular basis V of SA,
 project A onto it, truncate to rank k, and report [AV]_k V^T. When two
 sketches are stacked, the richer row space can only help; see
 check_concat_dominance.
+
+Each quantity has one kernel over stacks of slices, and a 2-D call is a
+stack of one. Each slice has its own rank: `_sa_svd` and `_top` cut it
+by masks, so a slice at full rank keeps the bytes it has alone. Neither
+SVD takes the sign rule: each factor only meets its partner in products
+where a column's sign cancels exactly (flipping (u_i, v_i) of SA negates
+column i of B = AV, whose SVD then flips only B's right factor), so no
+loss, gradient or approximation moves. `scw_approximate` applies the
+sign rule to the V it returns.
 """
 
 from __future__ import annotations
@@ -12,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (SvdFactors, as_matrix, frobenius_norm, full_rank, rank, singular_values,
-                     svd, svd_stack, unsigned_svd, unsigned_svd_slices, unsigned_svd_stack)
+from .linalg import as_matrix, frobenius_norm, non_finite, signed, stack_svd
 from .sketch import (DenseSketch, SparseSketch, apply_sketch, apply_sketches, concat_sketches,
-                     grad_index)
+                     grad_index, require_fits)
 
 
 @dataclass(frozen=True)
@@ -25,240 +33,190 @@ class ScwOutput:
     loss: float  # Frobenius distance to the input
 
 
-def _solve(a: np.ndarray, sa: np.ndarray, k: int, sa_svd=svd):
-    """The two SVDs of the pipeline, given A and SA: (SA's factors, B = AV,
-    B's factors, r = min(k, rank B)), with None for the last three when SA
-    has rank 0. SA's SVD is sa_svd: `svd`, whose sign rule fixes the V that
-    scw_approximate returns, or `unsigned_svd` in training, which returns
-    no factor. B's takes no sign rule (`unsigned_svd`). Each factor of
-    either SVD only meets its partner in products where a column's sign
-    cancels exactly: flipping (u_i, v_i) of SA negates column i of B, whose
-    SVD then flips only B's right factor, so no loss or gradient moves."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    f = sa_svd(sa)
-    if f.rank == 0:
-        return f, None, None, None
-    b = a @ f.v  # n x r
-    fb = unsigned_svd(b)
-    return f, b, fb, min(k, fb.rank)
-
-
-def _solve_stack(a: np.ndarray, sa: np.ndarray, k: int, sa_svd=svd_stack):
-    """_solve over stacks of A and SA, with sa_svd `svd_stack` or
-    `unsigned_svd_stack`; None unless each SA and B is finite and full-rank."""
-    f = sa_svd(sa)
-    b = None if f is None else a @ f.v
-    fb = None if b is None else unsigned_svd_stack(b)
-    return None if fb is None else (f, b, fb, min(k, fb.sigma.shape[1]))
-
-
 def _t(x: np.ndarray) -> np.ndarray:
-    """x.T for a matrix, each slice's .T for a stack: a view, as x.T is."""
+    """Each slice's .T of a stack: a view, as x.T is."""
     return x.swapaxes(-1, -2)
 
 
-def _approx(v: np.ndarray, fb, r: int) -> np.ndarray:
-    """[AV]_r V^T from SA's right factor V and the factors of B = AV; 2-D or stacked."""
-    return ((fb.u[..., :r] * fb.sigma[..., None, :r]) @ _t(fb.v[..., :r])) @ _t(v)
+def _sa_svd(sa: np.ndarray):
+    """`linalg.stack_svd` of an (R, m, d) stack of SA, each slice cut to its rank
+    by masks: ((u, sigma, v), keep, bad) with V's columns past the rank zeroed
+    and sigma there set to inf, so that dividing by it reads 0. A stack whose
+    slices are all of full rank is left as LAPACK gave it."""
+    (u, sigma, v), keep, bad = stack_svd(sa)
+    if np.count_nonzero(keep) < keep.size:
+        np.multiply(v, keep[:, None, :], out=v)
+        sigma[~keep] = np.inf
+    return (u, sigma, v), keep, bad
+
+
+def _top(b: np.ndarray, k: int, compute_uv: bool = True):
+    """`linalg.stack_svd` of an (R, n, r) stack of B = AV kept to each slice's
+    top min(k, rank B) triples: (u, sigma, v) cut to min(k, r) columns, u and
+    sigma zeroed past the slice's rank (sigma alone without compute_uv), and
+    the (R,) flags of the non-finite slices."""
+    got, keep, bad = stack_svd(b, compute_uv)
+    top = keep[:, :k]
+    u, sigma, v = ((got[0][..., :k], got[1][:, :k], got[2][..., :k]) if compute_uv
+                   else (None, got[:, :k], None))
+    if np.count_nonzero(top) < top.size:
+        sigma *= top
+        if compute_uv:
+            u *= top[:, None, :]
+    return ((u, sigma, v) if compute_uv else sigma), bad
+
+
+def _finite(x: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """x with its non-finite entries zeroed if a slice is flagged in bad: a
+    flagged slice's factors are zero, so no inf * 0 reaches a product."""
+    return np.where(np.isfinite(x), x, 0.0) if np.count_nonzero(bad) else x
+
+
+def _solve(a: np.ndarray, sa: np.ndarray, k: int):
+    """The pipeline's two SVDs over (R, n, d) and (R, m, d) stacks of A and SA:
+    (A, SA's factors and keep mask from `_sa_svd`, B = AV, B's top factors from
+    `_top`, and the (R,) flags of the slices whose SA or B was non-finite, with
+    `_finite` applied to A and B)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    f, keep, bad = _sa_svd(sa)
+    a = _finite(a, bad)
+    b = a @ f[2]
+    fb, bad_b = _top(b, k)
+    return a, f, keep, _finite(b, bad_b), fb, bad | bad_b
+
+
+def _sq(sq_norms: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """max(||A||_F^2 - the sum of B's kept sigma^2, 0) of each slice."""
+    return np.maximum(sq_norms - (sigma[:, None, :] @ sigma[:, :, None]).ravel(), 0.0)
+
+
+def _approx(v: np.ndarray, fb) -> np.ndarray:
+    """[AV]_k V^T of each slice from SA's V and B's top (u, sigma, v)."""
+    ub, sb, vb = fb
+    return ((ub * sb[..., None, :]) @ _t(vb)) @ _t(v)
 
 
 def _grad_s(a: np.ndarray, f, b: np.ndarray, uk: np.ndarray) -> np.ndarray:
-    """The dense dL/dS (m x n) from A, SA's factors, B and U_k; 2-D or stacked."""
+    """The dense dL/dS (R, m, n) from A, SA's (u, sigma, v), B and U_k."""
+    u, sigma, v = f
     ua = _t(uk) @ a
-    g_sa = (f.u / f.sigma[..., None, :]) @ (_t(b) @ uk) @ (ua - (ua @ f.v) @ _t(f.v))
+    g_sa = (u / sigma[..., None, :]) @ (_t(b) @ uk) @ (ua - (ua @ v) @ _t(v))
     return -2.0 * (g_sa @ _t(a))
 
 
 def scw_approximate(a, s: SparseSketch | DenseSketch, k: int) -> ScwOutput:
-    """Run the sketch-and-solve pipeline: SA -> SVD -> [AV]_k V^T."""
+    """Run the sketch-and-solve pipeline: SA -> SVD -> [AV]_k V^T.
+
+    v_basis is SA's V cut to its rank, with `linalg.svd`'s sign rule.
+    """
     a = as_matrix(a)
-    f, _, fb, r = _solve(a, apply_sketch(s, a), k)
-    if fb is None:
-        zero = np.zeros_like(a)
-        return ScwOutput(zero, np.zeros((a.shape[1], 0)), frobenius_norm(a))
-    approx = _approx(f.v, fb, r)
-    return ScwOutput(approx, f.v, frobenius_norm(a - approx))
+    _, (u, sigma, v), keep, _, fb, bad = _solve(a[None], apply_sketch(s, a)[None], k)
+    if bad[0]:
+        raise non_finite("SVD input")
+    approx = _approx(v, fb)[0]
+    r = int(np.count_nonzero(keep))
+    return ScwOutput(approx, signed(u[0, :, :r], sigma[0, :r], v[0, :, :r]).v,
+                     frobenius_norm(a - approx))
 
 
 def scw_loss(a, s: SparseSketch | DenseSketch, k: int) -> float:
     return scw_approximate(a, s, k).loss
 
 
-def sa_loss_and_grad(a: np.ndarray, sa: np.ndarray, k: int, index: np.ndarray,
-                     sq_norm: float) -> tuple[float, np.ndarray]:
-    """scw_loss_and_grad's kernel, given a 2-D float64 A, SA, grad_index(S)
-    and ||A||_F^2, which a run builds once; one SGD step runs it per
-    sampled matrix. It builds no approximation and no residual.
-    """
-    f, b, fb, r = _solve(a, sa, k, unsigned_svd)
-    if fb is None:
-        return sq_norm, np.zeros(index.shape[0])
-    sk = fb.sigma[:r]
-    return max(sq_norm - float(sk @ sk), 0.0), _grad_s(a, f, b, fb.u[:, :r]).take(index)
-
-
 def sa_loss_and_grad_stack(a: np.ndarray, sa: np.ndarray, k: int, sq_norms: np.ndarray):
-    """sa_loss_and_grad over (R, n, d) and (R, m, d) stacks of A and SA and
-    (R,) ||A||_F^2: (R,) losses and (R, m, n) dense gradients, each slice
-    bit-equal to its own call; None unless every SA and B is finite and
-    full-rank, where each slice must take sa_loss_and_grad's own path."""
-    solved = _solve_stack(a, sa, k, unsigned_svd_stack)
-    if solved is None:
-        return None
-    f, b, fb, r = solved
-    sk = fb.sigma[:, None, :r]
-    return np.maximum(sq_norms - (sk @ _t(sk)).ravel(), 0.0), _grad_s(a, f, b, fb.u[..., :r])
+    """The SGD step kernel over (R, n, d) and (R, m, d) float64 stacks of A and
+    SA and the (R,) ||A||_F^2: (R,) squared losses, (R, m, n) dense gradients
+    dL/dS and the (R,) flags of the slices whose SA or B was non-finite, whose
+    loss and gradient mean nothing. It builds no approximation and no residual.
+    Each slice has its own rank; a slice at full rank gives the bytes it gives
+    alone in a stack of one.
+    """
+    a, f, _, b, (uk, sk, _), bad = _solve(a, sa, k)
+    return _sq(sq_norms, sk), _grad_s(a, f, b, uk), bad
 
 
-def _residual_norms(a: np.ndarray, v: np.ndarray, fb, r: int) -> np.ndarray:
-    """||A - [AV]_r V^T||_F of each slice, from stacked V and B's factors: A - the
-    approximation built and squared in place, one (R, n, d) array, freed on return."""
-    res = _approx(v, fb, r)
-    np.subtract(a, res, out=res)
-    return np.sqrt(np.sum(np.multiply(res, res, out=res), axis=(1, 2)))
-
-
-def scw_loss_stack(a: np.ndarray, sa: np.ndarray, k: int) -> np.ndarray | None:
-    """scw_loss of each slice of stacks of A and SA, bit-equal; None as
-    sa_loss_and_grad_stack returns it."""
-    solved = _solve_stack(a, sa, k)
-    if solved is None:
-        return None
-    f, _, fb, r = solved
-    return _residual_norms(a, f.v, fb, r)
-
-
-def _groups(mats, sketches, k: int):
-    """The indices of the finite matrices of each shape whose rows every sketch
-    fits, one pass each; none when k < 1. Every other slice is scored alone."""
-    groups = {}
-    if sketches and k >= 1:
-        for t, a in enumerate(mats):
-            if all(s.n == a.shape[0] for s in sketches) and np.isfinite(a).all():
-                groups.setdefault(a.shape, []).append(t)
-    return groups.values()
-
-
-def _finite_slices(x: np.ndarray) -> np.ndarray:
-    """x with each slice that holds a NaN or an infinity set to zero: LAPACK may
-    hang on such a slice, and as zero it is below full rank, so it is scored alone."""
-    finite = np.isfinite(x).all(axis=(1, 2))
-    return x if finite.all() else np.where(finite[:, None, None], x, 0.0)
-
-
-def _unsigned_slices(x: np.ndarray):
-    """unsigned_svd_slices of _finite_slices(x), which checks x for a
-    non-finite slice only when unsigned_svd_slices has found one."""
-    got = unsigned_svd_slices(x)
-    return got if got is not None or x.size == 0 else unsigned_svd_slices(_finite_slices(x))
-
-
-def _sa_pass(mats, sketches):
-    """The part of a scoring pass over matrices of one shape that both scorers
-    share: SA's unsigned factors of every slice t * R + i (sketch i on matrix
-    t) from one apply_sketches and one unsigned_svd_slices, B = AV of each
-    slice built per matrix (each A read in place) and the (T * R,) mask of the
-    slices finite and of full rank in SA; None when SA or B is empty. SA's SVD
-    takes no sign rule: each of its factors meets its partner only in products
-    where a column's sign cancels exactly, [AV]_k V^T among them."""
-    got = _unsigned_slices(apply_sketches(sketches, mats))
-    if got is None:
-        return None
-    f, full = got
-    v = f.v.reshape(len(mats), len(sketches), *f.v.shape[1:])
-    b = np.concatenate([a @ v_t for a, v_t in zip(mats, v)])
-    return None if b.size == 0 else (f, b, full)
-
-
-def _by_sketch(x: np.ndarray, count: int) -> np.ndarray:
-    """A (T * R,) array over slices t * R + i as (sketches, matrices)."""
-    return x.reshape(-1, count).T
-
-
-def scw_losses(mats, sketches, k: int) -> np.ndarray:
-    """(sketches, matrices) array of scw_loss(a, s, k), bit-equal, for sketches
-    of one row count. The finite matrices of one shape that every sketch fits
-    take one pass (_sa_pass, then one unsigned_svd_slices of every B and each
-    matrix's residuals, freed before the next matrix's are built). A slice
-    non-finite or below full rank, in SA or in B, takes scw_loss alone, as does
-    every slice of any other matrix, or of any matrix when k < 1; they run
-    sketch by sketch, so the error raised is the one that loop raises first."""
-    mats = [as_matrix(a) for a in mats]
-    out = np.empty((len(sketches), len(mats)))
-    alone = np.ones(out.shape, dtype=bool)
-    for ts in _groups(mats, sketches, k):
-        got = _scw_loss_pass([mats[t] for t in ts], sketches, k)
-        if got is not None:
-            out[:, ts], alone[:, ts] = got
-    for i, t in zip(*np.nonzero(alone)):  # sketch-major
-        out[i, t] = scw_loss(mats[t], sketches[i], k)
-    return out
+def _pass(mats, sketches, k: int, compute_uv: bool = True):
+    """A scoring pass over matrices of one shape: of every slice t * R + i
+    (sketch i on matrix t), SA's factors from one apply_sketches and one
+    `_sa_svd`, B's top factors (sigma alone without compute_uv) from one
+    `_top` of every B = AV, built per matrix with each A read in place, and
+    the (T * R,) flags of the slices whose SA or B was non-finite."""
+    f, _, bad = _sa_svd(apply_sketches(sketches, mats))
+    count = len(sketches)
+    v = f[2].reshape(len(mats), count, *f[2].shape[1:])
+    b = np.concatenate([_finite(a, bad) @ v_t for a, v_t in zip(mats, v)])
+    fb, bad_b = _top(b, k, compute_uv)
+    return f, fb, bad | bad_b
 
 
 def _scw_loss_pass(mats, sketches, k: int):
-    """scw_losses over matrices of one shape that every sketch fits: (losses,
-    alone), each (sketches, matrices), alone marking the slices to take again
-    by scw_loss; None when SA or B is empty."""
-    got = _sa_pass(mats, sketches)
-    if got is None:
-        return None
-    f, b, full = got
-    fb, full_b = _unsigned_slices(b)
-    r, count = min(k, fb.sigma.shape[1]), len(sketches)
-    losses = np.empty((len(mats), count))
+    """scw_losses of a `_pass`: each matrix's (R, n, d) residuals built and
+    squared in place, and freed before the next matrix's are built."""
+    f, fb, bad = _pass(mats, sketches, k)
+    count = len(sketches)
+    losses = np.empty(len(mats) * count)
     for t, a in enumerate(mats):
         at = slice(t * count, (t + 1) * count)
-        losses[t] = _residual_norms(a, f.v[at], SvdFactors(fb.u[at], fb.sigma[at], fb.v[at]), r)
-    return losses.T, _by_sketch(~(full & full_b), count)
+        res = _approx(f[2][at], [x[at] for x in fb])
+        np.subtract(a, res, out=res)
+        losses[at] = np.sqrt(np.sum(np.multiply(res, res, out=res), axis=(1, 2)))
+        del res  # freed before the next matrix's is built
+    return losses, bad
 
 
-def sa_sq_loss(a: np.ndarray, sa: np.ndarray, k: int, sq_norm: float) -> float:
-    """The squared loss of sa_loss_and_grad from B = AV's singular values alone:
-    max(||A||_F^2 - sum_{i <= min(k, rank B)} sigma_i(B)^2, 0), or ||A||_F^2
-    when SA has rank 0, given a 2-D float64 A, SA and ||A||_F^2. SA's SVD takes
-    no sign rule and B's no vectors; sq_losses's path for one slice."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    f = unsigned_svd(sa)
-    if f.rank == 0:
-        return sq_norm
-    sigma = singular_values(a @ f.v)
-    sk = sigma[:min(k, rank(sigma))]
-    return max(sq_norm - float(sk @ sk), 0.0)
+def _sq_loss_pass(mats, sketches, k: int, sq_norms: np.ndarray):
+    """sq_losses of a `_pass` with one sigma-only SVD of every B."""
+    _, sigma, bad = _pass(mats, sketches, k, compute_uv=False)
+    return _sq(np.repeat(sq_norms, len(sketches)), sigma), bad
 
 
-def sq_losses(mats, sketches, k: int) -> np.ndarray:
-    """(sketches, matrices) array of sa_sq_loss(a, apply_sketch(s, a), k,
-    ||A||_F^2), bit-equal, for sketches of one row count: scw_loss(a, s, k) ** 2
-    to about eps * ||A||_F^2, with no approximation or residual built. Passes
-    and lone slices as in scw_losses, but each pass takes one sigma-only SVD
-    of every B, and a lone slice takes sa_sq_loss."""
-    mats = [as_matrix(a) for a in mats]
-    sq_norms = [frobenius_norm(a) ** 2 for a in mats]
+def _scores(mats, sketches, k: int, score) -> np.ndarray:
+    """A (sketches, matrices) array from one score(matrix indices, sketches)
+    pass per matrix shape over the sketches that fit it, which gives the scores
+    and flags of its slices t * R + i. It raises what a loop over the slices,
+    sketch by sketch, raises first: a sketch that does not fit the matrix,
+    k < 1, or a non-finite SA or B."""
     out = np.empty((len(sketches), len(mats)))
-    alone = np.ones(out.shape, dtype=bool)
-    for ts in _groups(mats, sketches, k):
-        got = _sq_loss_pass([mats[t] for t in ts], sketches, k, [sq_norms[t] for t in ts])
-        if got is not None:
-            out[:, ts], alone[:, ts] = got
-    for i, t in zip(*np.nonzero(alone)):  # sketch-major
-        out[i, t] = sa_sq_loss(mats[t], apply_sketch(sketches[i], mats[t]), k, sq_norms[t])
+    fail = np.not_equal.outer([s.n for s in sketches], [a.shape[0] for a in mats]) | (k < 1)
+    shapes = {}
+    for t, a in enumerate(mats):
+        shapes.setdefault(a.shape, []).append(t)
+    for ts in shapes.values() if k >= 1 else ():
+        ids = np.flatnonzero(~fail[:, ts[0]])  # the sketches that fit these matrices
+        if ids.size:
+            got = score(ts, [sketches[i] for i in ids])
+            out[ids[:, None], ts], fail[ids[:, None], ts] = (
+                x.reshape(len(ts), ids.size).T for x in got)
+    if np.count_nonzero(fail):
+        i, t = divmod(int(fail.argmax()), len(mats))
+        require_fits(sketches[i], mats[t])
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        raise non_finite("SVD input")
     return out
 
 
-def _sq_loss_pass(mats, sketches, k: int, sq_norms):
-    """sq_losses over matrices of one shape that every sketch fits, as
-    _scw_loss_pass is to scw_losses."""
-    got = _sa_pass(mats, sketches)
-    if got is None:
-        return None
-    _, b, full = got
-    count = len(sketches)
-    sigma = np.linalg.svd(_finite_slices(b), compute_uv=False)
-    sk = sigma[:, None, :min(k, sigma.shape[1])]
-    losses = np.maximum(np.repeat(sq_norms, count) - (sk @ _t(sk)).ravel(), 0.0)
-    return _by_sketch(losses, count), _by_sketch(~(full & full_rank(sigma)), count)
+def scw_losses(mats, sketches, k: int) -> np.ndarray:
+    """(sketches, matrices) array of scw_loss(a, s, k) for sketches of one row
+    count, a slice at full rank bit-equal. The matrices of one shape take one
+    `_pass` over the sketches that fit them, then each matrix's residuals;
+    every slice, of any rank, is scored there.
+    It raises what the loop of scw_loss calls, sketch by sketch, raises first."""
+    mats = [as_matrix(a) for a in mats]
+    return _scores(mats, sketches, k,
+                   lambda ts, found: _scw_loss_pass([mats[t] for t in ts], found, k))
+
+
+def sq_losses(mats, sketches, k: int, sq_norms) -> np.ndarray:
+    """(sketches, matrices) array of max(||A||_F^2 - sum_{i <= min(k, rank B)}
+    sigma_i(B)^2, 0), given each matrix's ||A||_F^2 in sq_norms, for sketches of
+    one row count: scw_loss(a, s, k) ** 2 to about eps * ||A||_F^2, with no
+    approximation or residual built. Passes and errors as in scw_losses, but
+    each pass takes one sigma-only SVD of every B."""
+    mats = [as_matrix(a) for a in mats]
+    return _scores(mats, sketches, k, lambda ts, found: _sq_loss_pass(
+        [mats[t] for t in ts], found, k, np.array([sq_norms[t] for t in ts])))
 
 
 def scw_loss_and_grad(a, s: SparseSketch, k: int) -> tuple[float, np.ndarray]:
@@ -269,10 +227,14 @@ def scw_loss_and_grad(a, s: SparseSketch, k: int) -> tuple[float, np.ndarray]:
     sigma_i(B)^2, clamped at 0: scw_loss(a, s, k) ** 2 to about
     eps * ||A||^2. The projector derivative (Golub & Pereyra 1973) gives
     dL/d(SA) = -2 U Sigma^-1 (B^T U_k) U_k^T A (I - V V^T); value j of a
-    block scales A[j] into its row. At rank 0 the gradient is taken as zero.
+    block scales A[j] into its row. At rank 0 the gradient is zero.
     """
     a = as_matrix(a)
-    return sa_loss_and_grad(a, apply_sketch(s, a), k, grad_index(s), frobenius_norm(a) ** 2)
+    losses, grads, bad = sa_loss_and_grad_stack(
+        a[None], apply_sketch(s, a)[None], k, np.array([frobenius_norm(a) ** 2]))
+    if bad[0]:
+        raise non_finite("SVD input")
+    return float(losses[0]), grads[0].take(grad_index(s))
 
 
 def check_concat_dominance(a, s1: SparseSketch, s2: SparseSketch,

@@ -170,11 +170,16 @@ def scatter_flat(values: np.ndarray, flat: np.ndarray, m: int, a: np.ndarray) ->
     return out.reshape(m, d).astype(np.float64, copy=False)  # int64 when there are no values
 
 
+def require_fits(s: SparseSketch | DenseSketch, a: np.ndarray) -> None:
+    """ValueError unless s has a column for each row of the matrix a."""
+    if s.n != a.shape[0]:
+        raise ValueError(f"sketch has n={s.n} but matrix has {a.shape[0]} rows")
+
+
 def apply_sketch(s: SparseSketch | DenseSketch, a) -> np.ndarray:
     """Compute S @ a without densifying sparse sketches."""
     a = as_matrix(a)
-    if s.n != a.shape[0]:
-        raise ValueError(f"sketch has n={s.n} but matrix has {a.shape[0]} rows")
+    require_fits(s, a)
     if isinstance(s, DenseSketch):
         return s.matrix @ a
     return scatter_rows(s.value_of, s.row_of, s.m, a)

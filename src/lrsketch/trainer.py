@@ -1,12 +1,12 @@
 """SGD over sketch values.
 
 Plain constant-rate SGD on the exact squared sketch-and-solve loss,
-with its closed-form gradient (`scw.sa_loss_and_grad`, the kernel of
-`scw_loss_and_grad`): the hash pattern (which row each column hits) is
-frozen, only the stored values move, and masked values never move. So a
-run builds the index arrays the pattern fixes once, steps on the value
-vector alone, and builds the trained sketch after its last step. Every
-mode trains a block stacked on a frozen random block (`train`).
+with its closed-form gradient (`scw.sa_loss_and_grad_stack`, the kernel
+of `scw_loss_and_grad`): the hash pattern (which row each column hits)
+is frozen, only the stored values move, and masked values never move.
+So a run builds the index arrays the pattern fixes once, steps on the
+value vector alone, and builds the trained sketch after its last step.
+Every mode trains a block stacked on a frozen random block (`train`).
 
 Every loss is the squared sketch-and-solve loss taken residual-free,
 ||A||^2 - sum_{i <= r} sigma_i(AV)^2, which matches scw_loss ** 2 (the
@@ -15,17 +15,15 @@ step's batch mean from the step kernel; the initial and final losses are
 means over the train set, of the m-row sketch returned, from one scoring
 pass each (`scw.sq_losses`), with no approximation or residual built. A
 run whose final loss is above its initial one returns its start.
-Training returns no factor of any SVD, so it takes SA's without the sign
-rule.
 
-`train_many` gives each of many runs the bytes `train` gives it alone:
-it scores the runs that share k in one pass, and runs that share every
-shape step together (`lockstep`).
+`train` is `train_many` of one cfg. `train_many` scores the runs that
+share k in one pass, and runs that share every shape step together
+through one driver (`lockstep`), so each run gets the bytes it gets
+alone.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -33,10 +31,9 @@ import numpy as np
 
 from .formats import atomic_open
 from .linalg import PowerSvdConfig, as_matrix, frobenius_norm
-from .scw import sa_loss_and_grad, sq_losses
+from .scw import sq_losses
 from .seeding import derived_seed, rng_from
-from .sketch import (SparseSketch, concat_sketches, empty_sketch, grad_index, scatter_flat,
-                     scatter_index, sparse_random_sketch)
+from .sketch import SparseSketch, concat_sketches, empty_sketch, sparse_random_sketch
 
 # seed derivation tags under TrainConfig.seed
 _SEED_INIT = 0  # initial trainable sketch
@@ -85,70 +82,42 @@ class TrainReport:
     final_loss: float  # same, for the returned sketch; never above initial_loss
 
 
-def _check_train_set(train_set) -> int:
+def _check_train_set(train_set) -> list:
+    """The train set's matrices (`as_matrix`), or ValueError naming the first
+    whose shape differs from the first's."""
     if not train_set:
         raise ValueError("train set is empty")
-    n = train_set[0].shape[0]
-    for i, a in enumerate(train_set):
+    mats = [as_matrix(a) for a in train_set]
+    n, d = mats[0].shape
+    for i, a in enumerate(mats):
         if a.shape[0] != n:
             raise ValueError(f"matrix {i} has {a.shape[0]} rows, expected {n}")
-    return n
-
-
-def _mean_loss(train_set, sketch, k: int) -> float:
-    """The mean squared loss of sketch over the train set: one `scw.sq_losses` pass."""
-    return _mean(sq_losses(train_set, [sketch], k)[0])
+        if a.shape[1] != d:
+            raise ValueError(f"matrix {i} has {a.shape[1]} columns, expected {d}")
+    return mats
 
 
 def _mean(losses: np.ndarray) -> float:
     return sum(losses.tolist()) / len(losses)  # left to right, in train-set order
 
 
-def _mean_losses(train_set, sketches: dict, cfgs) -> dict:
-    """_mean_loss of each sketch, keyed as `sketches` is, with cfgs[key].k, bit-equal:
-    one `scw.sq_losses` pass over the sketches that share k, or where that
-    raises, _mean_loss per sketch; a sketch's error stands in its place."""
+def _mean_losses(mats, sq_norms, sketches: dict, cfgs) -> dict:
+    """The mean squared loss over the train set of each sketch, keyed as
+    `sketches` is, with cfgs[key].k: one `scw.sq_losses` pass over the sketches
+    that share k, or where that raises, one per sketch; a sketch's error
+    stands in its place."""
     by_k, out = {}, {}
     for i in sketches:
         by_k.setdefault(cfgs[i].k, []).append(i)
     for k, keys in by_k.items():
-        table = _attempt(sq_losses, train_set, [sketches[i] for i in keys], k)
+        table = _attempt(sq_losses, mats, [sketches[i] for i in keys], k, sq_norms)
         for j, i in enumerate(keys):
             if isinstance(table, Exception):  # each sketch's own error, or its loss
-                out[i] = _attempt(_mean_loss, train_set, sketches[i], k)
+                table_i = _attempt(sq_losses, mats, [sketches[i]], k, sq_norms)
+                out[i] = table_i if isinstance(table_i, Exception) else _mean(table_i[0])
             else:
                 out[i] = _mean(table[j])
     return out
-
-
-class _Run:
-    """One run's step: its sketch's pattern, index arrays and cfg, built once."""
-
-    def __init__(self, sketch: SparseSketch, cfg: TrainConfig, widths):
-        self.cfg, self.m, self.mask = cfg, sketch.m, sketch.trainable_mask
-        self.flat = {d: scatter_index(sketch.row_of, d) for d in widths}  # per column count
-        self.index = grad_index(sketch)
-        self.losses = np.empty(cfg.batch_size)
-
-    def step(self, mats, sq_norms, vals: np.ndarray, idx, step: int):
-        """One SGD step over the batch idx: (new values, mean batch loss)."""
-        cfg, losses = self.cfg, self.losses
-        grad = np.zeros(vals.shape[0])
-        for j, ii in enumerate(idx):
-            a = mats[ii]
-            sa = scatter_flat(vals, self.flat[a.shape[1]], self.m, a)
-            loss, g = sa_loss_and_grad(a, sa, cfg.k, self.index, sq_norms[ii])
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at iteration {step} (matrix {ii}); lower lr")
-            grad += g
-            losses[j] = loss
-        grad /= cfg.batch_size
-        vals = np.where(self.mask, vals - cfg.lr * grad, vals)
-        if not np.isfinite(vals).all():
-            raise TrainingDivergedError(
-                f"non-finite sketch values after iteration {step}; lower lr")
-        return vals, float(losses.sum()) / cfg.batch_size  # bit-equal to np.mean
 
 
 def _result(sketch, tail, trained, initial: float, final: float, history):
@@ -158,39 +127,12 @@ def _result(sketch, tail, trained, initial: float, final: float, history):
     return concat_sketches(trained, tail), TrainReport(tuple(history), initial, final)
 
 
-def _sgd(train_set, sketch: SparseSketch, cfg: TrainConfig):
-    """SGD over sketch's values: the trained values and the loss history.
-
-    The matrices, their squared norms, the scatter index of each column
-    count in the train set, the gradient index and the batches are built
-    once per run.
-    """
-    mats = [as_matrix(a) for a in train_set]
-    sq_norms = [frobenius_norm(a) ** 2 for a in mats]
-    run = _Run(sketch, cfg, {a.shape[1] for a in mats})
-    vals, history = sketch.value_of, []
-    for step, idx in enumerate(_batches(cfg, len(mats)), 1):
-        vals, loss = run.step(mats, sq_norms, vals, idx, step)
-        history.append((step, loss))
-    return vals, history
-
-
 def _batches(cfg: TrainConfig, count: int) -> np.ndarray:
     """Each step's sorted batch of matrix indices in [0, count), row by row: one
     draw from the run's batch stream, the numbers a draw per step gives."""
     draws = rng_from(cfg.seed, _SEED_BATCH).integers(0, count,
                                                      size=(cfg.iterations, cfg.batch_size))
     return np.sort(draws, axis=1)
-
-
-def _run_sgd(train_set, sketch: SparseSketch, tail: SparseSketch,
-             cfg: TrainConfig) -> tuple[SparseSketch, TrainReport]:
-    """Score, SGD over sketch's values, score: concat_sketches(trained, tail) and its losses."""
-    initial = _mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
-    vals, history = _sgd(train_set, sketch, cfg)
-    trained = sketch.with_values(vals)
-    final = _mean_loss(train_set, concat_sketches(trained, tail), cfg.k)
-    return _result(sketch, tail, trained, initial, final, history)
 
 
 def learned_rows(cfg: TrainConfig, m: int) -> int:
@@ -207,7 +149,7 @@ def learned_rows(cfg: TrainConfig, m: int) -> int:
 
 
 def _start(n: int, m: int, cfg: TrainConfig) -> tuple[SparseSketch, SparseSketch]:
-    """The (sketch, tail) that _run_sgd takes for cfg: what SGD moves and what it appends."""
+    """The (sketch, tail) a run takes for cfg: what SGD moves and what it appends."""
     rows = learned_rows(cfg, m)
     sketch, tail = empty_sketch(n), empty_sketch(n)
     if rows > 0:
@@ -226,21 +168,20 @@ def train(train_set, m: int, cfg: TrainConfig) -> tuple[SparseSketch, TrainRepor
     learned has no frozen block. mixed_joint runs SGD over the stack
     with the frozen values masked, so they come out bit-identical to
     initialization; mixed_separate runs SGD over the trainable block
-    alone and appends the frozen block after.
+    alone and appends the frozen block after. The train set's matrices
+    must share one shape. This is the first result of train_many.
     """
-    n = _check_train_set(train_set)
-    return _run_sgd(train_set, *_start(n, m, cfg), cfg)
+    return next(train_many(train_set, m, [cfg]))
 
 
 def train_many(train_set, m: int, cfgs) -> Iterator[tuple[SparseSketch, TrainReport]]:
     """train(train_set, m, cfg) for each cfg, in order, byte for byte.
 
-    The initial losses of every run that shares k are scored in one
-    pass (`scw.sq_losses`) before any run steps, and the final losses
-    in one pass after the last. Over a train set of one shape, runs that
+    The train set's ||A||_F^2 are taken once. The initial losses of every
+    run that shares k are scored in one pass (`scw.sq_losses`) before any
+    run steps, and the final losses in one pass after the last. Runs that
     share the trained rows, k, batch size and iteration count step in
-    lockstep (`lockstep`); a run alone in its group, or whose trained
-    sketch has a row no column hits, steps by itself.
+    lockstep (`lockstep`), a run's steps the same whatever its group.
     Every cfg is checked before any run steps. Every run trains when the
     iterator is first advanced, before it yields; results come in cfg
     order, and at a run that failed the iterator raises that run's own
@@ -249,48 +190,42 @@ def train_many(train_set, m: int, cfgs) -> Iterator[tuple[SparseSketch, TrainRep
     cfgs = list(cfgs)
     if not cfgs:  # train is never called, so nothing is checked
         return iter(())
-    n = _check_train_set(train_set)
-    starts = [_start(n, m, cfg) for cfg in cfgs]
-    return _in_order(train_set, starts, cfgs)
+    mats = _check_train_set(train_set)
+    starts = [_start(mats[0].shape[0], m, cfg) for cfg in cfgs]
+    return _in_order(mats, starts, cfgs)
 
 
-def _in_order(train_set, starts, cfgs):
-    for result in _train_all(train_set, starts, cfgs):
+def _in_order(mats, starts, cfgs):
+    for result in _train_all(mats, starts, cfgs):
         if isinstance(result, Exception):
             raise result
         yield result
 
 
-def _train_all(train_set, starts, cfgs) -> list:
+def _train_all(mats, starts, cfgs) -> list:
     """Each run's (sketch, report) or error: score all, step each group, score all."""
-    out = _mean_losses(train_set, {i: concat_sketches(*start)
-                                   for i, start in enumerate(starts)}, cfgs)
+    sq_norms = [frobenius_norm(a) ** 2 for a in mats]
+    out = _mean_losses(mats, sq_norms, {i: concat_sketches(*start)
+                                        for i, start in enumerate(starts)}, cfgs)
     initial = {i: x for i, x in out.items() if not isinstance(x, Exception)}
-    one_shape = len({a.shape for a in train_set}) == 1
     groups = {}
     for i in initial:
-        s = starts[i][0]
-        key = (s.m, cfgs[i].k, cfgs[i].batch_size, cfgs[i].iterations)
-        # a row no column hits leaves SA rank-deficient at every step, where
-        # a lockstep group falls back to per-run steps: such a run steps alone
-        lockable = one_shape and np.bincount(s.row_of, minlength=s.m).min() > 0
-        groups.setdefault(key if lockable else i, []).append(i)
-    stepped = {}
+        key = (starts[i][0].m, cfgs[i].k, cfgs[i].batch_size, cfgs[i].iterations)
+        groups.setdefault(key, []).append(i)
+    from .lockstep import run_lockstep  # loaded here, so start-up does not compile it
+    stepped, stack = {}, np.stack(mats) if groups else None
     for group in groups.values():
-        if len(group) == 1:
-            stepped[group[0]] = _attempt(_sgd, train_set, starts[group[0]][0], cfgs[group[0]])
-        else:  # loaded here, so start-up does not compile it
-            from .lockstep import run_lockstep
-            stepped.update(zip(group, run_lockstep(
-                train_set, [starts[i][0] for i in group], [cfgs[i] for i in group])))
+        got = _attempt(run_lockstep, stack, np.array(sq_norms), [starts[i][0] for i in group],
+                       [cfgs[i] for i in group])
+        stepped.update(zip(group, [got] * len(group) if isinstance(got, Exception) else got))
     trained = {}
     for i, got in stepped.items():
         if isinstance(got, Exception):
             out[i] = got
         else:
             trained[i] = starts[i][0].with_values(got[0])
-    finals = _mean_losses(train_set, {i: concat_sketches(t, starts[i][1])
-                                      for i, t in trained.items()}, cfgs)
+    finals = _mean_losses(mats, sq_norms, {i: concat_sketches(t, starts[i][1])
+                                           for i, t in trained.items()}, cfgs)
     for i, final in finals.items():
         out[i] = final if isinstance(final, Exception) else _result(
             *starts[i], trained[i], initial[i], final, stepped[i][1])

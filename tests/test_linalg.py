@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrsketch.linalg import (RANK_TOL, SvdFactors, _jacobi_tall, best_rank_k,
-                             frobenius_norm, matmul, reference_svd, singular_values, svd,
-                             svd_stack, unsigned_svd, unsigned_svd_slices, unsigned_svd_stack)
+                             frobenius_norm, matmul, non_finite, rank, reference_svd,
+                             signed, singular_values, stack_svd, svd)
 from lrsketch.seeding import rng_from
 
 
@@ -274,6 +274,20 @@ class TestCanonicalAgainstSorting:
         assert f.u.shape == (shape[0], 0) and f.v.shape == (shape[1], 0)
 
 
+def stack_factors(x):
+    """stack_svd of the stack x with its (u, sigma, v) as one SvdFactors."""
+    factors, keep, bad = stack_svd(x)
+    return SvdFactors(*factors), keep, bad
+
+
+def unsigned_svd(a) -> SvdFactors:
+    """stack_svd of a as a stack of one, cut to its keep mask: `svd` without the
+    sign rule."""
+    f, keep, _ = stack_factors(np.asarray(a, dtype=np.float64)[None])
+    r = int(keep.sum())
+    return SvdFactors(u=f.u[0][:, :r], sigma=f.sigma[0][:r], v=f.v[0][:, :r])
+
+
 class TestRankRule:
     """At full rank one comparison decides; at the threshold the count does."""
 
@@ -284,10 +298,25 @@ class TestRankRule:
         f = fn(np.diag([1.0, small]))
         assert f.rank == rank and f.u.shape == (2, rank) and f.v.shape == (2, rank)
 
+    def test_keep_is_the_rank_rule(self):
+        sigmas = [[1.0, RANK_TOL, 0.0], [1.0, RANK_TOL * (1 + 1e-15), 0.5 * RANK_TOL],
+                  [0.0, 0.0, 0.0], [3.0, 2.0, 1.0]]
+        _, keep, _ = stack_factors(np.stack([np.diag(x) for x in sigmas]))
+        assert keep.sum(axis=1).tolist() == [rank(np.array(x)) for x in sigmas] == [1, 2, 0, 3]
+
+
+def assert_same_slices(f, g, slices):
+    """Slices of two stack_svd factors agree byte for byte and in layout."""
+    for i, j in slices:
+        for x, y in ((f.u[i], g.u[j]), (f.sigma[i], g.sigma[j]), (f.v[i], g.v[j])):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+            assert x.flags.f_contiguous == y.flags.f_contiguous
+
 
 class TestUnsignedSvd:
-    """svd without the sign rule: the same sigma, columns equal up to a sign
-    shared by u and v, and the same layout."""
+    """stack_svd: each slice's SVD without the sign rule or a cut, laid out as
+    `svd` lays out its factors, with each slice's rank mask and non-finite flag.
+    Cut to its rank, a slice is svd's up to a sign shared by a u and v column."""
 
     @pytest.mark.parametrize("seed", range(200))
     def test_svd_up_to_column_signs(self, seed):
@@ -301,22 +330,24 @@ class TestUnsignedSvd:
         assert f.u.flags.f_contiguous and f.v.flags.f_contiguous
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="SVD input"):
-            unsigned_svd(np.array([[1.0, np.nan]]))
+        # flagged, for the caller to raise non_finite("SVD input") on
+        _, keep, bad = stack_factors(np.array([[[1.0, np.nan]]]))
+        assert bad.tolist() == [True] and keep.tolist() == [[False]]
+        with pytest.raises(ValueError, match="^SVD input contains non-finite entries$"):
+            raise non_finite("SVD input")
 
     @pytest.mark.parametrize("shape", [(4, 6, 24), (3, 8, 48), (5, 32, 6), (3, 256, 8),
                                        (1, 5, 5), (2, 7, 1)])
     def test_stack_slices_equal_own_calls(self, shape):
         a = rng_from(73, *shape).standard_normal(shape)
-        f = unsigned_svd_stack(a)
+        a[0, -1] = 0.0  # below full rank where a slice has no more rows than columns
+        f = stack_factors(a)[0]
         for i in range(shape[0]):
-            g = unsigned_svd(a[i])
-            for x, y in ((f.u[i], g.u), (f.sigma[i], g.sigma), (f.v[i], g.v)):
-                assert x.shape == y.shape and x.tobytes() == y.tobytes()
-                assert x.flags.f_contiguous == y.flags.f_contiguous
+            assert_same_slices(f, stack_factors(a[i:i + 1])[0], [(i, 0)])
 
     @pytest.mark.parametrize("kind", ["zero_row", "non_finite", "empty"])
     def test_stack_none_where_svd_stack_is(self, kind):
+        # the inputs on which the full-rank-only stacked SVD gave up: marked per slice
         a = rng_from(74).standard_normal((3, 4, 9))
         if kind == "zero_row":
             a[1, 2] = 0.0
@@ -324,30 +355,71 @@ class TestUnsignedSvd:
             a[0, 0, 0] = np.inf
         if kind == "empty":
             a = np.zeros((3, 0, 9))
-        assert unsigned_svd_stack(a) is None and svd_stack(a) is None
+        f, keep, bad = stack_factors(a)
+        assert bad.tolist() == [kind == "non_finite", False, False]
+        assert keep.sum(axis=1).tolist() == {"zero_row": [4, 3, 4], "non_finite": [0, 4, 4],
+                                             "empty": [0, 0, 0]}[kind]
+        assert f.u.shape == a.shape[:2] + (min(a.shape[1:]),)
 
     @pytest.mark.parametrize("shape", [(4, 6, 24), (3, 8, 48), (5, 32, 6), (2, 7, 1)])
     def test_slices_mark_and_keep_full_rank_slices(self, shape):
         a = rng_from(75, *shape).standard_normal(shape)
         a[1, -1] = 0.0  # below full rank where a slice has no more rows than columns
         a[-1] = 0.0  # rank 0
-        f, full = unsigned_svd_slices(a)
-        assert full.tolist() == [unsigned_svd(x).rank == min(shape[1:]) for x in a]
+        f, keep, bad = stack_factors(a)
+        assert keep.sum(axis=1).tolist() == [svd(x).rank for x in a] and not bad.any()
         assert f.u.shape == shape[:2] + (min(shape[1:]),)
-        for i in np.flatnonzero(full):
-            g = unsigned_svd(a[i])
-            for x, y in ((f.u[i], g.u), (f.sigma[i], g.sigma), (f.v[i], g.v)):
-                assert x.shape == y.shape and x.tobytes() == y.tobytes()
-                assert x.flags.f_contiguous == y.flags.f_contiguous
+        for i in np.flatnonzero(keep.all(axis=1)):
+            assert_same_slices(f, stack_factors(a[i:i + 1])[0], [(i, 0)])
 
     @pytest.mark.parametrize("kind", ["non_finite", "empty"])
-    def test_slices_none_where_lapack_is_not_called(self, kind):
+    def test_slices_none_where_lapack_is_not_called(self, kind, monkeypatch):
+        # LAPACK never sees a non-finite slice; an empty stack comes back empty
         a = rng_from(76).standard_normal((3, 4, 9))
         if kind == "non_finite":
             a[2, 3, 8] = np.nan
         else:
             a = np.zeros((0, 4, 9))
-        assert unsigned_svd_slices(a) is None
+        seen, lapack = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda x, *args, **kw: (
+            seen.append(bool(np.isfinite(x).all())) or lapack(x, *args, **kw)))
+        f, keep, bad = stack_factors(a)
+        assert seen == [True]
+        assert bad.tolist() == ([False, False, True] if kind == "non_finite" else [])
+        assert keep.shape == (a.shape[0], 4) and f.v.shape == (a.shape[0], 9, 4)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    def test_non_finite_slice_is_zeroed_before_lapack(self, value, compute_uv, monkeypatch):
+        a = rng_from(74).standard_normal((3, 4, 9))
+        a[1, 2, 3] = value
+        seen, lapack = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda x, *args, **kw: (
+            seen.append(bool(np.isfinite(x).all())) or lapack(x, *args, **kw)))
+        got, keep, bad = stack_svd(a, compute_uv)
+        monkeypatch.undo()
+        sigma = got[1] if compute_uv else got
+        assert seen == [True] and not np.isfinite(a[1]).all()  # the input is left as it was
+        assert bad.tolist() == [False, True, False]
+        assert keep[1].sum() == 0 and sigma[1].tolist() == [0.0] * 4
+        clean = a.copy()
+        clean[1] = 0.0
+        want = np.linalg.svd(clean, compute_uv=compute_uv)
+        assert sigma.tobytes() == (want[1] if compute_uv else want).tobytes()
+
+    def test_sigma_only(self):
+        a = rng_from(75).standard_normal((3, 8, 5))
+        a[2] = 0.0
+        sigma, keep, bad = stack_svd(a, compute_uv=False)
+        assert sigma.tobytes() == np.linalg.svd(a, compute_uv=False).tobytes()
+        assert keep.sum(axis=1).tolist() == [5, 5, 0] and not bad.any()
+
+    @pytest.mark.parametrize("shape", [(3, 0, 9), (0, 4, 9), (3, 4, 0)])
+    def test_empty(self, shape):
+        f, keep, bad = stack_factors(np.zeros(shape))
+        r = min(shape[1:])
+        assert f.u.shape == shape[:2] + (r,) and f.v.shape == (shape[0], shape[2], r)
+        assert keep.shape == (shape[0], r) and bad.shape == (shape[0],) and not bad.any()
 
 
 class TestSingularValues:
@@ -417,30 +489,36 @@ class TestSvdFactors:
         assert f.rank == 0
 
 
+def stack_slice(f, i):
+    """Slice i of stack_svd's factors cut by the rank rule, as `svd` cuts them."""
+    r = rank(f.sigma[i])
+    return f.u[i][:, :r], f.sigma[i][:r], f.v[i][:, :r]
+
+
 class TestSvdStack:
-    """Each slice of svd_stack's factors is svd of that slice: same bytes, same layout."""
+    """The sign rule on each slice of stack_svd's factors, cut to its rank, gives
+    `svd` of that slice: same bytes, same layout."""
 
     @pytest.mark.parametrize("shape", [(4, 6, 24), (3, 8, 48), (5, 32, 6), (2, 20, 768),
                                        (3, 256, 8), (1, 5, 5)])
     def test_slices_equal_svd(self, shape):
         a = rng_from(71, *shape).standard_normal(shape)
-        f = svd_stack(a)
+        a[0, -1] = 0.0  # below full rank where a slice has no more rows than columns
+        a[-1, :, -1] = 0.0
+        f = stack_factors(a)[0]
         for i in range(shape[0]):
-            g = svd(a[i])
-            for x, y in ((f.u[i], g.u), (f.sigma[i], g.sigma), (f.v[i], g.v)):
-                assert x.shape == y.shape
-                assert x.tobytes() == y.tobytes()
-                assert x.flags.f_contiguous == y.flags.f_contiguous
+            assert_same_factors(signed(*stack_slice(f, i)), svd(a[i]))
 
     def test_signs_as_svd_on_tied_entries(self):
         # a column whose largest magnitude is shared by a + and a - entry
         a = np.array([[[1.0, -1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, -3.0]]])
-        f = svd_stack(a)
+        f = stack_factors(a)[0]
         for i in range(2):
-            assert f.u[i].tobytes() == svd(a[i]).u.tobytes()
+            assert signed(*stack_slice(f, i)).u.tobytes() == svd(a[i]).u.tobytes()
 
     @pytest.mark.parametrize("kind", ["zero_row", "zero_slice", "non_finite", "empty"])
     def test_none_where_svd_would_truncate_or_raise(self, kind):
+        # where svd would truncate, keep marks the rank; where it would raise, bad the slice
         a = rng_from(72).standard_normal((3, 4, 9))
         if kind == "zero_row":
             a[1, 2] = 0.0
@@ -450,4 +528,12 @@ class TestSvdStack:
             a[0, 0, 0] = np.nan
         if kind == "empty":
             a = np.zeros((3, 0, 9))
-        assert svd_stack(a) is None
+        f, keep, bad = stack_factors(a)
+        for i, x in enumerate(a):
+            if bad[i]:
+                with pytest.raises(ValueError, match="SVD input"):
+                    svd(x)
+            else:
+                assert keep[i].sum() == svd(x).rank
+                assert_same_factors(signed(*stack_slice(f, i)), svd(x))
+        assert bad.tolist() == [kind == "non_finite", False, False]

@@ -1,14 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lrsketch.diffsvd import PowerSvdConfig, backward, scw_forward_with_tape
 from lrsketch.evalbench import DatasetSpec, generate_dataset
-from lrsketch.linalg import (SvdFactors, as_matrix, best_rank_k, frobenius_norm, matmul,
-                             reference_svd, svd, svd_stack, unsigned_svd_slices)
+from lrsketch.linalg import (as_matrix, best_rank_k, frobenius_norm, matmul, rank,
+                             reference_svd, singular_values, stack_svd, svd)
 from lrsketch import linalg, scw
-from lrsketch.scw import (check_concat_dominance, sa_loss_and_grad, sa_loss_and_grad_stack,
-                          sa_sq_loss, scw_approximate, scw_loss, scw_loss_and_grad,
-                          scw_loss_stack, scw_losses, sq_losses)
+from lrsketch.scw import (check_concat_dominance, sa_loss_and_grad_stack, scw_approximate,
+                          scw_loss, scw_loss_and_grad, scw_losses, sq_losses)
 from lrsketch.seeding import rng_from
 from lrsketch.sketch import (DenseSketch, SparseSketch, SketchBlock, apply_sketch,
                              concat_sketches, dense_random_sketch, densify, empty_sketch,
@@ -154,7 +155,7 @@ def reference_sa_loss_and_grad(a, sa, k, index):
     """The step kernel as it was before the residual-free loss: the gradient's oracle.
 
     It builds [AV]_k V^T and scores the residual; its gradient expression is
-    the one sa_loss_and_grad must keep bit for bit.
+    the one the step kernel keeps, bit for bit at full rank.
     """
     f = svd(sa)
     if f.rank == 0:
@@ -168,6 +169,53 @@ def reference_sa_loss_and_grad(a, sa, k, index):
     g_sa = (f.u / f.sigma) @ (b.T @ uk) @ (ua - (ua @ f.v) @ f.v.T)
     g_s = -2.0 * (g_sa @ a.T)
     return frobenius_norm(a - approx) ** 2, g_s.take(index)
+
+
+def kernel_of_one(a, sa, k, index, sq_norm):
+    """The step kernel on one matrix, as a stack of one: its loss and its
+    gradient gathered at index; ValueError on a non-finite SA or B."""
+    losses, grads, bad = sa_loss_and_grad_stack(a[None], sa[None], k, np.array([sq_norm]))
+    if bad[0]:
+        raise linalg.non_finite("SVD input")
+    return float(losses[0]), grads[0].take(index)
+
+
+def sq_loss_oracle(a, sa, k, sq_norm):
+    """max(||A||^2 - sum_{i <= min(k, rank B)} sigma_i(B)^2, 0) from the signed
+    `svd` of SA and the singular values of B = AV: the oracle of sq_losses."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    f = svd(sa)
+    if f.rank == 0:
+        return sq_norm
+    sigma = singular_values(a @ f.v)
+    sk = sigma[:min(k, rank(sigma))]
+    return max(sq_norm - float(sk @ sk), 0.0)
+
+
+def full_rank(a, sa, k):
+    """SA of full rank and B = AV's top min(k, ...) singular values above the
+    rank rule: the slices whose bytes the masks leave as they are."""
+    f = svd(sa)
+    return f.rank == min(sa.shape) and svd(a @ f.v).rank >= min(k, a.shape[0], f.rank)
+
+
+def grad_scale(a, sa):
+    """||A||_F^3 / sigma_r(SA), r = rank SA: the size of the gradient's terms,
+    U Sigma^-1 (B^T U_k) U_k^T A A^T, so of its rounding. Where the gradient
+    vanishes (SA's row space holds A's), what is computed is rounding of this size."""
+    f = svd(sa)
+    return frobenius_norm(a) ** 3 / f.sigma[-1] if f.rank else 0.0
+
+
+def assert_kept(got, want, exact, scale):
+    """got is want byte for byte where exact, else within 1e-14 * scale."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    if exact:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got - want).max(initial=0.0) <= 1e-14 * scale
 
 
 def jittered(s, seed):
@@ -310,11 +358,13 @@ class TestScwLossAndGrad:
 
 
 class TestGradientBitsKept:
-    """sa_loss_and_grad's gradient equals reference_sa_loss_and_grad's byte for byte."""
+    """The step kernel's gradient equals reference_sa_loss_and_grad's byte for
+    byte where SA and B are of full rank, and within 1e-14 of the size of its
+    terms (grad_scale) where the masks cut a slice to its rank."""
 
     @pytest.mark.parametrize("kind", ["plain", "rank_deficient", "zeroed_rows", "two_block"])
     def test_matches_reference_kernel(self, kind):
-        k_at_rank = 0
+        k_at_rank = exact = 0
         for t in range(60):
             rng = rng_from(90, len(kind), t)
             m = int(rng.integers(1, 6))
@@ -329,16 +379,40 @@ class TestGradientBitsKept:
                 s = concat_sketches(s, sparse_random_sketch(int(rng.integers(1, 4)), n, seed=t + 500))
             k = int(rng.integers(1, s.m + 3))
             sa, index = apply_sketch(s, a), grad_index(s)
-            loss, grad = sa_loss_and_grad(a, sa, k, index, frobenius_norm(a) ** 2)
+            loss, grad = kernel_of_one(a, sa, k, index, frobenius_norm(a) ** 2)
             ref_loss, ref_grad = reference_sa_loss_and_grad(a, sa, k, index)
-            assert grad.tobytes() == ref_grad.tobytes()
+            full = full_rank(a, sa, k)
+            assert_kept(grad, ref_grad, full, grad_scale(a, sa))
             assert abs(loss - ref_loss) <= 1e-13 * frobenius_norm(a) ** 2
             k_at_rank += k >= svd(sa).rank
+            exact += full
         assert k_at_rank >= 10
+        assert exact >= {"plain": 50, "two_block": 40, "zeroed_rows": 10}.get(kind, 0)
+
+
+def mixed_rank_sketches(n, m, seed):
+    """m-row sketches over n columns: a jittered sparse one of full rank, one
+    with an empty row (no column hits row m - 1), one with every column on one
+    row (SA of rank 1), one with zero values (SA of rank 0), and a dense one."""
+    empty = SketchBlock(m, np.arange(n) % (m - 1), np.ones(n), np.ones(n, bool))
+    one = SketchBlock(m, np.zeros(n, dtype=np.int64), np.ones(n), np.ones(n, bool))
+    return [jittered(sparse_random_sketch(m, n, seed), seed),
+            jittered(SparseSketch(n, (empty,)), seed + 1),
+            jittered(SparseSketch(n, (one,)), seed + 2),
+            sparse_random_sketch(m, n, seed + 3).with_values(np.zeros(n)),
+            dense_random_sketch(m, n, seed + 4)]
+
+
+def no_lone_scorer(monkeypatch):
+    """Make every one-matrix scorer raise: a pass must score each slice itself."""
+    def alone(*args):
+        raise AssertionError("a slice was scored alone")
+    for name in ("scw_loss", "scw_approximate", "scw_loss_and_grad"):
+        monkeypatch.setattr(scw, name, alone)
 
 
 class TestStackedKernels:
-    """Each slice of the stacked kernels equals its own 2-D call, byte for byte."""
+    """Each slice of the stacked kernels equals its own stack of one, byte for byte."""
 
     @staticmethod
     def stack(n, d, m, count, seed):
@@ -354,20 +428,50 @@ class TestStackedKernels:
     def test_slices_equal_own_calls(self, n, d, m, k):
         a, sketches, sa = self.stack(n, d, m, 3, 62)  # every SA of full rank
         sq_norms = np.array([frobenius_norm(x) ** 2 for x in a])
-        losses, grads = sa_loss_and_grad_stack(a, sa, k, sq_norms)
-        residuals = scw_loss_stack(a, sa, k)
+        losses, grads, bad = sa_loss_and_grad_stack(a, sa, k, sq_norms)
+        assert not bad.any()
+        residuals = scw_losses(list(a), sketches, k)
         for i, s in enumerate(sketches):
-            loss, grad = sa_loss_and_grad(a[i], sa[i], k, grad_index(s), sq_norms[i])
+            loss, grad = kernel_of_one(a[i], sa[i], k, grad_index(s), sq_norms[i])
             assert np.float64(loss).tobytes() == losses[i].tobytes()
             assert grads[i].take(grad_index(s)).tobytes() == grad.tobytes()
-            assert np.float64(scw_loss(a[i], s, k)).tobytes() == residuals[i].tobytes()
+            assert np.float64(scw_loss(a[i], s, k)).tobytes() == residuals[i, i].tobytes()
 
-    def test_none_with_a_rank_zero_b(self):
-        a, _, sa = self.stack(12, 9, 4, 3, 62)
-        assert svd_stack(sa) is not None
+    def test_rank_zero_b_scores_its_norm(self):
+        a, sketches, sa = self.stack(12, 9, 4, 3, 62)
         a[1] = 0.0  # SA is kept, so its slices stay full rank; B = AV is zero there
-        assert sa_loss_and_grad_stack(a, sa, 2, np.ones(3)) is None
-        assert scw_loss_stack(a, sa, 2) is None
+        sq_norms = np.array([frobenius_norm(x) ** 2 for x in a])
+        losses, grads, bad = sa_loss_and_grad_stack(a, sa, 2, sq_norms)
+        assert not bad.any() and losses[1] == 0.0 and not grads[1].any()
+        for i in (0, 2):
+            loss, grad = kernel_of_one(a[i], sa[i], 2, grad_index(sketches[i]), sq_norms[i])
+            assert np.float64(loss).tobytes() == losses[i].tobytes()
+            assert grads[i].take(grad_index(sketches[i])).tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("n,d,m,k", [(32, 24, 6, 3), (64, 48, 8, 4), (12, 9, 4, 6),
+                                         (9, 3, 5, 2), (256, 192, 8, 4)])
+    def test_mixed_rank_stack(self, n, d, m, k):
+        # full-rank, empty-row, one-row and zero-value slices in one stack
+        rng = rng_from(67, n, d)
+        sketches = mixed_rank_sketches(n, m, 68)
+        mats = [rng.standard_normal((n, d)) for _ in sketches]
+        a = np.stack(mats)
+        sa = np.stack([apply_sketch(s, x) for s, x in zip(sketches, mats)])
+        sq_norms = np.array([frobenius_norm(x) ** 2 for x in mats])
+        losses, grads, bad = sa_loss_and_grad_stack(a, sa, k, sq_norms)
+        assert not bad.any()
+        full = [full_rank(x, y, k) for x, y in zip(mats, sa)]
+        assert full[4] and not any(full[2:4]) and full[1] == (m > d)
+        for i, s in enumerate(sketches):
+            index = np.arange(m * n)
+            loss, grad = kernel_of_one(mats[i], sa[i], k, index, sq_norms[i])
+            if full[i]:  # its own stack of one, byte for byte
+                assert np.float64(loss).tobytes() == losses[i].tobytes()
+                assert grads[i].ravel().tobytes() == grad.tobytes()
+            ref_loss, ref_grad = reference_sa_loss_and_grad(mats[i], sa[i], k, index)
+            assert_kept(grads[i].ravel(), ref_grad, False, grad_scale(mats[i], sa[i]))
+            assert abs(losses[i] - ref_loss) <= 1e-13 * sq_norms[i]
+        assert losses[3] == sq_norms[3] and not grads[3].any()  # rank 0
 
     @pytest.mark.parametrize("n,d,m,k", [(32, 24, 6, 3), (64, 48, 8, 4), (12, 9, 4, 6),
                                          (9, 3, 5, 2), (256, 192, 8, 4)])
@@ -384,21 +488,18 @@ class TestStackedKernels:
             mats[1] = np.zeros((n, d))
         if case == "two_widths":  # two passes, one per shape
             mats.insert(1, rng_from(66).standard_normal((n, d + 2)))
-        alone = []
-        monkeypatch.setattr(scw, "sa_sq_loss", lambda *args: alone.append(1) or sa_sq_loss(*args))
-        got = sq_losses(mats, sketches, k)
-        monkeypatch.undo()
+        sq_norms = [frobenius_norm(x) ** 2 for x in mats]
+        with monkeypatch.context() as patch:
+            no_lone_scorer(patch)
+            got = sq_losses(mats, sketches, k, sq_norms)
         assert got.shape == (len(sketches), len(mats))
         deficient = 0
         for i, s in enumerate(sketches):
             for t, x in enumerate(mats):
                 sa = apply_sketch(s, x)
-                want = sa_sq_loss(x, sa, k, frobenius_norm(x) ** 2)
-                assert np.float64(want).tobytes() == got[i, t].tobytes()
-                f = svd(sa)
-                deficient += f.rank < min(sa.shape) or svd(x @ f.v).rank < min(n, f.rank)
-        # a slice below full rank, in SA or in B, alone takes the 2-D path
-        assert len(alone) == deficient
+                full = full_rank(x, sa, k)
+                assert_kept(got[i, t], sq_loss_oracle(x, sa, k, sq_norms[t]), full, sq_norms[t])
+                deficient += not full
         assert deficient >= {"full": 0, "two_widths": 0, "zero_matrix": len(sketches),
                              "empty_row": len(mats) if m <= d else 0}[case]
 
@@ -429,41 +530,55 @@ def deficient_b_sketch():
     return a, DenseSketch(s)
 
 
+def signing(which: str):
+    """stack_svd with the sign rule on every slice's columns, uncut, for SA's SVD
+    ("sa"), B's ("b") or both: the oracle. Each kernel and each scoring pass
+    takes SA's SVD first and B's second."""
+    calls = []
+
+    def signed_stack_svd(x, compute_uv=True):
+        got, keep, bad = stack_svd(x, compute_uv)
+        calls.append(("sa", "b")[len(calls) % 2])
+        if compute_uv and which in ("both", calls[-1]):
+            for u, sigma, v in zip(*got):  # each slice's columns, uncut, in place
+                f = linalg.signed(u, sigma, v)
+                u[...], v[...] = f.u, f.v
+        return got, keep, bad
+    return signed_stack_svd
+
+
+def same_with_signs(monkeypatch, which, fn, *args):
+    """fn(*args) agrees byte for byte with itself under signing(which)."""
+    got = fn(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(scw, "stack_svd", signing(which))
+        want = fn(*args)
+    got = got if isinstance(got, tuple) else (got,)
+    want = want if isinstance(want, tuple) else (want,)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 class TestBNeedsNoSignRule:
     """B = AV takes its SVD without the sign rule: its factors only meet in
     products where a column's sign cancels exactly. Every kernel gives the
-    bytes it gives with the signed `svd` on B, the oracle."""
-
-    @staticmethod
-    def signed(monkeypatch, fn, *args):
-        with monkeypatch.context() as patch:
-            patch.setattr(scw, "unsigned_svd", svd)
-            patch.setattr(scw, "unsigned_svd_stack", svd_stack)
-            return fn(*args)
-
-    @staticmethod
-    def assert_same(got, want):
-        """Sequences of arrays or floats, or [None], agree byte for byte."""
-        assert len(got) == len(want)
-        for x, y in zip(got, want):
-            if y is None:
-                assert x is None
-                continue
-            x, y = np.asarray(x), np.asarray(y)
-            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    bytes it gives with the sign rule on B's SVD, the oracle."""
 
     def test_kernel(self, monkeypatch):
         ranks = set()
         for seed in range(400):
             a, sa, k = b_sign_case(seed)
             index = np.arange(sa.shape[0] * a.shape[0])
-            args = (a, sa, k, index, frobenius_norm(a) ** 2)
-            self.assert_same(sa_loss_and_grad(*args),
-                             self.signed(monkeypatch, sa_loss_and_grad, *args))
-            f, _, fb, _ = scw._solve(a, sa, k)
-            if fb is not None:
-                ranks.add((f.rank, fb.rank, k > fb.rank))
-                assert fb.u.flags.f_contiguous and fb.v.flags.f_contiguous
+            same_with_signs(monkeypatch, "b", kernel_of_one, a, sa, k, index,
+                            frobenius_norm(a) ** 2)
+            f = svd(sa)
+            if f.rank:
+                rb = svd(a @ f.v).rank
+                ranks.add((f.rank, rb, k > rb))
+            _, _, _, _, (uk, _, vk), _ = scw._solve(a[None], sa[None], k)
+            assert uk[0].flags.f_contiguous and vk[0].flags.f_contiguous
         # rank-deficient SA, B below SA's rank and k above B's rank all occur
         assert any(r < 3 for r, _, _ in ranks) and any(rb < r for r, rb, _ in ranks)
         assert any(above for _, _, above in ranks)
@@ -480,13 +595,11 @@ class TestBNeedsNoSignRule:
                  else dense_random_sketch(m, n, t))
             cases.append((a, s, int(rng.integers(1, m + 3))))
         for a, s, k in cases:
-            got = scw_approximate(a, s, k)
-            want = self.signed(monkeypatch, scw_approximate, a, s, k)
-            self.assert_same((got.approx, got.v_basis, got.loss),
-                             (want.approx, want.v_basis, want.loss))
+            same_with_signs(monkeypatch, "b", lambda *args: (
+                lambda out: (out.approx, out.v_basis, out.loss))(scw_approximate(*args)), a, s, k)
         a, s = deficient_b_sketch()
-        f, _, fb, _ = scw._solve(a, apply_sketch(s, a), 2)
-        assert f.rank == 2 and fb.rank == 1
+        f = svd(apply_sketch(s, a))
+        assert f.rank == 2 and svd(a @ f.v).rank == 1
 
     @pytest.mark.parametrize("n,d,m,k", [(32, 24, 6, 3), (64, 48, 8, 4), (12, 9, 4, 6),
                                          (9, 3, 5, 2), (256, 192, 8, 4)])
@@ -500,30 +613,15 @@ class TestBNeedsNoSignRule:
             if deficient == "b":
                 a[2] = 0.0
             sq_norms = np.array([frobenius_norm(x) ** 2 for x in a])
-            for fn, args in ((sa_loss_and_grad_stack, (a, sa, k, sq_norms)),
-                             (scw_loss_stack, (a, sa, k))):
-                got, want = fn(*args), self.signed(monkeypatch, fn, *args)
-                self.assert_same(got if isinstance(got, tuple) else [got],
-                                 want if isinstance(want, tuple) else [want])
-            solved = scw._solve_stack(a, sa, k)
+            same_with_signs(monkeypatch, "b", sa_loss_and_grad_stack, a, sa, k, sq_norms)
+            sketches = [DenseSketch(x) for x in rng.standard_normal((2, m, n))]
+            same_with_signs(monkeypatch, "b", scw_losses, list(a), sketches, k)
+            full = [full_rank(x, y, k) for x, y in zip(a, sa)]
             # a zero row leaves SA of full rank when it has more rows than columns
-            assert (solved is None) == (deficient == "b" or (deficient == "sa" and m <= d))
-            if solved is not None:
-                fb = solved[2]
-                assert all(fb.u[i].flags.f_contiguous and fb.v[i].flags.f_contiguous
-                           for i in range(3))
-
-
-def signed_slices(a):
-    """unsigned_svd_slices with svd_stack's sign rule on every slice."""
-    got = unsigned_svd_slices(a)
-    if got is None:
-        return None
-    f, full = got
-    flip = np.stack([linalg._signs(u) for u in f.u])[:, None, :]
-    return SvdFactors(u=np.multiply(f.u, flip, out=linalg._fortran_slices(f.u)),
-                      sigma=f.sigma,
-                      v=np.multiply(f.v, flip, out=linalg._fortran_slices(f.v))), full
+            assert full == [True, deficient != "sa" or m > d, deficient != "b"]
+            _, _, _, _, (uk, _, vk), bad = scw._solve(a, sa, k)
+            assert not bad.any()
+            assert all(uk[i].flags.f_contiguous and vk[i].flags.f_contiguous for i in range(3))
 
 
 def sa_sign_sketches(n, m, seed):
@@ -538,37 +636,25 @@ def sa_sign_sketches(n, m, seed):
 
 
 class TestSaNeedsNoSignRuleInTraining:
-    """Training takes SA's SVD without the sign rule: it returns no factor of
-    it, and each meets its partner in products where a column's sign cancels
-    exactly. The step kernels and the train-loss scorer give the bytes they
-    give with SA's SVD patched back to the signed svd/svd_stack, the oracle."""
-
-    @staticmethod
-    def signed_sa(monkeypatch, fn, *args):
-        solve, solve_stack = scw._solve, scw._solve_stack
-        with monkeypatch.context() as patch:
-            if fn in (sa_sq_loss, sq_losses):  # SA's SVD alone goes through these
-                patch.setattr(scw, "unsigned_svd", svd)
-                patch.setattr(scw, "unsigned_svd_slices", signed_slices)
-            else:
-                patch.setattr(scw, "_solve", lambda a, sa, k, sa_svd: solve(a, sa, k, svd))
-                patch.setattr(scw, "_solve_stack", lambda a, sa, k, sa_svd: solve_stack(
-                    a, sa, k, svd_stack))
-            return fn(*args)
+    """No SVD of SA takes the sign rule in training or scoring: it returns no
+    factor of it, and each meets its partner in products where a column's
+    sign cancels exactly. The step kernel and the scorers give the bytes they
+    give with the sign rule on SA's SVD, the oracle."""
 
     def test_kernels(self, monkeypatch):
         flipped = 0
         for seed in range(400):
             a, sa, k = b_sign_case(seed)
             sq_norm = frobenius_norm(a) ** 2
-            args = (a, sa, k, np.arange(sa.shape[0] * a.shape[0]), sq_norm)
-            TestBNeedsNoSignRule.assert_same(
-                sa_loss_and_grad(*args), self.signed_sa(monkeypatch, sa_loss_and_grad, *args))
-            got = sa_sq_loss(a, sa, k, sq_norm)
-            want = self.signed_sa(monkeypatch, sa_sq_loss, a, sa, k, sq_norm)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
-            f = scw.unsigned_svd(sa)
-            flipped += f.rank > 0 and not np.array_equal(f.u, svd(sa).u)
+            same_with_signs(monkeypatch, "sa", kernel_of_one, a, sa, k,
+                            np.arange(sa.shape[0] * a.shape[0]), sq_norm)
+            s = DenseSketch(rng_from(seed, 92).standard_normal((sa.shape[0], a.shape[0])))
+            if seed % 4 == 1:  # rank(SA) <= 1
+                s = DenseSketch(np.outer(s.matrix[:, 0], s.matrix[0]))
+            same_with_signs(monkeypatch, "sa", sq_losses, [a], [s], k, [sq_norm])
+            (u, _, _), keep, _ = stack_svd(sa[None])
+            r = int(keep.sum())
+            flipped += r > 0 and not np.array_equal(u[0][:, :r], svd(sa).u)
         assert flipped >= 100  # LAPACK's signs break the rule often: the check has teeth
 
     @pytest.mark.parametrize("n,d,m,k", [(32, 24, 6, 3), (64, 48, 8, 4), (12, 9, 4, 6),
@@ -577,19 +663,16 @@ class TestSaNeedsNoSignRuleInTraining:
         rng = rng_from(96, n, d)
         mats = [rng.standard_normal((n, d)) for _ in range(3)] + [np.zeros((n, d))]
         sketches = sa_sign_sketches(n, m, 97)
-        got = sq_losses(mats, sketches, k)
-        want = self.signed_sa(monkeypatch, sq_losses, mats, sketches, k)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        sq_norms = [frobenius_norm(x) ** 2 for x in mats]
+        same_with_signs(monkeypatch, "sa", sq_losses, mats, sketches, k, sq_norms)
+        same_with_signs(monkeypatch, "sa", scw_losses, mats, sketches, k)
         a = np.stack(mats[:3])
-        sq_norms = np.array([frobenius_norm(x) ** 2 for x in a])
         for chosen in ((0, 2, 3), (3, 1, 0)):  # sketch 1 has an empty row
             sa = np.stack([apply_sketch(sketches[i], x) for i, x in zip(chosen, a)])
-            args = (a, sa, k, sq_norms)
-            got, want = (sa_loss_and_grad_stack(*args),
-                         self.signed_sa(monkeypatch, sa_loss_and_grad_stack, *args))
-            assert (got is None) == (want is None) == (1 in chosen and m <= d)
-            if got is not None:
-                TestBNeedsNoSignRule.assert_same(got, want)
+            same_with_signs(monkeypatch, "sa", sa_loss_and_grad_stack, a, sa, k,
+                            np.array(sq_norms[:3]))
+            full = all(full_rank(x, y, k) for x, y in zip(a, sa))
+            assert full == (1 not in chosen or m > d)
 
     def test_v_basis_keeps_the_sign_rule(self):
         for seed in range(60):
@@ -641,12 +724,10 @@ class TestScwLosses:
     def test_equals_loop(self, empty_row, k, monkeypatch):
         mats, sketches = self.mats(), self.sketches(empty_row)
         want = np.array([[scw_loss(a, s, k) for a in mats] for s in sketches])
-        alone = []
-        monkeypatch.setattr(scw, "scw_loss", lambda a, s, k: alone.append(s) or scw_loss(a, s, k))
-        got = scw_losses(mats, sketches, k)
+        with monkeypatch.context() as patch:
+            no_lone_scorer(patch)  # the empty-row sketch's slices are scored in the pass
+            got = scw_losses(mats, sketches, k)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        # only a rank-deficient slice is scored alone: the empty-row sketch's, one per matrix
-        assert alone == ([sketches[2]] * len(mats) if empty_row else [])
 
     def test_two_shapes_one_pass_each(self, monkeypatch):
         mats, sketches = self.mats(4), self.sketches(False)
@@ -660,26 +741,42 @@ class TestScwLosses:
         assert got.tobytes() == want.tobytes()
         assert passes == [[(self.N, self.D)] * 4, [(self.N, self.D + 2)]] and alone == []
 
+    def test_residuals_freed_matrix_by_matrix(self, monkeypatch):
+        # one matrix's (R, n, d) residual is freed before the next one's is built
+        rng = rng_from(89)
+        mats = [rng.standard_normal((64, 48)) for _ in range(3)]
+        sketches = [sparse_random_sketch(8, 64, seed) for seed in range(5)]
+        held, approx = [], scw._approx
+        monkeypatch.setattr(scw, "_approx", lambda *args: (
+            held.append(tracemalloc.get_traced_memory()[0]) or approx(*args)))
+        tracemalloc.start()
+        try:
+            scw_losses(mats, sketches, 4)
+        finally:
+            tracemalloc.stop()
+        residual = 5 * 64 * 48 * 8
+        assert len(held) == 3 and max(held) - min(held) < residual // 2
+
     @pytest.mark.parametrize("scorer", ["scw_losses", "sq_losses"])
     def test_non_finite_b_slice(self, scorer, monkeypatch):
         # SA of the tiny-valued sketch on the huge matrix is finite and of full
-        # rank, but B = AV overflows: that slice is scored alone, and raises there
+        # rank, but B = AV overflows: the pass flags that slice, and the scorer
+        # raises the loop's first error with no slice scored alone
         mats = self.mats()
         mats[1] = 1e308 * (1.0 + 0.5 * rng_from(88).uniform(size=(self.N, self.D)))
         tiny = sparse_random_sketch(self.M, self.N, 80).with_values(np.full(self.N, 1e-10))
         sketches = [tiny] + self.sketches(False)
         sa = apply_sketch(tiny, mats[1])
         assert np.isfinite(sa).all() and svd(sa).rank == self.M
-        alone, name = [], "scw_loss" if scorer == "scw_losses" else "sa_sq_loss"
-        real = getattr(scw, name)
-        monkeypatch.setattr(scw, name, lambda a, *args: alone.append(a) or real(a, *args))
         with np.errstate(over="ignore", invalid="ignore"):
+            args = (mats, sketches, 2) + (([frobenius_norm(a) ** 2 for a in mats],)
+                                          if scorer == "sq_losses" else ())
             assert not np.isfinite(mats[1] @ svd(sa).v).all()
             want = self.first_error(mats, sketches, 2)
-            with pytest.raises(ValueError) as got:
-                getattr(scw, scorer)(mats, sketches, 2)
-        assert str(got.value) == str(want)
-        assert len(alone) == 1 and alone[0] is mats[1]  # slice (0, 1): the loop's first error
+            with monkeypatch.context() as patch, pytest.raises(ValueError) as got:
+                no_lone_scorer(patch)
+                getattr(scw, scorer)(*args)
+        assert str(got.value) == str(want) == "SVD input contains non-finite entries"
 
     def test_no_sketches_or_matrices(self):
         assert scw_losses(self.mats(), [], 2).shape == (0, 3)
@@ -703,25 +800,34 @@ class TestScwLosses:
 
 
 class TestSqLosses:
-    """sq_losses(mats, sketches, k)[i, t] is sa_sq_loss on sketch i's SA of
-    matrix t, and it raises what that loop, sketch by sketch, raises first."""
+    """sq_losses(mats, sketches, k, sq_norms)[i, t] is sq_loss_oracle on sketch i's SA of
+    matrix t, byte for byte at full rank, and it raises what that loop, sketch
+    by sketch, raises first."""
 
     @staticmethod
     def loop(mats, sketches, k):
-        return np.array([[sa_sq_loss(as_matrix(a), apply_sketch(s, a), k, frobenius_norm(a) ** 2)
+        return np.array([[sq_loss_oracle(as_matrix(a), apply_sketch(s, a), k, frobenius_norm(a) ** 2)
                           for a in mats] for s in sketches]).reshape(len(sketches), len(mats))
 
     @pytest.mark.parametrize("empty_row", [False, True])
-    def test_equals_loop(self, empty_row):
+    def test_equals_loop(self, empty_row, monkeypatch):
         mats, sketches = TestScwLosses.mats(), TestScwLosses.sketches(empty_row)
+        sq_norms = [frobenius_norm(a) ** 2 for a in mats]
         for k in (2, 6):
-            got, want = sq_losses(mats, sketches, k), self.loop(mats, sketches, k)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            with monkeypatch.context() as patch:
+                no_lone_scorer(patch)
+                got = sq_losses(mats, sketches, k, sq_norms)
+            want = self.loop(mats, sketches, k)
+            for i, s in enumerate(sketches):
+                for t, a in enumerate(mats):
+                    full = full_rank(a, apply_sketch(s, a), k)
+                    assert_kept(got[i, t], want[i, t], full, sq_norms[t])
+                    assert full or (empty_row and i == 2)
             assert np.allclose(got, scw_losses(mats, sketches, k) ** 2, rtol=1e-12)
 
     def test_no_sketches_or_matrices(self):
-        assert sq_losses(TestScwLosses.mats(), [], 2).shape == (0, 3)
-        assert sq_losses([], TestScwLosses.sketches(False), 2).shape == (5, 0)
+        assert sq_losses(TestScwLosses.mats(), [], 2, [1.0] * 3).shape == (0, 3)
+        assert sq_losses([], TestScwLosses.sketches(False), 2, []).shape == (5, 0)
 
     @pytest.mark.parametrize("case", ["non_finite_then_n", "n_first", "mixed_rows", "k_zero"])
     def test_raises_the_loops_first_error(self, case):
@@ -740,7 +846,7 @@ class TestSqLosses:
         with pytest.raises(ValueError) as want:
             self.loop(mats, sketches, k)
         with pytest.raises(ValueError) as got:
-            sq_losses(mats, sketches, k)
+            sq_losses(mats, sketches, k, [frobenius_norm(a) ** 2 for a in mats])
         assert str(got.value) == str(want.value)
 
 

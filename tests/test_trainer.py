@@ -1,14 +1,15 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lrsketch import autodiff, lockstep, scw, trainer
+from lrsketch import autodiff, linalg, lockstep, scw, trainer
 from lrsketch.diffsvd import PowerSvdConfig
 from lrsketch.evalbench import DatasetSpec, generate_dataset
 from lrsketch.linalg import frobenius_norm
-from lrsketch.scw import scw_loss, scw_loss_and_grad
+from lrsketch.scw import scw_loss, scw_loss_and_grad, sq_losses
 from lrsketch.seeding import derived_seed, rng_from
 from lrsketch.sketch import SparseSketch, concat_sketches, sketches_equal, sparse_random_sketch
 from lrsketch.trainer import TrainConfig, TrainingDivergedError, report_to_csv, train
@@ -37,14 +38,27 @@ def quick_cfg(**kw):
     return TrainConfig(**base)
 
 
-def reference_run_sgd(train_set, sketch, tail, cfg):
-    """The per-step loop trainer._run_sgd replaced: the bit-for-bit oracle.
+def reference_train(train_set, m, cfg):
+    """train as the per-step loop it replaced: the bit-for-bit oracle.
 
     Every step rebuilds the sketch with with_values and takes the loss
-    and gradient through scw_loss_and_grad.
+    and gradient through scw_loss_and_grad; a train set must share one
+    shape, and the error names the first matrix that does not.
     """
+    n, d = train_set[0].shape
+    for i, a in enumerate(train_set):
+        if a.shape[0] != n:
+            raise ValueError(f"matrix {i} has {a.shape[0]} rows, expected {n}")
+        if a.shape != (n, d):
+            raise ValueError(f"matrix {i} has {a.shape[1]} columns, expected {d}")
+    sketch, tail = trainer._start(n, m, cfg)
+    sq_norms = [frobenius_norm(a) ** 2 for a in train_set]
+
+    def mean_loss(s):
+        return trainer._mean(sq_losses(train_set, [concat_sketches(s, tail)], cfg.k, sq_norms)[0])
+
     start = sketch
-    initial = trainer._mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
+    initial = mean_loss(sketch)
     batch_rng = rng_from(cfg.seed, trainer._SEED_BATCH)
     mask, vals = sketch.trainable_mask, sketch.value_of
     losses = np.empty(cfg.batch_size)
@@ -55,36 +69,42 @@ def reference_run_sgd(train_set, sketch, tail, cfg):
         for j, ii in enumerate(idx):
             loss, g = scw_loss_and_grad(train_set[ii], sketch, cfg.k)
             if not math.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at iteration {step}")
+                raise TrainingDivergedError(
+                    f"non-finite loss at iteration {step} (matrix {ii}); lower lr")
             grad += g
             losses[j] = loss
         grad /= cfg.batch_size
         vals = np.where(mask, vals - cfg.lr * grad, vals)
         if not np.isfinite(vals).all():
-            raise TrainingDivergedError(f"non-finite sketch values after iteration {step}")
+            raise TrainingDivergedError(
+                f"non-finite sketch values after iteration {step}; lower lr")
         sketch = sketch.with_values(vals)
         history.append((step, float(losses.sum()) / cfg.batch_size))
-    final = trainer._mean_loss(train_set, concat_sketches(sketch, tail), cfg.k)
+    final = mean_loss(sketch)
     if final > initial:
         sketch, final = start, initial
     report = trainer.TrainReport(tuple(history), initial, final)
     return concat_sketches(sketch, tail), report
 
 
-def assert_trains_like_reference(train_set, m, cfg, monkeypatch):
-    """train(...) matches train(...) run through reference_run_sgd, byte for byte."""
-    got_s, got = train(train_set, m, cfg)
-    with monkeypatch.context() as patch:
-        patch.setattr(trainer, "_run_sgd", reference_run_sgd)
-        want_s, want = train(train_set, m, cfg)
-    assert got_s.value_of.tobytes() == want_s.value_of.tobytes()
-    assert got_s.row_of.tobytes() == want_s.row_of.tobytes()
-    assert [it for it, _ in got.loss_history] == [it for it, _ in want.loss_history]
-    assert (np.array([x for _, x in got.loss_history]).tobytes()
-            == np.array([x for _, x in want.loss_history]).tobytes())
-    assert np.float64(got.initial_loss).tobytes() == np.float64(want.initial_loss).tobytes()
-    assert np.float64(got.final_loss).tobytes() == np.float64(want.final_loss).tobytes()
-    return got
+def assert_trains_like_reference(train_set, m, cfg):
+    """train(...) matches reference_train(...), byte for byte, or raises its error."""
+    got, want = train_alone(train_set, m, cfg), attempt(reference_train, train_set, m, cfg)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return want
+    assert_same_run(got, want)
+    return got[1]
+
+
+def reference_kernel_stack(a, sa, k, sq_norms):
+    """sa_loss_and_grad_stack slice by slice through reference_sa_loss_and_grad,
+    which builds the residual: losses, dense gradients and no flags."""
+    got = [reference_sa_loss_and_grad(x, y, k, np.arange(y.shape[0] * x.shape[0]))
+           for x, y in zip(a, sa)]
+    return (np.array([loss for loss, _ in got]),
+            np.stack([g.reshape(sa.shape[1], a.shape[1]) for _, g in got]),
+            np.zeros(len(got), dtype=bool))
 
 
 MODES = ("learned", "mixed_joint", "mixed_separate")
@@ -94,48 +114,51 @@ class TestBitIdenticalToReferenceLoop:
     @pytest.mark.parametrize("seed", [5, 6, 7, 8])
     @pytest.mark.parametrize("batch_size", [1, 3])
     @pytest.mark.parametrize("mode", MODES)
-    def test_modes_batches_seeds(self, small_train_set, mode, batch_size, seed, monkeypatch):
+    def test_modes_batches_seeds(self, small_train_set, mode, batch_size, seed):
         cfg = quick_cfg(mode=mode, learned_rows=2, batch_size=batch_size, seed=seed)
-        rep = assert_trains_like_reference(small_train_set, 4, cfg, monkeypatch)
+        rep = assert_trains_like_reference(small_train_set, 4, cfg)
         assert len(rep.loss_history) == cfg.iterations
 
-    def test_keep_start(self, monkeypatch):
+    def test_keep_start(self):
         # TestKeepStart's case: the 6-row sketch ends above its start
         train_set, _ = generate_dataset(TestKeepStart.SPEC)
-        rep = assert_trains_like_reference(train_set, 6, replace(TestKeepStart.CFG, seed=46),
-                                           monkeypatch)
+        rep = assert_trains_like_reference(train_set, 6, replace(TestKeepStart.CFG, seed=46))
         assert rep.final_loss == rep.initial_loss
         assert len(rep.loss_history) == 10
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_sketch_with_empty_row(self, small_train_set, mode, monkeypatch):
+    def test_sketch_with_empty_row(self, small_train_set, mode):
         # at seed 3 the trained block has a row no column hits, so SA
         # (8 x 9 for learned) is rank-deficient
         cfg = quick_cfg(mode=mode, learned_rows=4, batch_size=2, seed=3)
         init, _ = train(small_train_set, 8, replace(cfg, iterations=0))
         block = init.blocks[0]
         assert np.bincount(block.row_of, minlength=block.m).min() == 0
-        assert_trains_like_reference(small_train_set, 8, cfg, monkeypatch)
+        assert_trains_like_reference(small_train_set, 8, cfg)
 
-    def test_non_contiguous_matrices(self, small_train_set, monkeypatch):
+    def test_non_contiguous_matrices(self, small_train_set):
         train_set = [np.asfortranarray(a) for a in small_train_set]
-        assert_trains_like_reference(train_set, 4, quick_cfg(batch_size=3), monkeypatch)
+        assert_trains_like_reference(train_set, 4, quick_cfg(batch_size=3))
 
 
 class TestMixedColumnCounts:
-    # train checks row counts only: a union of 32x24 and 32x20 matrices is legal
+    # a train set shares one shape: a union of 32x24 and 32x20 matrices is
+    # refused, naming the first 32x20 one, by train as by the reference loop
     SPECS = [DatasetSpec(name=f"d{d}", kind="spiked", n=32, d=d, count_train=2,
                          count_test=1, spikes=3, decay=0.8, noise=0.1, drift=0.05,
                          seed=40 + d) for d in (24, 20)]
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     @pytest.mark.parametrize("mode", MODES)
-    def test_trains_like_reference(self, mode, batch_size, monkeypatch):
+    def test_trains_like_reference(self, mode, batch_size):
         train_set = [a for sp in self.SPECS for a in generate_dataset(sp)[0]]
         assert sorted({a.shape[1] for a in train_set}) == [20, 24]
         cfg = quick_cfg(k=3, lr=1.0, mode=mode, learned_rows=3, batch_size=batch_size,
                         iterations=20)
-        assert_trains_like_reference(train_set, 6, cfg, monkeypatch)
+        got = assert_trains_like_reference(train_set, 6, cfg)
+        assert type(got) is ValueError and str(got) == "matrix 2 has 20 columns, expected 24"
+        with pytest.raises(ValueError, match="matrix 2 has 20 columns"):
+            trainer.train_many(train_set, 6, [cfg])
 
 
 class TestTrainSketch:
@@ -230,6 +253,10 @@ class TestReportedLoss:
         kind, m, kw = self.CASES[case]
         train_set = TestTrainMany.train_set(kind, small_train_set)
         cfg = quick_cfg(mode=mode, **kw)
+        if case == "two_column_counts":  # refused: a train set shares one shape
+            with pytest.raises(ValueError, match="matrix 2 has 20 columns, expected 24"):
+                train(train_set, m, cfg)
+            return
         sk, rep = train(train_set, m, cfg)
         init, _ = train(train_set, m, replace(cfg, iterations=0))
         if case == "empty_row":
@@ -320,8 +347,7 @@ class TestExactGradient:
         # the residual-free loss leaves every gradient bit, so every trained value
         cfg = quick_cfg(mode=mode, learned_rows=2, batch_size=2)
         got, rep = train(small_train_set, 4, cfg)
-        monkeypatch.setattr(trainer, "sa_loss_and_grad",
-                            lambda a, sa, k, index, _: reference_sa_loss_and_grad(a, sa, k, index))
+        monkeypatch.setattr(lockstep, "sa_loss_and_grad_stack", reference_kernel_stack)
         want, ref = train(small_train_set, 4, cfg)
         assert rep.final_loss < rep.initial_loss  # the trained values were returned
         assert got.value_of.tobytes() == want.value_of.tobytes()
@@ -417,12 +443,17 @@ class TestConfigValidation:
             TrainConfig(k=1, lr=float("nan"))
 
 
-def train_alone(train_set, m, cfg):
-    """train(train_set, m, cfg), or the error it raises."""
+def attempt(fn, *args):
+    """fn(*args), or the error it raises."""
     try:
-        return train(train_set, m, cfg)
+        return fn(*args)
     except (TrainingDivergedError, ValueError) as exc:
         return exc
+
+
+def train_alone(train_set, m, cfg):
+    """train(train_set, m, cfg), or the error it raises."""
+    return attempt(train, train_set, m, cfg)
 
 
 def assert_same_run(got, want):
@@ -510,7 +541,12 @@ class TestTrainMany:
     def test_each_run_equals_train(self, small_train_set, case):
         kind, m, cfgs = self.CASES[case]
         train_set = self.train_set(kind, small_train_set)
-        got = list(trainer.train_many(train_set, m, cfgs))
+        try:
+            got = list(trainer.train_many(train_set, m, cfgs))
+        except ValueError as exc:  # two column counts: refused before any run trains
+            assert case == "two_column_counts"
+            assert all(str(train_alone(train_set, m, cfg)) == str(exc) for cfg in cfgs)
+            return
         assert len(got) == len(cfgs)
         for result, cfg in zip(got, cfgs):
             assert_same_run(result, train(train_set, m, cfg))
@@ -542,6 +578,21 @@ class TestTrainMany:
         for result, want in zip(got, alone):
             assert_same_run(result, want)
 
+    def test_norms_taken_once(self, small_train_set, monkeypatch):
+        # ||A||_F^2 of each train matrix, once per train_many, for both scoring
+        # passes and every step of every group
+        calls, real = [], linalg.frobenius_norm
+        for module in [m for name, m in sys.modules.items() if name.startswith("lrsketch")]:
+            if getattr(module, "frobenius_norm", None) is real:
+                monkeypatch.setattr(module, "frobenius_norm",
+                                    lambda a: calls.append(1) or real(a))
+        cfgs = three_modes() + three_modes(k=3)
+        got = list(trainer.train_many(small_train_set, 4, cfgs))
+        assert len(calls) == len(small_train_set)
+        monkeypatch.undo()
+        for result, cfg in zip(got, cfgs):
+            assert_same_run(result, train(small_train_set, 4, cfg))
+
     def test_failed_initial_scoring_stands_for_its_run(self, small_train_set, monkeypatch):
         # run 1's start cannot be scored; train alone raises the same error,
         # and the others, of both k values, still equal train alone
@@ -569,41 +620,44 @@ class TestTrainMany:
         init, _ = train(small_train_set, 8, quick_cfg(learned_rows=4, seed=3, iterations=0))
         assert np.bincount(init.blocks[0].row_of, minlength=8).min() == 0
 
+    @staticmethod
+    def kernel_calls(monkeypatch):
+        """The slice count of each step kernel call, from here on."""
+        calls, kernel = [], lockstep.sa_loss_and_grad_stack
+        monkeypatch.setattr(lockstep, "sa_loss_and_grad_stack",
+                            lambda a, *args: calls.append(len(a)) or kernel(a, *args))
+        return calls
+
     def test_healthy_group_never_steps_alone(self, small_train_set, monkeypatch):
-        # a group of 4 with full-rank SA and B takes every step stacked
-        def alone(*args):
-            raise AssertionError("stepped alone")
-        monkeypatch.setattr(trainer._Run, "step", alone)
-        list(trainer.train_many(small_train_set, 4, three_modes()[:4]))
+        # a group of 4 takes every step in one kernel call over all its runs
+        calls = self.kernel_calls(monkeypatch)
+        cfgs = three_modes()[:4]
+        list(trainer.train_many(small_train_set, 4, cfgs))
+        assert calls == [len(cfgs)] * cfgs[0].iterations
 
     @pytest.mark.parametrize("kind,m,cfgs", [(None, 8, CASES["empty_row"][2]),
                                              ("zero", 4, CASES["zero_matrix"][2][:4])])
-    def test_deficient_steps_step_alone(self, small_train_set, kind, m, cfgs, monkeypatch):
-        calls = []
-        step = trainer._Run.step
-        monkeypatch.setattr(trainer._Run, "step", lambda *a: calls.append(1) or step(*a))
-        list(trainer.train_many(self.train_set(kind, small_train_set), m, cfgs))
-        assert calls
+    def test_deficient_steps_stay_stacked(self, small_train_set, kind, m, cfgs, monkeypatch):
+        # a run whose SA (a row no column hits) or B (a zero train matrix) is
+        # rank-deficient steps in its group: one kernel call per step
+        train_set = self.train_set(kind, small_train_set)
+        calls = self.kernel_calls(monkeypatch)
+        got = list(trainer.train_many(train_set, m, cfgs))
+        assert calls == [len(cfgs) * cfgs[0].batch_size] * cfgs[0].iterations
+        monkeypatch.undo()
+        for result, cfg in zip(got, cfgs):
+            assert_same_run(result, train(train_set, m, cfg))
 
     def test_healthy_group_builds_no_run(self, small_train_set, monkeypatch):
-        # a group's _Run objects, one scatter index each, are built only to step alone
-        def built(*args):
-            raise AssertionError("a _Run was built")
-        monkeypatch.setattr(lockstep, "_Run", built)
+        # a group lays out its index arrays once, in one Stack, and none per run
+        built, make = [], lockstep.Stack
+        monkeypatch.setattr(lockstep, "Stack", lambda *args: built.append(1) or make(*args))
         cfgs = three_modes()[:4]
-        for result, cfg in zip(trainer.train_many(small_train_set, 4, cfgs), cfgs):
+        got = list(trainer.train_many(small_train_set, 4, cfgs))
+        assert built == [1]
+        monkeypatch.undo()
+        for result, cfg in zip(got, cfgs):
             assert_same_run(result, train(small_train_set, 4, cfg))
-
-    def test_fallback_builds_each_run_once(self, small_train_set, monkeypatch):
-        # every step of this group falls back, and each run builds its _Run once
-        built, make = [], lockstep._Run
-        monkeypatch.setattr(lockstep, "_Run", lambda s, cfg, widths: (
-            built.append((cfg.mode, cfg.seed)) or make(s, cfg, widths)))
-        train_set = self.train_set("zero", small_train_set)
-        cfgs = self.CASES["zero_matrix"][2][:4]
-        for result, cfg in zip(trainer.train_many(train_set, 4, cfgs), cfgs):
-            assert_same_run(result, train(train_set, 4, cfg))
-        assert built and sorted(built) == sorted(set(built))
 
     @staticmethod
     def empty_row_cfgs(m, count):
@@ -616,18 +670,12 @@ class TestTrainMany:
         return [quick_cfg(seed=seed) for want in (True, False)
                 for seed in [s for s in seeds if empty(s) == want][:count]]
 
-    def test_empty_row_steps_alone(self, small_train_set, monkeypatch):
-        # the two runs with an empty row step alone, so their group never falls back
+    def test_empty_row_steps_in_its_group(self, small_train_set, monkeypatch):
+        # the two runs with an empty row step with the two without, in one group
         cfgs = self.empty_row_cfgs(6, 2)
-        alone, sgd = [], trainer._sgd
-        monkeypatch.setattr(trainer, "_sgd", lambda train_set, s, cfg: (
-            alone.append(cfg.seed) or sgd(train_set, s, cfg)))
-
-        def built(*args):
-            raise AssertionError("a lockstep run stepped alone")
-        monkeypatch.setattr(lockstep, "_Run", built)
+        calls = self.kernel_calls(monkeypatch)
         got = list(trainer.train_many(small_train_set, 6, cfgs))
-        assert alone == [cfg.seed for cfg in cfgs[:2]]
+        assert calls == [len(cfgs)] * cfgs[0].iterations
         monkeypatch.undo()
         for result, cfg in zip(got, cfgs):
             assert_same_run(result, train(small_train_set, 6, cfg))
@@ -643,14 +691,19 @@ class TestTrainMany:
         assert str(got.value) == str(want)
         assert next(it, None) is None
 
-    def test_group_steps_on_past_a_failed_run(self, small_train_set, monkeypatch):
-        # run 1 fails; runs 0 and 2 still step as they do alone, taken one at a time
+    def test_group_steps_on_past_a_failed_run(self, small_train_set):
+        # run 1 diverges (lr inf) and drops out with its own error; runs 0 and 2
+        # keep the values and histories they get stepped alone
         cfgs = [quick_cfg(lr=lr, seed=seed) for lr, seed in ((1.0, 5), (math.inf, 6), (1.0, 7))]
         sketches = [trainer._start(12, 4, c)[0] for c in cfgs]
-        out = lockstep.run_lockstep(small_train_set, sketches, cfgs)
-        assert str(out[1]) == str(train_alone(small_train_set, 4, cfgs[1]))
+        mats = np.stack(small_train_set)
+        sq_norms = np.array([frobenius_norm(a) ** 2 for a in mats])
+        out = lockstep.run_lockstep(mats, sq_norms, sketches, cfgs)
+        want = train_alone(small_train_set, 4, cfgs[1])
+        assert type(out[1]) is type(want) is TrainingDivergedError
+        assert str(out[1]) == str(want)
         for i in (0, 2):
-            vals, history = trainer._sgd(small_train_set, sketches[i], cfgs[i])
+            vals, history = lockstep.run_lockstep(mats, sq_norms, [sketches[i]], [cfgs[i]])[0]
             assert out[i][0].tobytes() == vals.tobytes()
             assert out[i][1] == history
             assert np.array(out[i][1]).tobytes() == np.array(history).tobytes()
@@ -666,10 +719,22 @@ class TestTrainMany:
             list(trainer.train_many(train_set, 4, cfgs))
         assert str(got.value) == str(want)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_lapack_never_sees_a_non_finite_slice(self, small_train_set, value, monkeypatch):
+        # LAPACK may hang on one (linalg.require_finite): the slice is zeroed
+        # before it, flagged, and the run raises
+        bad = small_train_set[0].copy()
+        bad[3, 2] = value
+        seen, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: (
+            seen.append(bool(np.isfinite(a).all())) or svd(a, *args, **kw)))
+        with pytest.raises(ValueError, match="SVD input contains non-finite entries"):
+            train(small_train_set[1:] + [bad], 4, quick_cfg())
+        assert seen and all(seen)
+
     def test_learned_rows_checked_before_any_step(self, small_train_set, monkeypatch):
         def stepped(*args):
             raise AssertionError("a run stepped")
-        monkeypatch.setattr(trainer, "_sgd", stepped)
         monkeypatch.setattr(lockstep, "run_lockstep", stepped)
         cfgs = [quick_cfg(), quick_cfg(mode="mixed_separate", learned_rows=0)]
         with pytest.raises(ValueError, match="learned_rows=0"):

@@ -9,12 +9,11 @@ from lrsketch.verify import SEED, check_exact_gradients
 def gradient_without_projector(a, s, k):
     """scw_loss_and_grad with the (I - V V^T) factor dropped: a wrong gradient."""
     a = as_matrix(a)
-    f, b, fb, r = scw._solve(a, apply_sketch(s, a), k)
-    uk = fb.u[:, :r]
-    g_sa = (f.u / f.sigma) @ (b.T @ uk) @ (uk.T @ a)
+    _, (u, sigma, _), _, b, (uk, sk, _), _ = scw._solve(a[None], apply_sketch(s, a)[None], k)
+    uk, sk = uk[0], sk[0]
+    g_sa = (u[0] / sigma[0]) @ (b[0].T @ uk) @ (uk.T @ a)
     g_s = -2.0 * (g_sa @ a.T)
     g_vals = g_s[s.row_of.reshape(-1, s.n), np.arange(s.n)]
-    sk = fb.sigma[:r]
     return frobenius_norm(a) ** 2 - float(sk @ sk), g_vals.ravel()
 
 
