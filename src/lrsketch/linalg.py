@@ -194,19 +194,21 @@ def stack_svd(x: np.ndarray, compute_uv: bool = True):
     rows, r), sigma (R, r) and v (R, cols, r), r = min(rows, cols), each slice
     of u and v Fortran-ordered as `svd` lays them out; without compute_uv,
     (sigma, keep, bad). keep marks the singular values the rank rule keeps, a
-    prefix of each row. bad marks the slices holding a NaN or an infinity: they
+    prefix of each row, or is None when every slice is at full rank. bad marks
+    the slices holding a NaN or an infinity, or is None when none does: they
     are zeroed before LAPACK sees them (see `require_finite`), so come back of
     rank 0, for the caller to raise `non_finite("SVD input")` on."""
-    finite, bad = np.isfinite(x), np.zeros(len(x), dtype=bool)
-    if np.count_nonzero(finite) < x.size:  # count_nonzero: the cheapest test at small sizes
-        bad = ~finite.all(axis=(1, 2))
+    bad = None
+    if np.count_nonzero(np.isfinite(x)) < x.size:  # count_nonzero: the cheapest test at small sizes
+        bad = ~np.isfinite(x).all(axis=(1, 2))
         x = np.where(bad[:, None, None], 0.0, x)
-    if not compute_uv:
-        sigma = np.linalg.svd(x, compute_uv=False)
-        return sigma, sigma > RANK_TOL * sigma[:, :1], bad
-    u, sigma, vt = np.linalg.svd(x, full_matrices=False)
-    u = u.swapaxes(1, 2).copy().swapaxes(1, 2)  # Fortran slices; vt's transpose is already
-    return (u, sigma, vt.swapaxes(1, 2)), sigma > RANK_TOL * sigma[:, :1], bad
+    if compute_uv:
+        u, sigma, vt = np.linalg.svd(x, full_matrices=False)
+        got = u.swapaxes(1, 2).copy().swapaxes(1, 2), sigma, vt.swapaxes(1, 2)  # Fortran slices
+    else:
+        got = sigma = np.linalg.svd(x, compute_uv=False)
+    full = not sigma.shape[1] or np.count_nonzero(sigma[:, -1] > RANK_TOL * sigma[:, 0]) == len(x)
+    return got, None if full else sigma > RANK_TOL * sigma[:, :1], bad
 
 
 def singular_values(a) -> np.ndarray:

@@ -3,12 +3,13 @@
 At the sizes here an SGD step costs numpy's per-call overhead, not
 arithmetic. So `trainer.train_many` steps each group of runs that share
 the trained rows, k, batch size and iteration count together, and a
-lone run as a group of one: one np.bincount takes every run's SA and one
-`scw.sa_loss_and_grad_stack` their losses and gradients. Each run keeps
-its batch stream, mask, lr and history, and gets the values and history
-it gets alone; `train_many` scores the runs itself. A step copies batch
-x runs of the train matrices. `train_many` loads this module on first
-use, so start-up does not compile it.
+lone run as a group of one: one gather copies the step's batch x runs
+train matrices and then each block's, one np.bincount takes every SA
+and one `scw.sa_loss_and_grad_stack` the losses and gradients, whose
+`linalg.stack_svd` calls build no rank mask or non-finite flag (both
+None) unless a slice needs one. Each run keeps its batch stream, mask,
+lr and history, and gets the values and history it gets alone;
+`train_many` scores the runs and loads this module on first use.
 """
 
 from __future__ import annotations
@@ -28,28 +29,27 @@ class Stack:
     times matrix which[g, r], and `blocks` the sketch of each block, whose
     matrix is which[g, blocks]. Each bin gets sketch r's additions in
     scatter_flat's order, so each slice is bit-equal to scatter_flat's.
-    `index` gathers each value's gradient from the (groups * R, m, n) stack
-    of dense gradients, group by group.
+    `index` (groups, values) gathers each value's gradient from the (groups
+    * R, m, n) dense gradients, by `grad_index`; with `flat`, groups x values
+    x d, these index arrays are all it holds.
     """
 
     def __init__(self, sketches, d: int, groups: int):
         m, n, count = sketches[0].m, sketches[0].n, len(sketches)
-        sizes = [s.value_of.shape[0] for s in sketches]
-        self.owner = np.repeat(np.arange(count), sizes)  # sketch of each stored value
+        self.owner = np.repeat(np.arange(count), [s.value_of.shape[0] for s in sketches])
         self.blocks = np.repeat(np.arange(count), [len(s.blocks) for s in sketches])
-        slot = self.owner * m  # first row of each value's sketch in a slice group
-        shift = np.arange(groups)[:, None] * (count * m)
+        slot = self.owner * m + np.arange(groups)[:, None] * (count * m)  # (groups, values)
         rows = np.concatenate([s.row_of for s in sketches]) + slot
-        self.flat = (scatter_index(rows, d) + shift * d).ravel()
-        grads = np.concatenate([grad_index(s) for s in sketches]) + slot * n
-        self.index = (grads + shift * n).ravel()
+        self.flat = scatter_index(rows.ravel(), d)
+        self.index = np.concatenate([grad_index(s) for s in sketches]) + slot * n
         self.shape, self.size = (groups * count, m, d), groups * count * m * d
+        self.weights, self.values = (groups, len(self.blocks), n, d), (len(self.blocks), n, 1)
 
-    def sa(self, vals: np.ndarray, mats: np.ndarray, block_which: np.ndarray) -> np.ndarray:
-        """SA of every slice, given block_which = which[:, blocks]: each block's
-        matrix, gathered and scaled in place (value j of a block scales row j)."""
-        weights = mats.take(block_which, axis=0)
-        np.multiply(vals.reshape(len(self.blocks), mats.shape[1], 1), weights, out=weights)
+    def sa(self, vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """SA of every slice from the (groups * blocks, n, d) stack of the blocks'
+        matrices, scaled in place (value j of a block scales row j)."""
+        weights = weights.reshape(self.weights)
+        np.multiply(vals.reshape(self.values), weights, out=weights)
         out = np.bincount(self.flat, weights.ravel(), minlength=self.size)
         return out.reshape(self.shape).astype(np.float64, copy=False)  # int64 with no values
 
@@ -61,20 +61,20 @@ def run_lockstep(mats: np.ndarray, sq_norms: np.ndarray, sketches, cfgs) -> list
 
     The runs share the trained rows, k, batch size and iteration count;
     each keeps its batch stream, drawn once (`trainer._batches`), mask, lr
-    and history. All runs' values stay in one array, laid out again only
-    when a run drops out, and each step's losses go into one array, reduced
-    to batch means after the last step. A run drops out at its first
-    failure in batch order: a slice whose SA or B is non-finite
-    (ValueError), or a non-finite loss; or after the step, a non-finite
-    value (TrainingDivergedError).
+    and history. The values, and each step's gather index and ||A||_F^2,
+    are laid out once, and again only when a run drops out: at its first
+    failure in batch order, a slice whose SA or B is non-finite (ValueError)
+    or a non-finite loss; or after the step, a non-finite value
+    (TrainingDivergedError). Losses are reduced to batch means at the end.
     """
     k, batch, iterations = cfgs[0].k, cfgs[0].batch_size, cfgs[0].iterations
     out = [None] * len(sketches)
     draws = [_batches(cfg, len(mats)) for cfg in cfgs]
-    losses = np.empty((iterations, len(sketches), batch))
+    losses = np.empty((iterations, batch, len(sketches)))
+    stored = losses.reshape(iterations, batch * len(sketches))  # a view: (step, batch x run)
     live, stack = list(range(len(sketches))), None
     vals = np.concatenate([s.value_of for s in sketches])
-    for step in range(1, iterations + 1):
+    for step in range(iterations):
         if stack is None:  # laid out again when a run drops out
             if not live:
                 break
@@ -82,30 +82,32 @@ def run_lockstep(mats: np.ndarray, sq_norms: np.ndarray, sketches, cfgs) -> list
             mask = np.concatenate([sketches[r].trainable_mask for r in live])
             lr = np.array([cfgs[r].lr for r in live], dtype=np.float64)[stack.owner]
             batches = np.stack([draws[r] for r in live], axis=2)  # (step, batch, run)
-            block_batches = batches[:, :, stack.blocks]
-            cols = np.array(live) if len(live) < len(sketches) else slice(None)
-        which = batches[step - 1]  # (batch, runs): each slice's matrix
-        slices = which.ravel()
-        got, grads, bad = sa_loss_and_grad_stack(mats.take(slices, axis=0), stack.sa(
-            vals, mats, block_batches[step - 1]), k, sq_norms.take(slices))
-        got, bad = got.reshape(batch, -1), bad.reshape(batch, -1)
-        losses[step - 1][cols] = got.T
-        grad = np.zeros(vals.shape[0])
-        for row in grads.take(stack.index).reshape(batch, -1):  # in batch order
-            grad += row
+            slices, count = batches.reshape(iterations, -1), batch * len(live)
+            blocks = batches[:, :, stack.blocks].reshape(iterations, -1)
+            gather, norms = np.concatenate([slices, blocks], axis=1), sq_norms[slices]
+            cols = slice(None) if len(live) == len(sketches) else (
+                np.arange(batch)[:, None] * len(sketches) + live).ravel()  # in stored
+        both = mats.take(gather[step], axis=0)
+        got, grads, bad = sa_loss_and_grad_stack(both[:count], stack.sa(vals, both[count:]), k,
+                                                 norms[step])
+        stored[step, cols] = got
+        grad = np.add.reduce(grads.take(stack.index), axis=0)  # from +0.0, in batch order
         grad /= batch
-        vals = np.where(mask, vals - lr * grad, vals)
-        failed, finite = {}, np.isfinite(vals)
-        if np.count_nonzero(bad) or np.count_nonzero(np.isfinite(got)) < got.size:
-            fail = bad | ~np.isfinite(got)
-            for p in np.flatnonzero(fail.any(axis=0)):  # each run's first failure in batch order
-                j = int(fail[:, p].argmax())
-                failed[p] = non_finite("SVD input") if bad[j, p] else TrainingDivergedError(
-                    f"non-finite loss at iteration {step} (matrix {which[j, p]}); lower lr")
-        if np.count_nonzero(finite) < finite.size:
-            for p in np.flatnonzero(np.bincount(stack.owner[~finite], minlength=len(live))):
-                failed.setdefault(p, TrainingDivergedError(
-                    f"non-finite sketch values after iteration {step}; lower lr"))
+        np.subtract(vals, np.multiply(lr, grad, out=grad), out=vals, where=mask)
+        finite = np.isfinite(vals)
+        if bad is None and np.count_nonzero(np.isfinite(got)) == got.size and \
+                np.count_nonzero(finite) == finite.size:
+            continue
+        which, failed = batches[step], {}
+        bad = np.zeros(which.shape, dtype=bool) if bad is None else bad.reshape(which.shape)
+        fail = bad | ~np.isfinite(got).reshape(which.shape)
+        for p in np.flatnonzero(fail.any(axis=0)):  # each run's first failure in batch order
+            j = int(fail[:, p].argmax())
+            failed[p] = non_finite("SVD input") if bad[j, p] else TrainingDivergedError(
+                f"non-finite loss at iteration {step + 1} (matrix {which[j, p]}); lower lr")
+        for p in np.flatnonzero(np.bincount(stack.owner[~finite], minlength=len(live))):
+            failed.setdefault(p, TrainingDivergedError(
+                f"non-finite sketch values after iteration {step + 1}; lower lr"))
         if failed:  # the failed runs drop out, their values with them
             for p, exc in failed.items():
                 out[live[p]] = exc
@@ -113,6 +115,6 @@ def run_lockstep(mats: np.ndarray, sq_norms: np.ndarray, sketches, cfgs) -> list
             live, stack = [r for p, r in enumerate(live) if p not in failed], None
     bounds = np.cumsum([sketches[r].value_of.shape[0] for r in live])[:-1]
     for r, v in zip(live, np.split(vals, bounds)):
-        means = np.ascontiguousarray(losses[:, r]).sum(axis=1) / batch  # as np.mean sums
+        means = np.ascontiguousarray(losses[:, :, r]).sum(axis=1) / batch  # as np.mean sums
         out[r] = v, list(zip(range(1, iterations + 1), means.tolist()))
     return out

@@ -40,50 +40,49 @@ def _t(x: np.ndarray) -> np.ndarray:
 
 def _sa_svd(sa: np.ndarray):
     """`linalg.stack_svd` of an (R, m, d) stack of SA, each slice cut to its rank
-    by masks: ((u, sigma, v), keep, bad) with V's columns past the rank zeroed
-    and sigma there set to inf, so that dividing by it reads 0. A stack whose
-    slices are all of full rank is left as LAPACK gave it."""
+    by masks: V's columns past it zeroed and sigma there set to inf, so that
+    dividing by it reads 0; at full rank everywhere (keep None), left as is."""
     (u, sigma, v), keep, bad = stack_svd(sa)
-    if np.count_nonzero(keep) < keep.size:
+    if keep is not None:
         np.multiply(v, keep[:, None, :], out=v)
         sigma[~keep] = np.inf
     return (u, sigma, v), keep, bad
 
 
-def _top(b: np.ndarray, k: int, compute_uv: bool = True):
+def _top(b: np.ndarray, k: int, bad, compute_uv: bool = True):
     """`linalg.stack_svd` of an (R, n, r) stack of B = AV kept to each slice's
     top min(k, rank B) triples: (u, sigma, v) cut to min(k, r) columns, u and
     sigma zeroed past the slice's rank (sigma alone without compute_uv), and
-    the (R,) flags of the non-finite slices."""
-    got, keep, bad = stack_svd(b, compute_uv)
-    top = keep[:, :k]
+    the flags of the slices flagged in bad (SA's) or of non-finite B, or None."""
+    got, keep, more = stack_svd(b, compute_uv)
     u, sigma, v = ((got[0][..., :k], got[1][:, :k], got[2][..., :k]) if compute_uv
                    else (None, got[:, :k], None))
-    if np.count_nonzero(top) < top.size:
+    if keep is not None and np.count_nonzero(top := keep[:, :k]) < top.size:
         sigma *= top
         if compute_uv:
             u *= top[:, None, :]
-    return ((u, sigma, v) if compute_uv else sigma), bad
+    return ((u, sigma, v) if compute_uv else sigma), (
+        bad if more is None else more if bad is None else bad | more)
 
 
-def _finite(x: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """x with its non-finite entries zeroed if a slice is flagged in bad: a
+def _finite(x: np.ndarray, bad) -> np.ndarray:
+    """x with its non-finite entries zeroed if some slice is flagged in bad: a
     flagged slice's factors are zero, so no inf * 0 reaches a product."""
-    return np.where(np.isfinite(x), x, 0.0) if np.count_nonzero(bad) else x
+    return x if bad is None else np.where(np.isfinite(x), x, 0.0)
 
 
 def _solve(a: np.ndarray, sa: np.ndarray, k: int):
     """The pipeline's two SVDs over (R, n, d) and (R, m, d) stacks of A and SA:
     (A, SA's factors and keep mask from `_sa_svd`, B = AV, B's top factors from
-    `_top`, and the (R,) flags of the slices whose SA or B was non-finite, with
-    `_finite` applied to A and B)."""
+    `_top`, and the (R,) flags of the slices whose SA or B was non-finite, or
+    None, with `_finite` applied to A and B)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     f, keep, bad = _sa_svd(sa)
     a = _finite(a, bad)
     b = a @ f[2]
-    fb, bad_b = _top(b, k)
-    return a, f, keep, _finite(b, bad_b), fb, bad | bad_b
+    fb, bad = _top(b, k, bad)
+    return a, f, keep, _finite(b, bad), fb, bad
 
 
 def _sq(sq_norms: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -112,10 +111,10 @@ def scw_approximate(a, s: SparseSketch | DenseSketch, k: int) -> ScwOutput:
     """
     a = as_matrix(a)
     _, (u, sigma, v), keep, _, fb, bad = _solve(a[None], apply_sketch(s, a)[None], k)
-    if bad[0]:
+    if bad is not None:
         raise non_finite("SVD input")
     approx = _approx(v, fb)[0]
-    r = int(np.count_nonzero(keep))
+    r = sigma.shape[1] if keep is None else int(np.count_nonzero(keep))
     return ScwOutput(approx, signed(u[0, :, :r], sigma[0, :r], v[0, :, :r]).v,
                      frobenius_norm(a - approx))
 
@@ -127,10 +126,9 @@ def scw_loss(a, s: SparseSketch | DenseSketch, k: int) -> float:
 def sa_loss_and_grad_stack(a: np.ndarray, sa: np.ndarray, k: int, sq_norms: np.ndarray):
     """The SGD step kernel over (R, n, d) and (R, m, d) float64 stacks of A and
     SA and the (R,) ||A||_F^2: (R,) squared losses, (R, m, n) dense gradients
-    dL/dS and the (R,) flags of the slices whose SA or B was non-finite, whose
-    loss and gradient mean nothing. It builds no approximation and no residual.
-    Each slice has its own rank; a slice at full rank gives the bytes it gives
-    alone in a stack of one.
+    dL/dS and the (R,) flags (or None) of the slices whose SA or B was
+    non-finite, whose loss and gradient mean nothing. It builds no approximation
+    or residual. A slice at full rank has the bytes of its stack of one.
     """
     a, f, _, b, (uk, sk, _), bad = _solve(a, sa, k)
     return _sq(sq_norms, sk), _grad_s(a, f, b, uk), bad
@@ -139,15 +137,12 @@ def sa_loss_and_grad_stack(a: np.ndarray, sa: np.ndarray, k: int, sq_norms: np.n
 def _pass(mats, sketches, k: int, compute_uv: bool = True):
     """A scoring pass over matrices of one shape: of every slice t * R + i
     (sketch i on matrix t), SA's factors from one apply_sketches and one
-    `_sa_svd`, B's top factors (sigma alone without compute_uv) from one
-    `_top` of every B = AV, built per matrix with each A read in place, and
-    the (T * R,) flags of the slices whose SA or B was non-finite."""
+    `_sa_svd`, then B's top factors (sigma alone without compute_uv) and the
+    flags from one `_top` of every B = AV, built per matrix reading A in place."""
     f, _, bad = _sa_svd(apply_sketches(sketches, mats))
-    count = len(sketches)
-    v = f[2].reshape(len(mats), count, *f[2].shape[1:])
+    v = f[2].reshape(len(mats), len(sketches), *f[2].shape[1:])
     b = np.concatenate([_finite(a, bad) @ v_t for a, v_t in zip(mats, v)])
-    fb, bad_b = _top(b, k, compute_uv)
-    return f, fb, bad | bad_b
+    return (f, *_top(b, k, bad, compute_uv))
 
 
 def _scw_loss_pass(mats, sketches, k: int):
@@ -185,9 +180,10 @@ def _scores(mats, sketches, k: int, score) -> np.ndarray:
     for ts in shapes.values() if k >= 1 else ():
         ids = np.flatnonzero(~fail[:, ts[0]])  # the sketches that fit these matrices
         if ids.size:
-            got = score(ts, [sketches[i] for i in ids])
-            out[ids[:, None], ts], fail[ids[:, None], ts] = (
-                x.reshape(len(ts), ids.size).T for x in got)
+            got, bad = score(ts, [sketches[i] for i in ids])
+            out[ids[:, None], ts] = got.reshape(len(ts), ids.size).T
+            if bad is not None:
+                fail[ids[:, None], ts] = bad.reshape(len(ts), ids.size).T
     if np.count_nonzero(fail):
         i, t = divmod(int(fail.argmax()), len(mats))
         require_fits(sketches[i], mats[t])
@@ -232,7 +228,7 @@ def scw_loss_and_grad(a, s: SparseSketch, k: int) -> tuple[float, np.ndarray]:
     a = as_matrix(a)
     losses, grads, bad = sa_loss_and_grad_stack(
         a[None], apply_sketch(s, a)[None], k, np.array([frobenius_norm(a) ** 2]))
-    if bad[0]:
+    if bad is not None:
         raise non_finite("SVD input")
     return float(losses[0]), grads[0].take(grad_index(s))
 

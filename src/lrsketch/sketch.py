@@ -196,7 +196,7 @@ def apply_sketches(sketches, mats) -> np.ndarray:
     (n, d), count, m = mats[0].shape, len(sketches), sketches[0].m
     if any(a.shape != (n, d) for a in mats):
         raise ValueError(f"matrices differ in shape: {sorted({a.shape for a in mats})}")
-    out = np.empty((len(mats) * count, m, d))
+    out = np.empty((len(mats), count, m, d))
     sparse = []
     for i, s in enumerate(sketches):
         if s.m != m:
@@ -205,15 +205,14 @@ def apply_sketches(sketches, mats) -> np.ndarray:
             sparse.append(i)
         else:  # dense, or a column count apply_sketch rejects
             for t, a in enumerate(mats):
-                out[t * count + i] = apply_sketch(s, a)
+                out[t, i] = apply_sketch(s, a)
     if sparse:
         vals = np.concatenate([sketches[i].value_of for i in sparse])
         flat = scatter_index(np.concatenate(
             [sketches[i].row_of + j * m for j, i in enumerate(sparse)]), d)
         for t, a in enumerate(mats):
-            sa = scatter_flat(vals, flat, len(sparse) * m, a)
-            out[[t * count + i for i in sparse]] = sa.reshape(len(sparse), m, d)
-    return out
+            out[t, sparse] = scatter_flat(vals, flat, len(sparse) * m, a).reshape(len(sparse), m, d)
+    return out.reshape(len(mats) * count, m, d)
 
 
 def densify(s: SparseSketch) -> np.ndarray:

@@ -275,9 +275,25 @@ class TestCanonicalAgainstSorting:
 
 
 def stack_factors(x):
-    """stack_svd of the stack x with its (u, sigma, v) as one SvdFactors."""
+    """stack_svd of the stack x with its (u, sigma, v) as one SvdFactors, and
+    its keep and bad masks spelt out (`spelt_out`)."""
     factors, keep, bad = stack_svd(x)
-    return SvdFactors(*factors), keep, bad
+    return SvdFactors(*factors), *spelt_out(factors[1], keep, bad)
+
+
+def spelt_out(sigma, keep, bad):
+    """stack_svd's keep and bad as arrays: keep None stands for every singular
+    value kept and bad None for no slice flagged, and each is None exactly
+    then (a mask is built only when some slice needs it)."""
+    if keep is None:
+        keep = np.ones(sigma.shape, dtype=bool)
+    else:
+        assert keep.shape == sigma.shape and not keep.all()
+    if bad is None:
+        bad = np.zeros(len(sigma), dtype=bool)
+    else:
+        assert bad.shape == (len(sigma),) and bad.any()
+    return keep, bad
 
 
 def unsigned_svd(a) -> SvdFactors:
@@ -411,6 +427,7 @@ class TestUnsignedSvd:
         a = rng_from(75).standard_normal((3, 8, 5))
         a[2] = 0.0
         sigma, keep, bad = stack_svd(a, compute_uv=False)
+        keep, bad = spelt_out(sigma, keep, bad)
         assert sigma.tobytes() == np.linalg.svd(a, compute_uv=False).tobytes()
         assert keep.sum(axis=1).tolist() == [5, 5, 0] and not bad.any()
 

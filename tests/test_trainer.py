@@ -140,6 +140,18 @@ class TestBitIdenticalToReferenceLoop:
         train_set = [np.asfortranarray(a) for a in small_train_set]
         assert_trains_like_reference(train_set, 4, quick_cfg(batch_size=3))
 
+    # the shape the SGD step's speed is measured at: 64x48, k=4, m=8
+    BENCH_SPEC = DatasetSpec(name="sgd", kind="spiked", n=64, d=48, count_train=4, count_test=2,
+                             spikes=4, decay=0.8, noise=0.1, drift=0.05, seed=0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_benchmark_shape(self, mode):
+        train_set, _ = generate_dataset(self.BENCH_SPEC)
+        cfg = TrainConfig(k=4, lr=1.0, batch_size=1, iterations=40, seed=11, mode=mode,
+                          learned_rows=4)
+        rep = assert_trains_like_reference(train_set, 8, cfg)
+        assert len(rep.loss_history) == 40 and rep.final_loss < rep.initial_loss
+
 
 class TestMixedColumnCounts:
     # a train set shares one shape: a union of 32x24 and 32x20 matrices is
@@ -707,6 +719,43 @@ class TestTrainMany:
             assert out[i][0].tobytes() == vals.tobytes()
             assert out[i][1] == history
             assert np.array(out[i][1]).tobytes() == np.array(history).tobytes()
+
+    def test_failures_in_one_step_keep_their_own_errors(self, small_train_set):
+        # batch 3, one train matrix non-finite: at step 1 one run meets it
+        # (ValueError) and one diverges at lr=inf, while a third steps on;
+        # each gets what it gets as a group of one, called directly
+        mats = np.stack(small_train_set)
+        mats[4, 2, 3] = math.inf
+        sq_norms = np.array([frobenius_norm(a) ** 2 for a in small_train_set])
+        sq_norms[4] = frobenius_norm(mats[4]) ** 2
+
+        def first(cfg_of, meets, ever=False):
+            """The first cfg_of(seed) whose step-1 batch (every batch if ever)
+            holds matrix 4 exactly when meets says it does."""
+            for seed in range(200):
+                cfg = cfg_of(seed)
+                draws = trainer._batches(cfg, len(mats))
+                if (4 in (draws if ever else draws[:1])) == meets:
+                    return cfg
+            raise AssertionError("no seed")
+
+        cfgs = [first(lambda s: quick_cfg(batch_size=3, iterations=8, seed=s), True),
+                first(lambda s: quick_cfg(batch_size=3, iterations=8, seed=s, lr=math.inf),
+                      False),
+                first(lambda s: quick_cfg(batch_size=3, iterations=8, seed=s), False, True)]
+        assert trainer._batches(cfgs[0], len(mats))[0].tolist().index(4) > 0  # not first
+        sketches = [trainer._start(12, 4, c)[0] for c in cfgs]
+        out = lockstep.run_lockstep(mats, sq_norms, sketches, cfgs)
+        alone = [lockstep.run_lockstep(mats, sq_norms, [s], [c])[0]
+                 for s, c in zip(sketches, cfgs)]
+        assert type(out[0]) is type(alone[0]) is ValueError
+        assert str(out[0]) == str(alone[0]) == "SVD input contains non-finite entries"
+        assert type(out[1]) is type(alone[1]) is TrainingDivergedError
+        assert str(out[1]) == str(alone[1]) == \
+            "non-finite sketch values after iteration 1; lower lr"
+        assert out[2][0].tobytes() == alone[2][0].tobytes()
+        assert np.array(out[2][1]).tobytes() == np.array(alone[2][1]).tobytes()
+        assert len(out[2][1]) == 8
 
     def test_non_finite_sa_raises_value_error(self, small_train_set):
         bad = small_train_set[0].copy()
