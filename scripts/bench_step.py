@@ -9,9 +9,9 @@ At 64x48, k=4, m=8 (the spiked_bundle shape, 4 train matrices) it times
 apply_sketch, svd of SA (and np.linalg.svd alone on the same SA), svd_b
 (the SVD of B = AV as the step takes it: linalg.stack_svd of a stack of
 one), scw_loss, scw_loss_and_grad, step_kernel (what an SGD step of a
-lone run runs: lockstep's Stack.sa, sa_loss_and_grad_stack on a stack of
-one and the gradient's gather, with the index arrays and ||A||_F^2 taken
-beforehand), optimal_loss of the 4 train matrices,
+lone run runs: the gather of its train matrix, lockstep's Stack.sa,
+sa_loss_and_grad_stack on a stack of one and the gradient's gather, with
+the Stack and ||A||_F^2 built beforehand), optimal_loss of the 4 train matrices,
 normalize_top_singular of one matrix scaled by 2, generate_dataset of
 that 5-matrix spec, one SGD step and a 40-iteration learned train, with
 BLAS pinned to one thread. sweep_4_cells is one sweep shaped like
@@ -73,9 +73,11 @@ round. Both trees' quartiles are stored ("us" and "scaled_us" for the
 imported tree, the same under "against" for DIR, with DIR as given under
 "tree"), and "ratio" gives the
 quartiles of the per-round ratio imported / DIR, in which drift between
-rounds cancels. step_kernel and step_kernel_stack4 call both trees'
-Stack.sa(vals, weights), so DIR must share that signature: before the
-one-gather step, Stack.sa gathered the block matrices itself. import_cli
+rounds cancels. step_kernel and step_kernel_stack4 build both trees'
+lockstep.Stack(sketches, groups) and call Stack.sa(vals, a) on the step's
+gathered train matrices, so DIR must share those two signatures. Trees
+from before SA went through BLAS do not: their Stack took (sketches, d,
+groups) and their Stack.sa the block matrices, scaled in place. import_cli
 is not timed in this mode.
 """
 
@@ -171,19 +173,18 @@ class Tree:
         return lambda: self.lr.scw.scw_losses(test, sketches, LARGE_K)
 
     def stacked_step(self, mats: np.ndarray, sketches, k: int):
-        """One lockstep step's SA and kernel for sketches, run r on matrix r: one
-        Stack.sa, one sa_loss_and_grad_stack and the gradient's gather."""
+        """One lockstep step for sketches, run r on matrix r: the gather of the
+        matrices, one Stack.sa, one sa_loss_and_grad_stack and the gradient's
+        gather."""
         lockstep, kernel = self.lr.lockstep, self.lr.scw.sa_loss_and_grad_stack
-        stack = lockstep.Stack(sketches, mats.shape[2], 1)
+        stack = lockstep.Stack(sketches, 1)
         vals = np.concatenate([s.value_of for s in sketches])
         slices = np.arange(len(sketches)) % len(mats)
         sq_norms = np.array([self.lr.linalg.frobenius_norm(x) ** 2 for x in mats])
-        gather = np.concatenate([slices, slices[stack.blocks]])
 
         def step():
-            both = mats.take(gather, axis=0)
-            return kernel(both[:len(slices)], stack.sa(vals, both[len(slices):]), k,
-                          sq_norms.take(slices))[1].take(stack.index)
+            a = mats.take(slices, axis=0)
+            return kernel(a, stack.sa(vals, a), k, sq_norms.take(slices))[1].take(stack.index)
         return step
 
     def step_kernel(self, a: np.ndarray, k: int, m: int):

@@ -4,12 +4,13 @@ At the sizes here an SGD step costs numpy's per-call overhead, not
 arithmetic. So `trainer.train_many` steps each group of runs that share
 the trained rows, k, batch size and iteration count together, and a
 lone run as a group of one: one gather copies the step's batch x runs
-train matrices and then each block's, one np.bincount takes every SA
-and one `scw.sa_loss_and_grad_stack` the losses and gradients, whose
-`linalg.stack_svd` calls build no rank mask or non-finite flag (both
-None) unless a slice needs one. Each run keeps its batch stream, mask,
-lr and history, and gets the values and history it gets alone;
-`train_many` scores the runs and loads this module on first use.
+train matrices, one put of the values into the runs' dense patterns and
+one P @ A take every SA, and one `scw.sa_loss_and_grad_stack` the losses
+and gradients, whose `linalg.stack_svd` calls build no rank mask or
+non-finite flag (both None) unless a slice needs one. Each run keeps its
+batch stream, mask, lr and history, and gets the values and history it
+gets alone; `train_many` scores the runs and loads this module on first
+use.
 """
 
 from __future__ import annotations
@@ -18,40 +19,33 @@ import numpy as np
 
 from .linalg import non_finite
 from .scw import sa_loss_and_grad_stack
-from .sketch import grad_index, scatter_index
+from .sketch import grad_index
 from .trainer import TrainingDivergedError, _batches
 
 
 class Stack:
     """Sketches of one row count m over n columns, their stored values laid
     end to end, set up to take SA of `groups` matrices per sketch in one
-    np.bincount: slice g * R + r of the (groups * R, m, d) stack is sketch r
-    times matrix which[g, r], and `blocks` the sketch of each block, whose
-    matrix is which[g, blocks]. Each bin gets sketch r's additions in
-    scatter_flat's order, so each slice is bit-equal to scatter_flat's.
-    `index` (groups, values) gathers each value's gradient from the (groups
-    * R, m, n) dense gradients, by `grad_index`; with `flat`, groups x values
-    x d, these index arrays are all it holds.
+    P @ A, each slice bit-equal to `sketch.apply_sketch`'s. `index` (groups,
+    values) gathers each value's gradient from the (groups * R, m, n) dense
+    gradients, by `grad_index`, and its first row puts the values into
+    `pattern`, the (R, m, n) stack of the sketches' dense matrices.
     """
 
-    def __init__(self, sketches, d: int, groups: int):
+    def __init__(self, sketches, groups: int):
         m, n, count = sketches[0].m, sketches[0].n, len(sketches)
         self.owner = np.repeat(np.arange(count), [s.value_of.shape[0] for s in sketches])
-        self.blocks = np.repeat(np.arange(count), [len(s.blocks) for s in sketches])
         slot = self.owner * m + np.arange(groups)[:, None] * (count * m)  # (groups, values)
-        rows = np.concatenate([s.row_of for s in sketches]) + slot
-        self.flat = scatter_index(rows.ravel(), d)
         self.index = np.concatenate([grad_index(s) for s in sketches]) + slot * n
-        self.shape, self.size = (groups * count, m, d), groups * count * m * d
-        self.weights, self.values = (groups, len(self.blocks), n, d), (len(self.blocks), n, 1)
+        self.pattern = np.zeros((count, m, n))
 
-    def sa(self, vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """SA of every slice from the (groups * blocks, n, d) stack of the blocks'
-        matrices, scaled in place (value j of a block scales row j)."""
-        weights = weights.reshape(self.weights)
-        np.multiply(vals.reshape(self.values), weights, out=weights)
-        out = np.bincount(self.flat, weights.ravel(), minlength=self.size)
-        return out.reshape(self.shape).astype(np.float64, copy=False)  # int64 with no values
+    def sa(self, vals: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """SA of every slice of the (groups * R, n, d) stack a: vals put into
+        the patterns, then one P @ A broadcast over the groups."""
+        self.pattern.put(self.index[0], vals)
+        count, n, d = self.pattern.shape[0], *a.shape[1:]
+        out = self.pattern @ a.reshape(-1, count, n, d)
+        return out.reshape(-1, *out.shape[2:])
 
 
 def run_lockstep(mats: np.ndarray, sq_norms: np.ndarray, sketches, cfgs) -> list:
@@ -66,6 +60,9 @@ def run_lockstep(mats: np.ndarray, sq_norms: np.ndarray, sketches, cfgs) -> list
     failure in batch order, a slice whose SA or B is non-finite (ValueError)
     or a non-finite loss; or after the step, a non-finite value
     (TrainingDivergedError). Losses are reduced to batch means at the end.
+    A matrix holding a NaN or an infinity, found once from the norms, is
+    zeroed there, as the kernel zeroes it, and its SA set to NaN: no product
+    meets 0 * inf.
     """
     k, batch, iterations = cfgs[0].k, cfgs[0].batch_size, cfgs[0].iterations
     out = [None] * len(sketches)
@@ -74,22 +71,26 @@ def run_lockstep(mats: np.ndarray, sq_norms: np.ndarray, sketches, cfgs) -> list
     stored = losses.reshape(iterations, batch * len(sketches))  # a view: (step, batch x run)
     live, stack = list(range(len(sketches))), None
     vals = np.concatenate([s.value_of for s in sketches])
+    flagged = None  # the non-finite matrices; a matrix with a finite norm is finite
+    if not np.isfinite(sq_norms).all():
+        flagged, mats = ~np.isfinite(mats).all(axis=(1, 2)), np.where(np.isfinite(mats), mats, 0.0)
     for step in range(iterations):
         if stack is None:  # laid out again when a run drops out
             if not live:
                 break
-            stack = Stack([sketches[r] for r in live], mats.shape[2], batch)
+            stack = Stack([sketches[r] for r in live], batch)
             mask = np.concatenate([sketches[r].trainable_mask for r in live])
             lr = np.array([cfgs[r].lr for r in live], dtype=np.float64)[stack.owner]
             batches = np.stack([draws[r] for r in live], axis=2)  # (step, batch, run)
-            slices, count = batches.reshape(iterations, -1), batch * len(live)
-            blocks = batches[:, :, stack.blocks].reshape(iterations, -1)
-            gather, norms = np.concatenate([slices, blocks], axis=1), sq_norms[slices]
+            slices = batches.reshape(iterations, -1)
+            norms = sq_norms[slices]
             cols = slice(None) if len(live) == len(sketches) else (
                 np.arange(batch)[:, None] * len(sketches) + live).ravel()  # in stored
-        both = mats.take(gather[step], axis=0)
-        got, grads, bad = sa_loss_and_grad_stack(both[:count], stack.sa(vals, both[count:]), k,
-                                                 norms[step])
+        a = mats.take(slices[step], axis=0)
+        sa = stack.sa(vals, a)
+        if flagged is not None:
+            sa[flagged[slices[step]]] = np.nan  # flagged by the kernel's stack_svd
+        got, grads, bad = sa_loss_and_grad_stack(a, sa, k, norms[step])
         stored[step, cols] = got
         grad = np.add.reduce(grads.take(stack.index), axis=0)  # from +0.0, in batch order
         grad /= batch

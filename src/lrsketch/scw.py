@@ -171,12 +171,20 @@ def _scores(mats, sketches, k: int, score) -> np.ndarray:
     pass per matrix shape over the sketches that fit it, which gives the scores
     and flags of its slices t * R + i. It raises what a loop over the slices,
     sketch by sketch, raises first: a sketch that does not fit the matrix,
-    k < 1, or a non-finite SA or B."""
+    k < 1, or a non-finite SA or B; when every sketch fits, k >= 1 and a flag
+    is the one error there is, so the failure table is not built."""
     out = np.empty((len(sketches), len(mats)))
-    fail = np.not_equal.outer([s.n for s in sketches], [a.shape[0] for a in mats]) | (k < 1)
     shapes = {}
     for t, a in enumerate(mats):
         shapes.setdefault(a.shape, []).append(t)
+    if k >= 1 and sketches and all(s.n == n for n, _ in shapes for s in sketches):
+        for ts in shapes.values():
+            got, bad = score(ts, sketches)
+            if bad is not None:
+                raise non_finite("SVD input")
+            out[:, ts] = got.reshape(len(ts), -1).T
+        return out
+    fail = np.not_equal.outer([s.n for s in sketches], [a.shape[0] for a in mats]) | (k < 1)
     for ts in shapes.values() if k >= 1 else ():
         ids = np.flatnonzero(~fail[:, ts[0]])  # the sketches that fit these matrices
         if ids.size:

@@ -141,31 +141,24 @@ def empty_sketch(n: int) -> SparseSketch:
     return SparseSketch(n, ())
 
 
-def scatter_index(rows: np.ndarray, d: int) -> np.ndarray:
-    """Flat output index rows[j] * d + c of update (j, c) in scatter_rows's m x d output."""
-    return (rows[:, None] * d + np.arange(d)).ravel()
-
-
 def grad_index(s: SparseSketch) -> np.ndarray:
-    """Flat index row_of[j] * n + j % n of each stored value in the m x n dL/dS."""
+    """Flat index row_of[j] * n + j % n of each stored value in the m x n dL/dS,
+    or in the m x n dense pattern `densify` puts the values into."""
     return (s.row_of.reshape(len(s.blocks), s.n) * s.n + np.arange(s.n)).ravel()
 
 
 def scatter_rows(values: np.ndarray, rows: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
     """Accumulate values[j] * a[j % n] into output row rows[j], n = len(a).
 
-    values and rows run block by block, n per block. One np.bincount over
-    the flat output indices: it adds the updates in ascending j from +0.0,
-    so each output row accumulates in ascending column order, matching
-    matmul against the densified sketch bit for bit.
+    values and rows run block by block, n per block, and two values may hit
+    one entry (the taped oracle's SA). One np.bincount over the flat output
+    indices rows[j] * d + c: it adds the updates in ascending j from +0.0,
+    so each output row accumulates in ascending column order, matching the
+    per-value loop and the fixed-order `linalg.matmul` bit for bit.
     """
-    return scatter_flat(values, scatter_index(rows, a.shape[1]), m, a)
-
-
-def scatter_flat(values: np.ndarray, flat: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
-    """scatter_rows with its index prebuilt: flat = scatter_index(rows, a.shape[1])."""
     n, d = a.shape
     weights = values.reshape(len(values) // max(n, 1), n, 1) * a  # n may be 0
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
     out = np.bincount(flat, weights=weights.ravel(), minlength=m * d)
     return out.reshape(m, d).astype(np.float64, copy=False)  # int64 when there are no values
 
@@ -176,52 +169,42 @@ def require_fits(s: SparseSketch | DenseSketch, a: np.ndarray) -> None:
         raise ValueError(f"sketch has n={s.n} but matrix has {a.shape[0]} rows")
 
 
+def densify(s: SparseSketch) -> np.ndarray:
+    """The m x n matrix of a sparse sketch: value_of put at grad_index(s)."""
+    out = np.zeros((s.m, s.n))
+    out.put(grad_index(s), s.value_of)
+    return out
+
+
 def apply_sketch(s: SparseSketch | DenseSketch, a) -> np.ndarray:
-    """Compute S @ a without densifying sparse sketches."""
-    a = as_matrix(a)
-    require_fits(s, a)
-    if isinstance(s, DenseSketch):
-        return s.matrix @ a
-    return scatter_rows(s.value_of, s.row_of, s.m, a)
+    """S @ a: `apply_sketches` of the one sketch on the one matrix."""
+    return apply_sketches([s], [as_matrix(a)])[0]
 
 
 def apply_sketches(sketches, mats) -> np.ndarray:
-    """apply_sketch(sketches[i], mats[t]) of one or more sketches of one row
-    count m on one or more matrices of one shape, as a (T * R, m, d) stack
-    whose slice t * R + i is sketch i on matrix t, bit-equal. The sparse
-    sketches' values and the scatter index of their rows, sketch j's offset by
-    j * m, are built once; each matrix then takes one scatter, so each bin gets
-    its own sketch's additions in order, and only one matrix's weights are held."""
-    mats = [as_matrix(a) for a in mats]
-    (n, d), count, m = mats[0].shape, len(sketches), sketches[0].m
+    """S_i @ A_t of one or more sketches of one row count m on one or more
+    matrices of one shape, 2-D float64 in C order as `as_matrix` returns them,
+    as a (T * R, m, d) stack whose slice t * R + i is sketch i on matrix t.
+    The (R, m, n) stack of the sketches' dense matrices (`densify`) is built
+    once; each matrix then takes one BLAS P @ A, which BLAS takes slice by
+    slice, so a slice has the bytes of its stack of one. A matrix holding a
+    NaN or an infinity, which would meet P's zeros as 0 * inf, gets NaN."""
+    (n, d), m = mats[0].shape, sketches[0].m
     if any(a.shape != (n, d) for a in mats):
         raise ValueError(f"matrices differ in shape: {sorted({a.shape for a in mats})}")
-    out = np.empty((len(mats), count, m, d))
-    sparse = []
+    p = np.zeros((len(sketches), m, n))
     for i, s in enumerate(sketches):
         if s.m != m:
             raise ValueError(f"sketch {i} has {s.m} rows, expected {m}")
-        if isinstance(s, SparseSketch) and s.n == n:
-            sparse.append(i)
-        else:  # dense, or a column count apply_sketch rejects
-            for t, a in enumerate(mats):
-                out[t, i] = apply_sketch(s, a)
-    if sparse:
-        vals = np.concatenate([sketches[i].value_of for i in sparse])
-        flat = scatter_index(np.concatenate(
-            [sketches[i].row_of + j * m for j, i in enumerate(sparse)]), d)
-        for t, a in enumerate(mats):
-            out[t, sparse] = scatter_flat(vals, flat, len(sparse) * m, a).reshape(len(sparse), m, d)
-    return out.reshape(len(mats) * count, m, d)
-
-
-def densify(s: SparseSketch) -> np.ndarray:
-    out = np.zeros((s.m, s.n))
-    off = 0
-    for b in s.blocks:
-        out[b.row_of + off, np.arange(s.n)] = b.value_of
-        off += b.m
-    return out
+        require_fits(s, mats[0])
+        p[i] = s.matrix if isinstance(s, DenseSketch) else densify(s)
+    out = np.empty((len(mats), len(sketches), m, d))
+    for t, a in enumerate(mats):
+        if np.count_nonzero(np.isfinite(a)) == a.size:  # the cheapest test at small sizes
+            np.matmul(p, a, out=out[t])
+        else:
+            out[t] = np.nan
+    return out.reshape(len(mats) * len(sketches), m, d)
 
 
 def concat_sketches(s1: SparseSketch, s2: SparseSketch) -> SparseSketch:

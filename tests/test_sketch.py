@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,18 @@ class TestApplySketches:
             want = np.stack([apply_sketch(s, a) for a in mats[:count] for s in sketches])
             assert apply_sketches(sketches, mats[:count]).tobytes() == want.tobytes()
 
+    def test_non_finite_matrix_gives_nan_slices(self):
+        # no 0 * inf reaches BLAS, so no RuntimeWarning; only that matrix's slices
+        mats = [np.ones((10, 7)), np.ones((10, 7))]
+        mats[1][3, 2] = np.inf
+        sketches = [sparse_random_sketch(4, 10, 1), dense_random_sketch(4, 10, 2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = apply_sketches(sketches, mats)
+            alone = apply_sketch(sketches[0], mats[1])
+        assert np.isfinite(got[:2]).all() and np.isnan(got[2:]).all()
+        assert alone.shape == (4, 7) and np.isnan(alone).all()
+
     def test_checks_rows_and_columns(self):
         a = np.ones((10, 7))
         with pytest.raises(ValueError, match="rows, expected 4"):
@@ -151,7 +165,12 @@ class TestScatterRows:
         got = scatter_rows(s.value_of, s.row_of, s.m, a)
         want = loop_scatter_rows(s.value_of, s.row_of, s.m, a)
         assert got.tobytes() == want.tobytes()
-        assert np.array_equal(apply_sketch(s, a), matmul(densify(s), a))
+        # apply_sketch is one BLAS product, which fuses multiply and add: each
+        # entry within n * eps * (|S| @ |a|) of the fixed-order product's
+        p = densify(s)
+        assert apply_sketch(s, a).tobytes() == (p @ a).tobytes()
+        bound = n * np.finfo(float).eps * (np.abs(p) @ np.abs(a))
+        assert (np.abs(apply_sketch(s, a) - matmul(p, a)) <= bound).all()
 
     @pytest.mark.parametrize("seed", range(200))
     def test_signed_zeros_match_loop_bitwise(self, seed):

@@ -11,7 +11,8 @@ from lrsketch.evalbench import DatasetSpec, generate_dataset
 from lrsketch.linalg import frobenius_norm
 from lrsketch.scw import scw_loss, scw_loss_and_grad, sq_losses
 from lrsketch.seeding import derived_seed, rng_from
-from lrsketch.sketch import SparseSketch, concat_sketches, sketches_equal, sparse_random_sketch
+from lrsketch.sketch import (SparseSketch, apply_sketch, apply_sketches, concat_sketches,
+                             sketches_equal, sparse_random_sketch)
 from lrsketch.trainer import TrainConfig, TrainingDivergedError, report_to_csv, train
 from test_scw import reference_sa_loss_and_grad, residual_free_loss
 
@@ -490,6 +491,35 @@ def three_modes(**kw):
     """Two runs of each mode; at m=4 with 2 learned rows, that is two lockstep groups."""
     return [quick_cfg(mode=mode, learned_rows=2, seed=seed, **kw)
             for mode in MODES for seed in (5, 6)]
+
+
+class TestOneSaPath:
+    """apply_sketch, apply_sketches and a lockstep step's SA (`Stack.sa`) take
+    one BLAS product per slice and agree bit for bit, at trained-like values
+    and at m = 1 and d = 1, where BLAS takes a matrix-vector product."""
+
+    @pytest.mark.parametrize("m,d", [(1, 5), (4, 1), (6, 7)])
+    def test_agree_bitwise(self, m, d):
+        rng = rng_from(1300, m, d)
+        n, groups = 12, 3
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        values[::4] = -0.0
+        split = [m] if m == 1 else [1, m - 1]
+        blocks = [sparse_random_sketch(rows, n, 1301 + i) for i, rows in enumerate(split)]
+        sketches = [sparse_random_sketch(m, n, 1300).with_values(values),
+                    concat_sketches(*blocks) if len(blocks) > 1 else blocks[0]]
+        sketches[1] = sketches[1].with_values(rng.standard_normal(len(split) * n))
+        mats = np.stack([rng.standard_normal((n, d)) for _ in range(5)])
+        which = rng.integers(0, len(mats), size=(groups, len(sketches)))
+        stack = lockstep.Stack(sketches, groups)
+        sa = stack.sa(np.concatenate([s.value_of for s in sketches]),
+                      mats.take(which.ravel(), axis=0))
+        every = apply_sketches(sketches, list(mats))
+        for g in range(groups):
+            for r, s in enumerate(sketches):
+                want = apply_sketch(s, mats[which[g, r]]).tobytes()
+                assert sa[g * len(sketches) + r].tobytes() == want
+                assert every[which[g, r] * len(sketches) + r].tobytes() == want
 
 
 class TestBatchStream:
