@@ -258,7 +258,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 def _eval_sketch(cfg: ExperimentConfig, di: int, spec: DatasetSpec, n: int, k: int,
                  m: int, st: str, t: int):
-    """The trained sketch from its SKCH1 file, or a fresh seeded random one."""
+    """The trained m x n sketch from its SKCH1 file, or a fresh seeded random one."""
     if st not in TRAIN_MODES:
         seed = derived_seed(cfg.seed, _SEED_EVAL_TRIAL, di, k, m, SKETCH_TYPES.index(st), t)
         return random_sketch(st, m, n, seed)
@@ -266,9 +266,12 @@ def _eval_sketch(cfg: ExperimentConfig, di: int, spec: DatasetSpec, n: int, k: i
     if not os.path.isfile(path):
         raise UsageError(f"missing sketch file {path}: run train first")
     try:
-        return load_sketch(path)
+        s = load_sketch(path)
     except (OSError, ValueError) as exc:
         raise _file_error(path, exc) from exc
+    if (s.m, s.n) != (m, n):
+        raise UsageError(f"{path}: sketch is {s.m}x{s.n}, expected {m}x{n}")
+    return s
 
 
 def cmd_eval(cfg: ExperimentConfig) -> int:

@@ -7,10 +7,11 @@ lone run as a group of one: one gather copies the step's batch x runs
 train matrices, one put of the values into the runs' dense patterns and
 one P @ A take every SA, and one `scw.sa_loss_and_grad_stack` the losses
 and gradients, whose `linalg.stack_svd` calls build no rank mask or
-non-finite flag (both None) unless a slice needs one. Each run keeps its
-batch stream, mask, lr and history, and gets the values and history it
-gets alone; `train_many` scores the runs and loads this module on first
-use.
+non-finite flag (both None) unless a slice needs one. A group is laid
+out once: a run that fails is frozen at its start, not taken out. Each
+run keeps its batch stream, mask, lr and history, and gets the values and
+history it gets alone; `train_many` scores the runs and loads this module
+on first use.
 """
 
 from __future__ import annotations
@@ -50,48 +51,35 @@ class Stack:
 
 def run_lockstep(mats: np.ndarray, sq_norms: np.ndarray, sketches, cfgs) -> list:
     """SGD for each sketch with its cfg, stepped at once over the (T, n, d)
-    stack of train matrices with their (T,) ||A||_F^2: each run's (values,
-    history) or error.
+    stack of finite train matrices with their (T,) ||A||_F^2: each run's
+    (values, history) or error.
 
     The runs share the trained rows, k, batch size and iteration count;
     each keeps its batch stream, drawn once (`trainer._batches`), mask, lr
     and history. The values, and each step's gather index and ||A||_F^2,
-    are laid out once, and again only when a run drops out: at its first
-    failure in batch order, a slice whose SA or B is non-finite (ValueError)
-    or a non-finite loss; or after the step, a non-finite value
-    (TrainingDivergedError). Losses are reduced to batch means at the end.
-    A matrix holding a NaN or an infinity, found once from the norms, is
-    zeroed there, as the kernel zeroes it, and its SA set to NaN: no product
-    meets 0 * inf.
+    are laid out once. A run fails at its first failure in batch order, a
+    slice whose SA or B is non-finite (ValueError) or a non-finite loss, or
+    after the step at a non-finite value (TrainingDivergedError). It is
+    then frozen at its start: its values are put back, its mask cleared and
+    its lr zeroed (an inf lr would meet zero gradients as inf * 0), so its
+    slices compute what nothing reads, and it fails only once. Each
+    slice is computed on its own, so the rest keep the bytes they get alone.
+    Losses are reduced to batch means at the end.
     """
     k, batch, iterations = cfgs[0].k, cfgs[0].batch_size, cfgs[0].iterations
     out = [None] * len(sketches)
-    draws = [_batches(cfg, len(mats)) for cfg in cfgs]
-    losses = np.empty((iterations, batch, len(sketches)))
-    stored = losses.reshape(iterations, batch * len(sketches))  # a view: (step, batch x run)
-    live, stack = list(range(len(sketches))), None
+    stack = Stack(sketches, batch)
     vals = np.concatenate([s.value_of for s in sketches])
-    flagged = None  # the non-finite matrices; a matrix with a finite norm is finite
-    if not np.isfinite(sq_norms).all():
-        flagged, mats = ~np.isfinite(mats).all(axis=(1, 2)), np.where(np.isfinite(mats), mats, 0.0)
+    mask = np.concatenate([s.trainable_mask for s in sketches])
+    lr = np.array([cfg.lr for cfg in cfgs], dtype=np.float64)[stack.owner]
+    batches = np.stack([_batches(cfg, len(mats)) for cfg in cfgs], axis=2)  # (step, batch, run)
+    slices = batches.reshape(iterations, batch * len(sketches))
+    norms = sq_norms[slices]
+    losses = np.empty(batches.shape)
     for step in range(iterations):
-        if stack is None:  # laid out again when a run drops out
-            if not live:
-                break
-            stack = Stack([sketches[r] for r in live], batch)
-            mask = np.concatenate([sketches[r].trainable_mask for r in live])
-            lr = np.array([cfgs[r].lr for r in live], dtype=np.float64)[stack.owner]
-            batches = np.stack([draws[r] for r in live], axis=2)  # (step, batch, run)
-            slices = batches.reshape(iterations, -1)
-            norms = sq_norms[slices]
-            cols = slice(None) if len(live) == len(sketches) else (
-                np.arange(batch)[:, None] * len(sketches) + live).ravel()  # in stored
         a = mats.take(slices[step], axis=0)
-        sa = stack.sa(vals, a)
-        if flagged is not None:
-            sa[flagged[slices[step]]] = np.nan  # flagged by the kernel's stack_svd
-        got, grads, bad = sa_loss_and_grad_stack(a, sa, k, norms[step])
-        stored[step, cols] = got
+        got, grads, bad = sa_loss_and_grad_stack(a, stack.sa(vals, a), k, norms[step])
+        losses[step] = got.reshape(batch, -1)
         grad = np.add.reduce(grads.take(stack.index), axis=0)  # from +0.0, in batch order
         grad /= batch
         np.subtract(vals, np.multiply(lr, grad, out=grad), out=vals, where=mask)
@@ -106,16 +94,16 @@ def run_lockstep(mats: np.ndarray, sq_norms: np.ndarray, sketches, cfgs) -> list
             j = int(fail[:, p].argmax())
             failed[p] = non_finite("SVD input") if bad[j, p] else TrainingDivergedError(
                 f"non-finite loss at iteration {step + 1} (matrix {which[j, p]}); lower lr")
-        for p in np.flatnonzero(np.bincount(stack.owner[~finite], minlength=len(live))):
+        for p in np.flatnonzero(np.bincount(stack.owner[~finite], minlength=len(sketches))):
             failed.setdefault(p, TrainingDivergedError(
                 f"non-finite sketch values after iteration {step + 1}; lower lr"))
-        if failed:  # the failed runs drop out, their values with them
-            for p, exc in failed.items():
-                out[live[p]] = exc
-            vals = vals[~np.isin(stack.owner, list(failed))]
-            live, stack = [r for p, r in enumerate(live) if p not in failed], None
-    bounds = np.cumsum([sketches[r].value_of.shape[0] for r in live])[:-1]
-    for r, v in zip(live, np.split(vals, bounds)):
-        means = np.ascontiguousarray(losses[:, :, r]).sum(axis=1) / batch  # as np.mean sums
-        out[r] = v, list(zip(range(1, iterations + 1), means.tolist()))
+        for p, exc in failed.items():
+            if out[p] is None:
+                out[p], frozen = exc, stack.owner == p
+                vals[frozen], mask[frozen], lr[frozen] = sketches[p].value_of, False, 0.0
+    bounds = np.cumsum([s.value_of.shape[0] for s in sketches])[:-1]
+    for r, v in enumerate(np.split(vals, bounds)):
+        if out[r] is None:
+            means = np.ascontiguousarray(losses[:, :, r]).sum(axis=1) / batch  # as np.mean sums
+            out[r] = v, list(zip(range(1, iterations + 1), means.tolist()))
     return out

@@ -19,7 +19,7 @@ run whose final loss is above its initial one returns its start.
 `train` is `train_many` of one cfg. `train_many` scores the runs that
 share k in one pass, and runs that share every shape step together
 through one driver (`lockstep`), so each run gets the bytes it gets
-alone.
+alone; a run that fails there keeps its own error, and the rest step on.
 """
 
 from __future__ import annotations
@@ -120,11 +120,11 @@ def _mean_losses(mats, sq_norms, sketches: dict, cfgs) -> dict:
     return out
 
 
-def _result(sketch, tail, trained, initial: float, final: float, history):
-    """concat_sketches(trained, tail) and its report; the start if SGD ended above it."""
+def _result(start, trained, initial: float, final: float, history):
+    """The m-row trained sketch and its report; the m-row start if SGD ended above it."""
     if final > initial:  # SGD ended above its start: keep the start
-        trained, final = sketch, initial
-    return concat_sketches(trained, tail), TrainReport(tuple(history), initial, final)
+        trained, final = start, initial
+    return trained, TrainReport(tuple(history), initial, final)
 
 
 def _batches(cfg: TrainConfig, count: int) -> np.ndarray:
@@ -181,11 +181,12 @@ def train_many(train_set, m: int, cfgs) -> Iterator[tuple[SparseSketch, TrainRep
     run that shares k are scored in one pass (`scw.sq_losses`) before any
     run steps, and the final losses in one pass after the last. Runs that
     share the trained rows, k, batch size and iteration count step in
-    lockstep (`lockstep`), a run's steps the same whatever its group.
-    Every cfg is checked before any run steps. Every run trains when the
-    iterator is first advanced, before it yields; results come in cfg
-    order, and at a run that failed the iterator raises that run's own
-    error.
+    lockstep (`lockstep`), a run's steps the same whatever its group; only
+    runs whose initial scoring passed step, so every train matrix they step
+    on is finite. Every cfg is checked before any run steps. Every run
+    trains when the iterator is first advanced, before it yields; results
+    come in cfg order, and at a run that failed the iterator raises that
+    run's own error.
     """
     cfgs = list(cfgs)
     if not cfgs:  # train is never called, so nothing is checked
@@ -205,8 +206,8 @@ def _in_order(mats, starts, cfgs):
 def _train_all(mats, starts, cfgs) -> list:
     """Each run's (sketch, report) or error: score all, step each group, score all."""
     sq_norms = [frobenius_norm(a) ** 2 for a in mats]
-    out = _mean_losses(mats, sq_norms, {i: concat_sketches(*start)
-                                        for i, start in enumerate(starts)}, cfgs)
+    begun = {i: concat_sketches(*start) for i, start in enumerate(starts)}
+    out = _mean_losses(mats, sq_norms, begun, cfgs)
     initial = {i: x for i, x in out.items() if not isinstance(x, Exception)}
     groups = {}
     for i in initial:
@@ -215,20 +216,19 @@ def _train_all(mats, starts, cfgs) -> list:
     from .lockstep import run_lockstep  # loaded here, so start-up does not compile it
     stepped, stack = {}, np.stack(mats) if groups else None
     for group in groups.values():
-        got = _attempt(run_lockstep, stack, np.array(sq_norms), [starts[i][0] for i in group],
-                       [cfgs[i] for i in group])
-        stepped.update(zip(group, [got] * len(group) if isinstance(got, Exception) else got))
+        stepped.update(zip(group, run_lockstep(stack, np.array(sq_norms),
+                                               [starts[i][0] for i in group],
+                                               [cfgs[i] for i in group])))
     trained = {}
     for i, got in stepped.items():
         if isinstance(got, Exception):
             out[i] = got
         else:
-            trained[i] = starts[i][0].with_values(got[0])
-    finals = _mean_losses(mats, sq_norms, {i: concat_sketches(t, starts[i][1])
-                                           for i, t in trained.items()}, cfgs)
+            trained[i] = concat_sketches(starts[i][0].with_values(got[0]), starts[i][1])
+    finals = _mean_losses(mats, sq_norms, trained, cfgs)
     for i, final in finals.items():
         out[i] = final if isinstance(final, Exception) else _result(
-            *starts[i], trained[i], initial[i], final, stepped[i][1])
+            begun[i], trained[i], initial[i], final, stepped[i][1])
     return [out[i] for i in range(len(cfgs))]
 
 

@@ -9,7 +9,7 @@ from lrsketch import cli, formats, scw, trainer, verify
 from lrsketch.cli import main
 from lrsketch.evalbench import (SKETCH_TYPES, ResultRecord, generate_dataset, optimal_loss,
                                 results_to_csv)
-from lrsketch.formats import load_sketch, save_dmat
+from lrsketch.formats import load_sketch, save_dmat, save_sketch
 from lrsketch.scw import scw_loss
 from lrsketch.seeding import derived_seed
 from lrsketch.sketch import sketches_equal, sparse_random_sketch
@@ -361,6 +361,10 @@ _DAMAGE = {
                        lambda p: _patch(p, 38, np.array([4], dtype="<u8").tobytes())),
     "skch_nan": ("sketches/demo_k2_m4_learned_t0.skch",
                  lambda p: _patch(p, 38 + 8 * 16, np.array([np.nan], dtype="<f8").tobytes())),
+    "skch_other_m": ("sketches/demo_k2_m4_learned_t0.skch",
+                     lambda p: save_sketch(p, sparse_random_sketch(5, 16, 0))),
+    "skch_other_n": ("sketches/demo_k2_m4_learned_t0.skch",
+                     lambda p: save_sketch(p, sparse_random_sketch(4, 15, 0))),
     "manifest_cut": ("data/demo/manifest.json", lambda p: _cut(p, 20)),
     "manifest_no_test": ("data/demo/manifest.json",
                          lambda p: _edit_manifest(p, lambda m: m.pop("test"))),

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -701,6 +702,21 @@ class TestTrainMany:
         for result, cfg in zip(got, cfgs):
             assert_same_run(result, train(small_train_set, 4, cfg))
 
+    def test_failed_run_keeps_its_group_laid_out_once(self, small_train_set, monkeypatch):
+        # the last run diverges at step 1 (lr inf) and is frozen at its start:
+        # the group keeps its one Stack, and the others get what they get alone
+        built, make = [], lockstep.Stack
+        monkeypatch.setattr(lockstep, "Stack", lambda *args: built.append(1) or make(*args))
+        cfgs = [quick_cfg(lr=lr, seed=seed) for lr, seed in ((1.0, 5), (1.0, 7), (math.inf, 6))]
+        it = trainer.train_many(small_train_set, 4, cfgs)
+        got = [next(it), next(it)]
+        with pytest.raises(TrainingDivergedError, match="after iteration 1;"):
+            next(it)
+        assert built == [1]
+        monkeypatch.undo()
+        for result, cfg in zip(got, cfgs):
+            assert_same_run(result, train(small_train_set, 4, cfg))
+
     @staticmethod
     def empty_row_cfgs(m, count):
         """count learned cfgs whose m-row start has a row no column hits, then
@@ -750,14 +766,31 @@ class TestTrainMany:
             assert out[i][1] == history
             assert np.array(out[i][1]).tobytes() == np.array(history).tobytes()
 
+    def test_frozen_run_warns_no_more_than_alone(self, small_train_set):
+        # the lr=inf run diverges at step 1 and is frozen at its start; its lr
+        # is zeroed, so no inf * 0 is taken where it later meets the zero
+        # matrix, and the group warns no more than its runs alone
+        train_set = small_train_set + [np.zeros_like(small_train_set[0])]
+        zero = len(train_set) - 1
+        seed = next(s for s in range(100) if zero not in
+                    trainer._batches(quick_cfg(seed=s), len(train_set))[0])
+        cfgs = [quick_cfg(seed=seed + 1), quick_cfg(lr=math.inf, seed=seed)]
+        assert zero in trainer._batches(cfgs[1], len(train_set))[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            it = trainer.train_many(train_set, 4, cfgs)
+            assert_same_run(next(it), train(train_set, 4, cfgs[0]))
+            with pytest.raises(TrainingDivergedError, match="values after iteration 1;"):
+                next(it)
+
     def test_failures_in_one_step_keep_their_own_errors(self, small_train_set):
-        # batch 3, one train matrix non-finite: at step 1 one run meets it
-        # (ValueError) and one diverges at lr=inf, while a third steps on;
-        # each gets what it gets as a group of one, called directly
+        # batch 3, one finite train matrix whose SA overflows: at step 1 one run
+        # meets it (ValueError) and one diverges at lr=inf, while a third steps
+        # on; each gets what it gets as a group of one, called directly
         mats = np.stack(small_train_set)
-        mats[4, 2, 3] = math.inf
-        sq_norms = np.array([frobenius_norm(a) ** 2 for a in small_train_set])
-        sq_norms[4] = frobenius_norm(mats[4]) ** 2
+        mats[4] = 1e308
+        with np.errstate(over="ignore"):
+            sq_norms = np.array([frobenius_norm(a) ** 2 for a in mats])
 
         def first(cfg_of, meets, ever=False):
             """The first cfg_of(seed) whose step-1 batch (every batch if ever)
@@ -775,9 +808,10 @@ class TestTrainMany:
                 first(lambda s: quick_cfg(batch_size=3, iterations=8, seed=s), False, True)]
         assert trainer._batches(cfgs[0], len(mats))[0].tolist().index(4) > 0  # not first
         sketches = [trainer._start(12, 4, c)[0] for c in cfgs]
-        out = lockstep.run_lockstep(mats, sq_norms, sketches, cfgs)
-        alone = [lockstep.run_lockstep(mats, sq_norms, [s], [c])[0]
-                 for s, c in zip(sketches, cfgs)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = lockstep.run_lockstep(mats, sq_norms, sketches, cfgs)
+            alone = [lockstep.run_lockstep(mats, sq_norms, [s], [c])[0]
+                     for s, c in zip(sketches, cfgs)]
         assert type(out[0]) is type(alone[0]) is ValueError
         assert str(out[0]) == str(alone[0]) == "SVD input contains non-finite entries"
         assert type(out[1]) is type(alone[1]) is TrainingDivergedError
@@ -810,6 +844,19 @@ class TestTrainMany:
         with pytest.raises(ValueError, match="SVD input contains non-finite entries"):
             train(small_train_set[1:] + [bad], 4, quick_cfg())
         assert seen and all(seen)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_matrix_fails_before_any_step(self, small_train_set, value,
+                                                     monkeypatch):
+        # the initial scoring covers every train matrix, so a non-finite one
+        # fails every run before any group steps
+        def stepped(*args):
+            raise AssertionError("a run stepped")
+        monkeypatch.setattr(lockstep, "run_lockstep", stepped)
+        bad = small_train_set[0].copy()
+        bad[3, 2] = value
+        with pytest.raises(ValueError, match="SVD input contains non-finite entries"):
+            list(trainer.train_many(small_train_set[1:] + [bad], 4, three_modes()))
 
     def test_learned_rows_checked_before_any_step(self, small_train_set, monkeypatch):
         def stepped(*args):
